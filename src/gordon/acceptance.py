@@ -22,6 +22,7 @@ report is bit-identical across runs with the same configuration.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
@@ -62,9 +63,20 @@ POINCARE_RECT = (0.0, 1.0, 8.0, 12.0)  # far from y = 0 so 1/y^2 is mild
 SQRT2 = np.sqrt(2.0)
 
 
-def base_tolerance() -> float:
-    env = os.environ.get("GORDON_TOL")
-    return float(env) if env else 1e-3
+def base_tolerance(tol: float | None = None) -> float:
+    """The verification tolerance: `tol` if given, else GORDON_TOL, else 1e-3.
+
+    Raises ValueError unless the value parses as a positive finite number.
+    """
+    if tol is None:
+        env = os.environ.get("GORDON_TOL")
+        try:
+            tol = float(env) if env else 1e-3
+        except ValueError:
+            raise ValueError(f"GORDON_TOL is not a number: {env!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    return tol
 
 
 def _grid(rect, h) -> Grid2D:
@@ -504,8 +516,7 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
         # are not meaningful there
         h = 1.0 / 100
         convergence = False
-    if tol is None:
-        tol = base_tolerance()
+    tol = base_tolerance(tol)
     factor = (h / DEFAULT_H) ** 2  # second-order scaling of every FD floor
     tol_fd = tol * factor
     march_tol = 5e-4 * factor
@@ -534,9 +545,8 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
         tol=300.0,
         passed=elapsed < 300.0,
     ))
-    rep = VerificationReport(
+    return VerificationReport(
         checks=checks,
         config={"h": h, "tolerance": tol, "quick": quick, "convergence": convergence},
+        elapsed=elapsed,
     )
-    rep.elapsed = elapsed
-    return rep

@@ -8,7 +8,10 @@ solution theta is
 
 Given one side, the other is constructed by quadrature: seed the transverse
 axis line first, then sweep all parallel lines, enforcing one equation with
-RK4 and reporting the other as a residual.  Two closed-form shortcuts for w
+RK4 and reporting the other as a residual.  Each march cell is tabulated,
+then marched: the given field and its cross derivative are evaluated once at
+all RK4 stage times of the cell, in one vectorized call per quantity, and
+the RK4 stages only index those tables.  Two closed-form shortcuts for w
 printed for special theta families are also provided; they are evaluated
 verbatim and *checked against* the quadrature construction, never trusted.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .grid import (
     Grid2D,
@@ -64,72 +67,69 @@ def backlund_residuals(pair: BacklundPair):
     return field(pair.grid, r1, m1), field(pair.grid, r2, m2)
 
 
-class _FieldData:
-    """Value/derivative provider for a field during a march.
+def _tabulator(f: ScalarField, analytic, along: int, seed: bool):
+    """Stage-time tables for a march along axis `along` (0: x, 1: y).
 
-    Wraps either an analytic callable (values at arbitrary points,
-    derivatives by small-step central differences) or a sampled field
-    (cubic splines along the march axis; cross derivatives by axis
-    gradients first).
+    Returns tab(T) -> (value, cross derivative) of f at the march
+    coordinates T: arrays of shape (len(T),) on the axis line (the other
+    coordinate 0) when `seed`, else (len(T), n) over all n lines.  The
+    analytic path makes one vectorized call per quantity, the derivative by
+    _FD_STEP central differences; the sampled path evaluates cubic splines
+    of f and of its cross gradient along the march axis.
     """
+    g = f.grid
+    if analytic is not None:
+        c = 0.0 if seed else (g.y(), g.x())[along]  # cross coordinates of the lines
 
-    def __init__(self, f: ScalarField, analytic=None):
-        self.grid = f.grid
-        if analytic is not None:
-            d = _FD_STEP
-            self.value = lambda x, y: analytic(x, y)
-            self.dx = lambda x, y: (analytic(x + d, y) - analytic(x - d, y)) / (2 * d)
-            self.dy = lambda x, y: (analytic(x, y + d) - analytic(x, y - d)) / (2 * d)
-        else:
-            g = f.grid
-            v = f.values
-            gx = np.gradient(v, g.hx, axis=0)
-            gy = np.gradient(v, g.hy, axis=1)
-            sy = CubicSpline(g.y(), v, axis=1)
-            sy_dx = CubicSpline(g.y(), gx, axis=1)
-            sx = CubicSpline(g.x(), v, axis=0)
-            sx_dy = CubicSpline(g.x(), gy, axis=0)
-            # column evaluators: y scalar -> vector over the grid x-axis
-            self._col = sy
-            self._col_dx = sy_dx
-            # row evaluators: x scalar -> vector over the grid y-axis
-            self._row = sx
-            self._row_dy = sx_dy
-            self.value = None
+        def at(T, cc):
+            tt = T if seed else T[:, None]
+            return analytic(tt, cc) if along == 0 else analytic(cc, tt)
 
-    # sampled-path accessors used by the marches below
-    def on_row(self, x):
-        return self._row(x)
+        return lambda T: (at(T, c), (at(T, c + _FD_STEP) - at(T, c - _FD_STEP)) / (2 * _FD_STEP))
 
-    def on_row_dy(self, x):
-        return self._row_dy(x)
-
-    def on_col(self, y):
-        return self._col(y)
-
-    def on_col_dx(self, y):
-        return self._col_dx(y)
+    cross = 1 - along
+    t_axis = (g.x(), g.y())[along]
+    splines = [
+        CubicSpline(t_axis, v, axis=along)
+        for v in (f.values, np.gradient(f.values, (g.hx, g.hy)[cross], axis=cross))
+    ]
+    if seed:
+        k = g.index_of_y(0.0) if along == 0 else g.index_of_x(0.0)
+        # the seed line's own pieces evaluate to the same numbers as its
+        # entry of the full row or column, without computing the others
+        splines = [PPoly(s.c[..., k], s.x) for s in splines]
+    elif along == 1:
+        return lambda T: tuple(np.ascontiguousarray(s(T).T) for s in splines)
+    return lambda T: tuple(s(T) for s in splines)
 
 
-def _rk4_vec(f, t0, u0, t1, nsub):
-    """Vector RK4 for du/dt = f(t, u) from t0 to t1."""
-    h = (t1 - t0) / nsub
-    t, u = t0, u0
-    for _ in range(nsub):
-        k1 = f(t, u)
-        k2 = f(t + h / 2, u + h / 2 * k1)
-        k3 = f(t + h / 2, u + h / 2 * k2)
-        k4 = f(t + h, u + h * k3)
-        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_cell(coeffs, G, t0, u, t1):
+    """RK4 for du/dt = P(t) + G(u) Q(t) from t0 to t1 in MARCH_SUBSTEPS substeps.
+
+    coeffs(T) -> (P, Q) tabulates both once per cell at all stage times,
+    found by the recurrence t, t + h/2, t + h; t <- t + h.
+    """
+    h = (t1 - t0) / MARCH_SUBSTEPS
+    t, T = t0, [t0]
+    for _ in range(MARCH_SUBSTEPS):
+        T += [t + h / 2, t + h]
         t = t + h
+    P, Q = coeffs(np.array(T))
+    for s in range(0, 2 * MARCH_SUBSTEPS, 2):
+        k1 = P[s] + G(u) * Q[s]
+        k2 = P[s + 1] + G(u + h / 2 * k1) * Q[s + 1]
+        k3 = P[s + 1] + G(u + h / 2 * k2) * Q[s + 1]
+        k4 = P[s + 2] + G(u + h * k3) * Q[s + 2]
+        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return u
 
 
-def _sweep(axis, k0, u0, step_fn):
+def _sweep(axis, k0, u0, coeffs, G):
     """March a state vector outward from index k0 along `axis`.
 
-    step_fn(t_from, u, t_to) -> new state.  Entries that leave [-W_CAP, W_CAP]
-    or go non-finite are frozen and flagged invalid from there on.
+    Each cell is one _rk4_cell(coeffs, G, ...).  Entries that leave
+    [-W_CAP, W_CAP] or go non-finite are frozen and flagged invalid from
+    there on.
     """
     n = len(axis)
     m = np.shape(u0)
@@ -142,7 +142,7 @@ def _sweep(axis, k0, u0, step_fn):
         alive = valid[k0].copy()
         for k in range(k0 + direction, n if direction == 1 else -1, direction):
             with np.errstate(over="ignore", invalid="ignore"):
-                u = step_fn(axis[k - direction], u, axis[k])
+                u = _rk4_cell(coeffs, G, axis[k - direction], u, axis[k])
             bad = ~np.isfinite(u) | (np.abs(u) > W_CAP)
             alive = alive & ~bad
             u = np.where(alive, u, 0.0)
@@ -161,30 +161,19 @@ def theta_to_w(theta: ScalarField, w00: float, analytic=None) -> ScalarField:
     """
     g = theta.grid
     i0, j0 = g.index_of_x(0.0), g.index_of_y(0.0)
-    data = _FieldData(theta, analytic)
-    x, y = g.x(), g.y()
+    row = _tabulator(theta, analytic, 0, seed=True)
+    col = _tabulator(theta, analytic, 1, seed=False)
 
-    if analytic is not None:
-        def row_rhs(t, w):
-            return data.dy(t, 0.0) - 2 * np.sinh(w) * np.sin(data.value(t, 0.0))
+    def row_coeffs(T):
+        th, th_y = row(T)
+        return th_y, -np.sin(th)
 
-        def col_rhs(t, w):
-            return -data.dx(x, t) - 2 * np.cosh(w) * np.cos(data.value(x, t))
-    else:
-        def row_rhs(t, w):
-            return data.on_row_dy(t)[j0] - 2 * np.sinh(w) * np.sin(data.on_row(t)[j0])
+    def col_coeffs(T):
+        th, th_x = col(T)
+        return -th_x, -np.cos(th)
 
-        def col_rhs(t, w):
-            return -data.on_col_dx(t) - 2 * np.cosh(w) * np.cos(data.on_col(t))
-
-    def row_step(t_from, u, t_to):
-        return _rk4_vec(row_rhs, t_from, u, t_to, MARCH_SUBSTEPS)
-
-    def col_step(t_from, u, t_to):
-        return _rk4_vec(col_rhs, t_from, u, t_to, MARCH_SUBSTEPS)
-
-    seed, seed_ok = _sweep(x, i0, np.float64(w00), row_step)
-    vals, ok = _sweep(y, j0, seed, col_step)
+    seed, seed_ok = _sweep(g.x(), i0, np.float64(w00), row_coeffs, lambda w: 2 * np.sinh(w))
+    vals, ok = _sweep(g.y(), j0, seed, col_coeffs, lambda w: 2 * np.cosh(w))
     # _sweep ran over y with state vectors over x: transpose to (nx, ny)
     vals, ok = vals.T, ok.T
     ok = ok & seed_ok[:, None] & theta.mask
@@ -199,30 +188,19 @@ def w_to_theta(w: ScalarField, theta00: float, analytic=None) -> ScalarField:
     """
     g = w.grid
     i0, j0 = g.index_of_x(0.0), g.index_of_y(0.0)
-    data = _FieldData(w, analytic)
-    x, y = g.x(), g.y()
+    col = _tabulator(w, analytic, 1, seed=True)
+    row = _tabulator(w, analytic, 0, seed=False)
 
-    if analytic is not None:
-        def col_rhs(t, th):
-            return data.dx(0.0, t) + 2 * np.sinh(data.value(0.0, t)) * np.sin(th)
+    def col_coeffs(T):
+        wv, w_x = col(T)
+        return w_x, 2 * np.sinh(wv)
 
-        def row_rhs(t, th):
-            return -data.dy(t, y) - 2 * np.cosh(data.value(t, y)) * np.cos(th)
-    else:
-        def col_rhs(t, th):
-            return data.on_col_dx(t)[i0] + 2 * np.sinh(data.on_col(t)[i0]) * np.sin(th)
+    def row_coeffs(T):
+        wv, w_y = row(T)
+        return -w_y, -2 * np.cosh(wv)
 
-        def row_rhs(t, th):
-            return -data.on_row_dy(t) - 2 * np.cosh(data.on_row(t)) * np.cos(th)
-
-    def col_step(t_from, u, t_to):
-        return _rk4_vec(col_rhs, t_from, u, t_to, MARCH_SUBSTEPS)
-
-    def row_step(t_from, u, t_to):
-        return _rk4_vec(row_rhs, t_from, u, t_to, MARCH_SUBSTEPS)
-
-    seed, seed_ok = _sweep(y, j0, np.float64(theta00), col_step)
-    vals, ok = _sweep(x, i0, seed, row_step)
+    seed, seed_ok = _sweep(g.y(), j0, np.float64(theta00), col_coeffs, np.sin)
+    vals, ok = _sweep(g.x(), i0, seed, row_coeffs, np.cos)
     ok = ok & seed_ok[None, :] & w.mask
     return field(g, np.where(ok, vals, 0.0), ok)
 

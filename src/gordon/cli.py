@@ -83,11 +83,10 @@ def _grid_from_args(args, fam=None, include_axes=False) -> Grid2D:
 
 
 def _tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise ConfigError("tolerance must be positive")
-        return args.tol
-    return acceptance.base_tolerance()
+    try:
+        return acceptance.base_tolerance(getattr(args, "tol", None))
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 def _family(fid: str):
@@ -100,7 +99,7 @@ def _family(fid: str):
 def _emit(report: VerificationReport, args) -> int:
     for c in sorted(report.checks, key=lambda c: c.name):
         print(c.line())
-    if getattr(report, "elapsed", None) is not None:
+    if report.elapsed is not None:
         print(f"elapsed: {report.elapsed:.1f}s")
     if getattr(args, "json", None):
         report.write(args.json)
@@ -346,9 +345,8 @@ def cmd_harmonic_verify(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    tol = args.tol if args.tol is not None else None
     rep = acceptance.run_acceptance(
-        h=args.h, tol=tol, quick=args.quick, convergence=not args.no_convergence
+        h=args.h, tol=_tol(args), quick=args.quick, convergence=not args.no_convergence
     )
     return _emit(rep, args)
 

@@ -201,14 +201,6 @@ def get_family(fid: str) -> SolutionFamily:
         raise KeyError(f"unknown family id: {fid}") from None
 
 
-def default_grid(fid: str, h: float = 1 / 400, rect: tuple | None = None) -> Grid2D:
-    """Grid over a family's recommended rectangle at spacing ~h."""
-    x0, x1, y0, y1 = rect if rect is not None else get_family(fid).rectangle
-    nx = int(round((x1 - x0) / h)) + 1
-    ny = int(round((y1 - y0) / h)) + 1
-    return Grid2D(x0, x1, y0, y1, max(nx, 5), max(ny, 5))
-
-
 # ---------------------------------------------------------------------------
 # closed-form evaluation (plain ndarray versions are reused by the march code,
 # which needs off-grid samples for its analytic derivatives)

@@ -2,8 +2,9 @@
 
 A profile p(t) obeys (p')^2 = q4*p^4 + q2*p^2 + q0.  We integrate the
 second-order reduction p'' = 2*q4*p^3 + q2*p (regular at turning points where
-p' = 0) with classical RK4 at one eighth of the grid spacing, then assemble
-two-dimensional solutions of the separable ansatz forms:
+p' = 0) with classical RK4 on plain Python floats at one eighth of the grid
+spacing, then assemble two-dimensional solutions of the separable ansatz
+forms:
 
     sinh w = tan(A(x) + B(y))        (tan family,  A' = a, B' = b)
     sin theta = tanh(C(x) + D(y))    (tanh family, C' = c, D' = d)
@@ -12,6 +13,7 @@ two-dimensional solutions of the separable ansatz forms:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,31 +97,32 @@ class SampledProfile:
         return float(np.max(num / den)) if len(p) else 0.0
 
 
-def _rk4_step(spec: QuarticProfile, p, dp, h):
-    def f(state):
-        return np.array([state[1], spec.acceleration(state[0])])
-
-    s = np.array([p, dp])
-    k1 = f(s)
-    k2 = f(s + h / 2 * k1)
-    k3 = f(s + h / 2 * k2)
-    k4 = f(s + h * k3)
-    return s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _march(spec: QuarticProfile, t_from, p, dp, t_to, nsub):
-    """RK4 from t_from to t_to in nsub substeps.
+    """RK4 on plain floats from t_from to t_to in nsub substeps.
 
     Returns (p, dp, integral of p over the leg by the substep trapezoid rule,
     blown_up flag).
     """
-    h = (t_to - t_from) / nsub
+    h = float((t_to - t_from) / nsub)
+    p, dp = float(p), float(dp)
+    f = spec.acceleration
     acc = 0.0
     for _ in range(nsub):
+        try:
+            k1 = f(p)
+            p2, d2 = p + h / 2 * dp, dp + h / 2 * k1
+            k2 = f(p2)
+            p3, d3 = p + h / 2 * d2, dp + h / 2 * k2
+            k3 = f(p3)
+            p4, d4 = p + h * d3, dp + h * k3
+            k4 = f(p4)
+        except OverflowError:  # float p**3 raises where an array power gives inf
+            return p, dp, acc, True
         p_old = p
-        p, dp = _rk4_step(spec, p, dp, h)
+        p = p + h / 6 * (dp + 2 * d2 + 2 * d3 + d4)
+        dp = dp + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         acc += (p_old + p) / 2 * h
-        if not np.isfinite(p) or abs(p) > BLOWUP_LIMIT:
+        if not math.isfinite(p) or abs(p) > BLOWUP_LIMIT:
             return p, dp, acc, True
     return p, dp, acc, False
 

@@ -55,6 +55,7 @@ class CheckResult:
 class VerificationReport:
     checks: list
     config: dict = dc_field(default_factory=dict)
+    elapsed: float | None = None  # wall-clock seconds; never serialized
 
     @property
     def passed(self) -> bool:

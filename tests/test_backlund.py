@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from gordon.backlund import (
+    W_CAP,
     BacklundPair,
     backlund_residuals,
     closed_form_w_product,
@@ -130,6 +132,139 @@ class TestWToTheta:
         w2 = theta_to_w(th, 0.0)  # sampled-field path: splines, no analytics
         ok = w.mask & w2.mask
         assert np.abs(w.values - w2.values)[ok].max() < 5e-4
+
+
+# ---------------------------------------------------------------------------
+# stage-by-stage oracle for the tabulated marches
+
+
+def _reference_sweep(axis, k0, u0, rhs, nsub=8):
+    """RK4 sweep that evaluates rhs(t, u) at every stage, freezing like the march."""
+    n = len(axis)
+    out = np.zeros((n,) + np.shape(u0))
+    valid = np.zeros(out.shape, dtype=bool)
+    out[k0] = u0
+    valid[k0] = np.isfinite(u0) & (np.abs(u0) <= W_CAP)
+    for step in (1, -1):
+        u, alive = np.array(u0, dtype=float), valid[k0].copy()
+        for k in range(k0 + step, n if step == 1 else -1, step):
+            t, h = axis[k - step], (axis[k] - axis[k - step]) / nsub
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(nsub):
+                    k1 = rhs(t, u)
+                    k2 = rhs(t + h / 2, u + h / 2 * k1)
+                    k3 = rhs(t + h / 2, u + h / 2 * k2)
+                    k4 = rhs(t + h, u + h * k3)
+                    u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                    t = t + h
+            alive = alive & np.isfinite(u) & (np.abs(u) <= W_CAP)
+            u = np.where(alive, u, 0.0)
+            out[k], valid[k] = u, alive
+    return out, valid
+
+
+def reference_march(f, u00, direction, analytic=None):
+    """(values, mask) of theta_to_w ("t2w") or w_to_theta ("w2t"), stage by stage.
+
+    Each stage evaluates the callable, or the cubic splines of f and of its
+    cross gradient, at its own time; the seed line uses its own entry of a
+    full row or column.
+    """
+    g = f.grid
+    x, y = g.x(), g.y()
+    i0, j0 = g.index_of_x(0.0), g.index_of_y(0.0)
+    if analytic is not None:
+        d = 1e-5
+        along_y = lambda xs, t: (analytic(xs, t), (analytic(xs + d, t) - analytic(xs - d, t)) / (2 * d))
+        along_x = lambda t, ys: (analytic(t, ys), (analytic(t, ys + d) - analytic(t, ys - d)) / (2 * d))
+        col, row = (lambda t: along_y(x, t)), (lambda t: along_x(t, y))
+        col0, row0 = (lambda t: along_y(0.0, t)), (lambda t: along_x(t, 0.0))
+    else:
+        v = f.values
+        sy, sy_dx = CubicSpline(y, v, axis=1), CubicSpline(y, np.gradient(v, g.hx, axis=0), axis=1)
+        sx, sx_dy = CubicSpline(x, v, axis=0), CubicSpline(x, np.gradient(v, g.hy, axis=1), axis=0)
+        col, row = (lambda t: (sy(t), sy_dx(t))), (lambda t: (sx(t), sx_dy(t)))
+        col0, row0 = (lambda t: (sy(t)[i0], sy_dx(t)[i0])), (lambda t: (sx(t)[j0], sx_dy(t)[j0]))
+
+    if direction == "t2w":
+        def seed_rhs(t, u):
+            th, th_y = row0(t)
+            return th_y - 2 * np.sinh(u) * np.sin(th)
+
+        def line_rhs(t, u):
+            th, th_x = col(t)
+            return -th_x - 2 * np.cosh(u) * np.cos(th)
+
+        seed, seed_ok = _reference_sweep(x, i0, np.float64(u00), seed_rhs)
+        vals, ok = _reference_sweep(y, j0, seed, line_rhs)
+        vals, ok, seed_ok = vals.T, ok.T, seed_ok[:, None]
+    else:
+        def seed_rhs(t, u):
+            wv, w_x = col0(t)
+            return w_x + 2 * np.sinh(wv) * np.sin(u)
+
+        def line_rhs(t, u):
+            wv, w_y = row(t)
+            return -w_y - 2 * np.cosh(wv) * np.cos(u)
+
+        seed, seed_ok = _reference_sweep(y, j0, np.float64(u00), seed_rhs)
+        vals, ok = _reference_sweep(x, i0, seed, line_rhs)
+        seed_ok = seed_ok[None, :]
+    ok = ok & seed_ok & f.mask
+    return np.where(ok, vals, 0.0), ok
+
+
+def _const(v):
+    return lambda x, y: np.full(np.shape(x * y), v)
+
+
+MARCH_CASES = [
+    # (direction, source family or constant, rectangle, initial value)
+    ("t2w", "THETA_SQRT2", (0.0, 0.6, -0.3, 0.3), 0.0),
+    ("w2t", "W_SQRT2", (0.0, 0.6, -0.3, 0.3), 1.3),
+    ("t2w", "THETA_EX2", (-0.16, 0.16, -0.16, 0.16), 0.2),
+    ("w2t", "W_EX2", (-0.16, 0.16, -0.16, 0.16), np.pi),
+    # w = 2 artanh(e^{2x}/2) passes W_CAP inside the grid: the march freezes
+    ("t2w", -np.pi / 2, (-0.3, 0.6, -0.2, 0.2), np.log(3.0)),
+]
+
+
+class TestTabulatedMarch:
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize(
+        "case", MARCH_CASES, ids=lambda c: f"{c[0]}-{c[1] if isinstance(c[1], str) else 'freeze'}"
+    )
+    def test_bit_identical_to_stage_by_stage_rk4(self, case, sampled):
+        direction, src, rect, u00 = case
+        g = grid(*rect, h=1 / 50)
+        if isinstance(src, str):
+            f, fn = eval_family(src, g), scalar_callable(src)
+        else:
+            f, fn = const_field(g, src), _const(src)
+        analytic = None if sampled else fn
+        march = theta_to_w if direction == "t2w" else w_to_theta
+        got = march(f, u00, analytic=analytic)
+        vals, ok = reference_march(f, u00, direction, analytic)
+        assert np.array_equal(got.mask, ok)
+        assert np.array_equal(got.values, vals)
+        if not isinstance(src, str):
+            assert not ok.all() and ok[0].all()  # the freeze case really froze
+
+    @pytest.mark.parametrize("direction,fid", [("t2w", "THETA_SQRT2"), ("w2t", "W_SQRT2")])
+    def test_callable_calls_linear_in_cells(self, direction, fid):
+        # tabulation calls the callable a fixed number of times per cell,
+        # never once per RK4 substep
+        g = grid(0.0, 0.6, -0.3, 0.3, h=1 / 50)
+        inner = scalar_callable(fid)
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return inner(x, y)
+
+        march = theta_to_w if direction == "t2w" else w_to_theta
+        march(eval_family(fid, g), 0.5, analytic=counted)
+        assert 0 < len(calls) <= 3 * ((g.nx - 1) + (g.ny - 1))
 
 
 class TestClosedFormTanh:

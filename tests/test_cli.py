@@ -191,3 +191,18 @@ class TestAcceptanceCommand:
         rep = json.loads((tmp_path / "acc.json").read_text())
         assert rep["passed"] is True
         assert len(rep["checks"]) >= 30
+        assert "elapsed" not in rep
+
+    @pytest.mark.parametrize("env", ["-1", "0", "nan", "inf", "abc"])
+    def test_bad_env_tolerance_is_config_error(self, env, capsys, monkeypatch):
+        monkeypatch.setenv("GORDON_TOL", env)
+        assert main(["acceptance", "--quick"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_bad_tol_flag_is_config_error(self, tol, capsys):
+        assert main(["acceptance", "--quick", "--tol", tol]) == 2
+        assert main([
+            "verify", "--family", "W_TAN_SPECIAL",
+            "--grid", coarse(-0.3, 0.3, -0.3, 0.3), "--tol", tol,
+        ]) == 2

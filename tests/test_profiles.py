@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gordon import profiles
 from gordon.families import residual_sinh_gordon, residual_sine_gordon
 from gordon.grid import make_grid
 from gordon.profiles import (
@@ -106,6 +107,57 @@ class TestIntegrateProfile:
         spec = QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             integrate_profile(spec, np.array([0.0, 0.1, 0.3]))
+
+
+def reference_march(spec, t_from, p, dp, t_to, nsub):
+    """The profile RK4 on numpy state arrays [p, p'], in the march's operation order."""
+
+    def f(s):
+        return np.array([s[1], spec.acceleration(s[0])])
+
+    h = (t_to - t_from) / nsub
+    acc = 0.0
+    for _ in range(nsub):
+        s = np.array([p, dp])
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = f(s)
+            k2 = f(s + h / 2 * k1)
+            k3 = f(s + h / 2 * k2)
+            k4 = f(s + h * k3)
+            p_old = p
+            p, dp = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        acc += (p_old + p) / 2 * h
+        if not np.isfinite(p) or abs(p) > profiles.BLOWUP_LIMIT:
+            return p, dp, acc, True
+    return p, dp, acc, False
+
+
+class TestPlainFloatRK4:
+    @pytest.mark.parametrize(
+        "spec,ends",
+        [
+            (QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0), (-1.0, 1.0)),  # 2 sech(2t)
+            (QuarticProfile(1.0, -4.0, 4.0, 0.0, 2.0), (0.2, 1.0)),  # sqrt2 tanh(sqrt2 t), lead-in march
+            (QuarticProfile(1.0, 0.0, 4.0, 0.0, 2.0), (-2.0, 2.0)),  # blows up near |t| = 1.31
+            # p**3 overflows within the first substep on either side
+            (QuarticProfile(1e100, 0.0, 0.0, 1.0, 1e50), (-1.0, 1.0)),
+        ],
+        ids=["sech", "sqrt2-tanh", "blow-up", "overflow"],
+    )
+    def test_bit_identical_to_array_rk4(self, spec, ends, monkeypatch):
+        t = axis(*ends, 0.01)
+        got = integrate_profile(spec, t, P0=0.25)
+        monkeypatch.setattr(profiles, "_march", reference_march)
+        want = integrate_profile(spec, t, P0=0.25)
+        for name in ("p", "dp", "P", "valid"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_blow_up_freezes_at_the_same_sample(self):
+        spec = QuarticProfile(1.0, 0.0, 4.0, 0.0, 2.0)
+        t = axis(-2.0, 2.0, 0.01)
+        valid = np.flatnonzero(integrate_profile(spec, t).valid)
+        assert (valid[0], valid[-1]) == (69, 331)  # t = -1.31 and 1.31
+        assert len(valid) == 331 - 69 + 1
 
 
 class TestCoefficientConstraints:
