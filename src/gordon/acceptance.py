@@ -17,7 +17,9 @@ The suite is organized into nine criteria (check names are prefixed c1..c9):
   9. wall-clock budget for the whole suite
 
 All grids, summation orders, and probe choices are fixed, so the emitted
-report is bit-identical across runs with the same configuration.
+report is bit-identical across runs with the same configuration.  Each check
+kind on a catalog family has one builder (residual_check, harmonic_checks,
+pullback_check, metric_check); `gordon verify` runs the same builders.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 
 import numpy as np
 
-from . import families, profiles
+from . import families
 from .backlund import BacklundPair, backlund_residuals, theta_to_w, w_to_theta
 from .families import (
     eval_family,
@@ -38,7 +40,7 @@ from .families import (
     residual_sinh_gordon,
     sign_probe,
 )
-from .grid import Grid2D, field
+from .grid import field, rect_grid
 from .harmonic import (
     correspondence_check,
     gaussian_curvature,
@@ -79,46 +81,107 @@ def base_tolerance(tol: float | None = None) -> float:
     return tol
 
 
-def _grid(rect, h) -> Grid2D:
-    x0, x1, y0, y1 = rect
-    nx = int(round((x1 - x0) / h)) + 1
-    ny = int(round((y1 - y0) / h)) + 1
-    return Grid2D(x0, x1, y0, y1, max(nx, 5), max(ny, 5))
+def _ratio_check(sup, tol, convergence, refined_sup):
+    """(ratio, passed) for a sup measured on a grid g.
+
+    Passing needs sup < tol and, with convergence, a drop sup / refined_sup()
+    within RATIO_BAND, where refined_sup() measures the same sup on the same
+    rectangle at half the spacing, g.refined().
+    """
+    if not convergence:
+        return None, sup < tol
+    sup2 = refined_sup()
+    ratio = sup / sup2 if sup2 > 0 else float("inf")
+    return ratio, sup < tol and RATIO_BAND[0] <= ratio <= RATIO_BAND[1]
 
 
-def _ratio_ok(ratio):
-    return RATIO_BAND[0] <= ratio <= RATIO_BAND[1]
+# ---------------------------------------------------------------------------
+# check builders: one per check kind, shared by the criteria and `gordon verify`
 
 
-def _pde_residual(fid, h):
+def residual_check(name, fid, g, tol, convergence):
+    """PDE residual of a catalog solution on g, optionally with its h-halving ratio.
+
+    A sine family's residual uses its recorded sign (+1 when it is 0), and the
+    check also requires the sign probe on g to find the recorded sign.
+    """
     fam = get_family(fid)
-    g = _grid(fam.rectangle, h)
     f = eval_family(fid, g)
+    flags = {"family": fid}
     if fam.kind == "sinh_solution":
-        return residual_sinh_gordon(f)
-    return residual_sine_gordon(f, fam.sign)
-
-
-def _residual_check(name, fid, h, tol, convergence):
-    fam = get_family(fid)
-    sup, n = _pde_residual(fid, h).sup_norm()
-    ratio = None
-    ok = sup < tol
-    if convergence:
-        sup2, _ = _pde_residual(fid, h / 2).sup_norm()
-        ratio = sup / sup2 if sup2 > 0 else float("inf")
-        ok = ok and _ratio_ok(ratio)
+        residual = residual_sinh_gordon
+    else:
+        flags["sigma"] = fam.sign
+        flags["probed_sigma"] = sign_probe(f)
+        residual = lambda th: residual_sine_gordon(th, fam.sign or 1)
+    sup, n = residual(f).sup_norm()
+    ratio, ok = _ratio_check(
+        sup, tol, convergence, lambda: residual(eval_family(fid, g.refined())).sup_norm()[0]
+    )
+    if fam.kind == "sine_solution":
+        ok = ok and flags["probed_sigma"] == fam.sign
     return CheckResult(
-        name=name,
+        name=name, anchor=fam.formula, sup=sup, count=n, tol=tol, passed=ok,
+        flags=flags, grid=g.to_json(), ratio=ratio,
+    )
+
+
+def harmonic_checks(stem, fid, g, tol):
+    """Hopf condition and partner correspondence of a catalog map on g.
+
+    The checks are named `<stem>.hopf` and `<stem>.correspondence`.
+    """
+    fam = get_family(fid)
+    u = eval_family(fid, g)
+    wgt = hopf_weight(fid, g)
+    sup, n = hopf_residual(u, wgt).sup_norm()
+    hopf = CheckResult(
+        name=f"{stem}.hopf",
         anchor=fam.formula,
         sup=sup,
         count=n,
         tol=tol,
-        passed=ok,
-        flags={"family": fid} | ({"sigma": fam.sign} if fam.kind == "sine_solution" else {}),
-        grid=_grid(fam.rectangle, h).to_json(),
-        ratio=ratio,
+        passed=sup < tol,
+        flags={"weight": "half-plane 1/S^2" if wgt is None else "target-metric weight"},
+        grid=g.to_json(),
     )
+    wpart = eval_family(fam.partner, g, fam.partner_params)
+    conv, res = correspondence_check(u, wpart)
+    sup, n = res.sup_norm()
+    corr = CheckResult(
+        name=f"{stem}.correspondence",
+        anchor="dzbar_u / dz_u matches one of exp(-+2w) of the partner solution",
+        sup=sup,
+        count=n,
+        tol=tol,
+        passed=sup < tol and conv == fam.convention,
+        flags={"partner": fam.partner, "convention": conv},
+        grid=g.to_json(),
+    )
+    return [hopf, corr]
+
+
+def _curvature_check(name, anchor, metric, tol):
+    g = metric.grid
+    K = gaussian_curvature(metric)
+    sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
+    return CheckResult(
+        name=name, anchor=anchor, sup=sup, count=n, tol=tol, passed=sup < tol,
+        grid=g.to_json(),
+    )
+
+
+def pullback_check(name, fid, g, tol):
+    """Gaussian curvature -1 of the pullback metric of a catalog map on g."""
+    metric = pullback_metric(eval_family(fid, g), hopf_weight(fid, g))
+    return _curvature_check(
+        name, "pullback first fundamental form has curvature -1 on immersive points", metric, tol
+    )
+
+
+def metric_check(name, fid, g, tol):
+    """Gaussian curvature -1 of a catalog target metric on g."""
+    return _curvature_check(name, get_family(fid).formula, eval_family(fid, g), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -126,42 +189,33 @@ def _residual_check(name, fid, h, tol, convergence):
 
 def criterion_1(h, tol, convergence=True):
     return [
-        _residual_check(f"c1.{fid}.sinh_residual", fid, h, tol, convergence)
+        residual_check(f"c1.{fid}.sinh_residual", fid, rect_grid(get_family(fid).rectangle, h),
+                       tol, convergence)
         for fid in ("W_TAN_SPECIAL", "W_ONE_SOLITON", "W_EX2", "W_SQRT2")
     ]
 
 
 def criterion_2(h, tol, convergence=True):
-    checks = []
-    for fid in ("THETA_EX2", "THETA_SQRT2"):
-        fam = get_family(fid)
-        g = _grid(fam.rectangle, h)
-        probed = sign_probe(eval_family(fid, g))
-        c = _residual_check(f"c2.{fid}.sine_residual", fid, h, tol, convergence)
-        c.flags["probed_sigma"] = probed
-        c.passed = c.passed and probed == fam.sign
-        checks.append(c)
+    checks = [
+        residual_check(f"c2.{fid}.sine_residual", fid, rect_grid(get_family(fid).rectangle, h),
+                       tol, convergence)
+        for fid in ("THETA_EX2", "THETA_SQRT2")
+    ]
 
     # theta assembled from integrated profiles (the sqrt(2) coefficient set)
     cspec, dspec = tanh_family_profiles(-4.0, 4.0, 4.0, dc_init=2.0, dd_init=-2.0)
 
-    def assembled_res(hh):
-        g = _grid(get_family("THETA_SQRT2").rectangle, hh)
+    def assembled_sup(g):
         th = assemble_tanh_family(
             integrate_profile(cspec, g.x()), integrate_profile(dspec, g.y()), g
         )
-        return th, g
+        return th, residual_sine_gordon(th, -1).sup_norm()
 
-    th, g = assembled_res(h)
+    g = rect_grid(get_family("THETA_SQRT2").rectangle, h)
+    th, (sup, n) = assembled_sup(g)
     probed = sign_probe(th)
-    sup, n = residual_sine_gordon(th, -1).sup_norm()
-    ratio = None
-    ok = sup < tol and probed == -1
-    if convergence:
-        th2, _ = assembled_res(h / 2)
-        sup2, _ = residual_sine_gordon(th2, -1).sup_norm()
-        ratio = sup / sup2 if sup2 > 0 else float("inf")
-        ok = ok and _ratio_ok(ratio)
+    ratio, ok = _ratio_check(sup, tol, convergence, lambda: assembled_sup(g.refined())[1][0])
+    ok = ok and probed == -1
     checks.append(CheckResult(
         name="c2.assembled_tanh_family.sine_residual",
         anchor="theta = arcsin(tanh(C + D)) from integrated quartic profiles",
@@ -175,7 +229,7 @@ def criterion_2(h, tol, convergence=True):
     ))
 
     # constant theta = pi/2: sin(2 theta) vanishes, so both signs hold exactly
-    g = _grid(get_family("THETA_CONST_HALFPI").rectangle, h)
+    g = rect_grid(get_family("THETA_CONST_HALFPI").rectangle, h)
     th = eval_family("THETA_CONST_HALFPI", g)
     sup_b = max(
         residual_sine_gordon(th, +1).sup_norm()[0],
@@ -234,19 +288,14 @@ def _pair(fid_w, fid_theta, g):
 def criterion_4(h, tol, march_tol, convergence=True):
     checks = []
     for fid_w, fid_t in (("W_SQRT2", "THETA_SQRT2"), ("W_EX2", "THETA_EX2")):
-        fam = get_family(fid_w)
+        g = rect_grid(get_family(fid_w).rectangle, h)
 
-        def sup_at(hh):
-            r1, r2 = backlund_residuals(_pair(fid_w, fid_t, _grid(fam.rectangle, hh)))
+        def sup_at(gg):
+            r1, r2 = backlund_residuals(_pair(fid_w, fid_t, gg))
             return max(r1.sup_norm()[0], r2.sup_norm()[0]), r1.sup_norm()[1]
 
-        sup, n = sup_at(h)
-        ratio = None
-        ok = sup < tol
-        if convergence:
-            sup2, _ = sup_at(h / 2)
-            ratio = sup / sup2 if sup2 > 0 else float("inf")
-            ok = ok and _ratio_ok(ratio)
+        sup, n = sup_at(g)
+        ratio, ok = _ratio_check(sup, tol, convergence, lambda: sup_at(g.refined())[0])
         checks.append(CheckResult(
             name=f"c4.pair.{fid_w}.system_residuals",
             anchor="w_x - theta_y + 2 sinh(w) sin(theta); w_y + theta_x + 2 cosh(w) cos(theta)",
@@ -255,7 +304,7 @@ def criterion_4(h, tol, march_tol, convergence=True):
             tol=tol,
             passed=ok,
             flags={"pair": f"({fid_w}, {fid_t})"},
-            grid=_grid(fam.rectangle, h).to_json(),
+            grid=g.to_json(),
             ratio=ratio,
         ))
 
@@ -264,7 +313,7 @@ def criterion_4(h, tol, march_tol, convergence=True):
         ("THETA_SQRT2", "W_SQRT2", MARCH_RECT_SQRT2),
         ("THETA_EX2", "W_EX2", get_family("W_EX2").rectangle),
     ):
-        g = _grid(rect, h)
+        g = rect_grid(rect, h)
         th = eval_family(fid_t, g)
         wm = theta_to_w(th, 0.0, analytic=families.scalar_callable(fid_t))
         wp = eval_family(fid_w, g)
@@ -281,7 +330,7 @@ def criterion_4(h, tol, march_tol, convergence=True):
         ))
 
     # round trip w -> theta -> w; the return march runs on the sampled theta
-    g = _grid(ROUNDTRIP_RECT, h)
+    g = rect_grid(ROUNDTRIP_RECT, h)
     w = eval_family("W_TAN_SPECIAL", g)
     th = w_to_theta(w, np.pi, analytic=families.scalar_callable("W_TAN_SPECIAL"))
     w2 = theta_to_w(th, 0.0)
@@ -303,39 +352,12 @@ def criterion_4(h, tol, march_tol, convergence=True):
 def criterion_5(h, tol):
     checks = []
     for fid in ("U_EX_SECTION3", "U_EX1", "U_EX2", "U_SQRT2"):
-        fam = get_family(fid)
-        g = _grid(fam.rectangle, h)
-        u = eval_family(fid, g)
-        wgt = hopf_weight(fid, g)
-        sup, n = hopf_residual(u, wgt).sup_norm()
-        checks.append(CheckResult(
-            name=f"c5.{fid}.hopf",
-            anchor=fam.formula,
-            sup=sup,
-            count=n,
-            tol=tol,
-            passed=sup < tol,
-            flags={"weight": "half-plane 1/S^2" if wgt is None else "target-metric weight"},
-            grid=g.to_json(),
-        ))
-        wpart = eval_family(fam.partner, g, fam.partner_params)
-        conv, res = correspondence_check(u, wpart)
-        sup, n = res.sup_norm()
-        checks.append(CheckResult(
-            name=f"c5.{fid}.correspondence",
-            anchor="dzbar_u / dz_u matches one of exp(-+2w) of the partner solution",
-            sup=sup,
-            count=n,
-            tol=tol,
-            passed=sup < tol and conv == fam.convention,
-            flags={"partner": fam.partner, "convention": conv},
-            grid=g.to_json(),
-        ))
+        checks += harmonic_checks(f"c5.{fid}", fid, rect_grid(get_family(fid).rectangle, h), tol)
     return checks
 
 
 def criterion_6(h, tol, quad_tol):
-    g = _grid(MARCH_RECT_SQRT2, h)
+    g = rect_grid(MARCH_RECT_SQRT2, h)
     pair = _pair("W_SQRT2", "THETA_SQRT2", g)
     result = ppfd_construct(pair, R0=0.0, S0=0.5)
     j0 = g.index_of_y(0.0)
@@ -409,52 +431,25 @@ def criterion_6(h, tol, quad_tol):
 
 
 def criterion_7(h, tol, control_tol):
-    checks = []
-    for fid in ("METRIC_SECTION3", "METRIC_EX2"):
-        fam = get_family(fid)
-        g = _grid(fam.rectangle, h)
-        K = gaussian_curvature(eval_family(fid, g))
-        sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
-        checks.append(CheckResult(
-            name=f"c7.{fid}.curvature",
-            anchor=fam.formula,
-            sup=sup,
-            count=n,
-            tol=tol,
-            passed=sup < tol,
-            grid=g.to_json(),
-        ))
+    checks = [
+        metric_check(f"c7.{fid}.curvature", fid, rect_grid(get_family(fid).rectangle, h), tol)
+        for fid in ("METRIC_SECTION3", "METRIC_EX2")
+    ]
 
-    g = _grid(POINCARE_RECT, h)
+    g = rect_grid(POINCARE_RECT, h)
     _, Y = g.mesh()
-    m = families.make_metric(g, 1 / Y**2, np.zeros_like(Y), 1 / Y**2)
-    K = gaussian_curvature(m)
-    sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
-    checks.append(CheckResult(
-        name="c7.poincare_control.curvature",
-        anchor="E = G = 1/y^2 has curvature exactly -1",
-        sup=sup,
-        count=n,
-        tol=control_tol,
-        passed=sup < control_tol,
-        grid=g.to_json(),
+    checks.append(_curvature_check(
+        "c7.poincare_control.curvature",
+        "E = G = 1/y^2 has curvature exactly -1",
+        families.make_metric(g, 1 / Y**2, np.zeros_like(Y), 1 / Y**2),
+        control_tol,
     ))
 
-    for fid in ("U_EX_SECTION3", "U_EX1", "U_EX2", "U_SQRT2"):
-        fam = get_family(fid)
-        g = _grid(fam.curvature_rect, h)
-        u = eval_family(fid, g)
-        K = gaussian_curvature(pullback_metric(u, hopf_weight(fid, g)))
-        sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
-        checks.append(CheckResult(
-            name=f"c7.pullback.{fid}.curvature",
-            anchor="pullback first fundamental form has curvature -1 on immersive points",
-            sup=sup,
-            count=n,
-            tol=tol,
-            passed=sup < tol,
-            grid=g.to_json(),
-        ))
+    checks += [
+        pullback_check(f"c7.pullback.{fid}.curvature", fid,
+                       rect_grid(get_family(fid).curvature_rect, h), tol)
+        for fid in ("U_EX_SECTION3", "U_EX1", "U_EX2", "U_SQRT2")
+    ]
     return checks
 
 

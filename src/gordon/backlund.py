@@ -151,6 +151,32 @@ def _sweep(axis, k0, u0, coeffs, G):
     return out, valid
 
 
+def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
+           seed_coeffs, seed_G, line_coeffs, line_G) -> ScalarField:
+    """Construct the partner of f by quadrature, with value u00 at (0, 0).
+
+    Seeds the partner along the axis line of `seed_axis` (0: y = 0, 1: x = 0)
+    by du/dt = P + seed_G(u) Q, then marches every line of the other axis by
+    du/dt = P + line_G(u) Q.  seed_coeffs and line_coeffs map (f, cross
+    derivative of f) at the stage times to (P, Q).
+    """
+    g = f.grid
+    axes = (g.x(), g.y())
+    k0 = (g.index_of_x(0.0), g.index_of_y(0.0))
+    line_axis = 1 - seed_axis
+    seed_tab = _tabulator(f, analytic, seed_axis, seed=True)
+    line_tab = _tabulator(f, analytic, line_axis, seed=False)
+    seed, seed_ok = _sweep(axes[seed_axis], k0[seed_axis], np.float64(u00),
+                           lambda T: seed_coeffs(*seed_tab(T)), seed_G)
+    vals, ok = _sweep(axes[line_axis], k0[line_axis], seed,
+                      lambda T: line_coeffs(*line_tab(T)), line_G)
+    if line_axis == 1:
+        # _sweep ran over y with state vectors over x: transpose to (nx, ny)
+        vals, ok = vals.T, ok.T
+    ok = ok & np.expand_dims(seed_ok, line_axis) & f.mask
+    return field(g, np.where(ok, vals, 0.0), ok)
+
+
 def theta_to_w(theta: ScalarField, w00: float, analytic=None) -> ScalarField:
     """Construct w from theta by quadrature, with w(0,0) = w00.
 
@@ -159,25 +185,11 @@ def theta_to_w(theta: ScalarField, w00: float, analytic=None) -> ScalarField:
     given, is a vectorized (x, y) -> theta callable used for in-cell values
     and derivatives; otherwise cubic splines over the sampled field are used.
     """
-    g = theta.grid
-    i0, j0 = g.index_of_x(0.0), g.index_of_y(0.0)
-    row = _tabulator(theta, analytic, 0, seed=True)
-    col = _tabulator(theta, analytic, 1, seed=False)
-
-    def row_coeffs(T):
-        th, th_y = row(T)
-        return th_y, -np.sin(th)
-
-    def col_coeffs(T):
-        th, th_x = col(T)
-        return -th_x, -np.cos(th)
-
-    seed, seed_ok = _sweep(g.x(), i0, np.float64(w00), row_coeffs, lambda w: 2 * np.sinh(w))
-    vals, ok = _sweep(g.y(), j0, seed, col_coeffs, lambda w: 2 * np.cosh(w))
-    # _sweep ran over y with state vectors over x: transpose to (nx, ny)
-    vals, ok = vals.T, ok.T
-    ok = ok & seed_ok[:, None] & theta.mask
-    return field(g, np.where(ok, vals, 0.0), ok)
+    return _march(
+        theta, w00, analytic, 0,
+        lambda th, th_y: (th_y, -np.sin(th)), lambda w: 2 * np.sinh(w),
+        lambda th, th_x: (-th_x, -np.cos(th)), lambda w: 2 * np.cosh(w),
+    )
 
 
 def w_to_theta(w: ScalarField, theta00: float, analytic=None) -> ScalarField:
@@ -186,23 +198,11 @@ def w_to_theta(w: ScalarField, theta00: float, analytic=None) -> ScalarField:
     Seeds theta along x = 0 by theta_y = w_x + 2 sinh(w) sin(theta), then
     marches every row by theta_x = -w_y - 2 cosh(w) cos(theta).
     """
-    g = w.grid
-    i0, j0 = g.index_of_x(0.0), g.index_of_y(0.0)
-    col = _tabulator(w, analytic, 1, seed=True)
-    row = _tabulator(w, analytic, 0, seed=False)
-
-    def col_coeffs(T):
-        wv, w_x = col(T)
-        return w_x, 2 * np.sinh(wv)
-
-    def row_coeffs(T):
-        wv, w_y = row(T)
-        return -w_y, -2 * np.cosh(wv)
-
-    seed, seed_ok = _sweep(g.y(), j0, np.float64(theta00), col_coeffs, np.sin)
-    vals, ok = _sweep(g.x(), i0, seed, row_coeffs, np.cos)
-    ok = ok & seed_ok[None, :] & w.mask
-    return field(g, np.where(ok, vals, 0.0), ok)
+    return _march(
+        w, theta00, analytic, 1,
+        lambda wv, w_x: (w_x, 2 * np.sinh(wv)), np.sin,
+        lambda wv, w_y: (-w_y, -2 * np.cosh(wv)), np.cos,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,7 @@ import numpy as np
 
 from . import acceptance, families
 from .backlund import BacklundPair, backlund_residuals, theta_to_w, w_to_theta
-from .families import (
-    CATALOG,
-    eval_family,
-    get_family,
-    hopf_weight,
-    residual_sine_gordon,
-    residual_sinh_gordon,
-    sign_probe,
-)
+from .families import CATALOG, eval_family, get_family, sign_probe
 from .grid import (
     Grid2D,
     dump_complex_csv,
@@ -35,14 +27,9 @@ from .grid import (
     field,
     load_complex_csv,
     load_scalar_csv,
+    rect_grid,
 )
-from .harmonic import (
-    correspondence_check,
-    gaussian_curvature,
-    hopf_residual,
-    ppfd_construct,
-    pullback_metric,
-)
+from .harmonic import correspondence_check, hopf_residual, ppfd_construct
 from .report import CheckResult, VerificationReport
 
 
@@ -76,10 +63,7 @@ def _grid_from_args(args, fam=None, include_axes=False) -> Grid2D:
     if include_axes:
         x0, x1 = min(x0, 0.0), max(x1, 0.0)
         y0, y1 = min(y0, 0.0), max(y1, 0.0)
-    h = args.h
-    nx = int(round((x1 - x0) / h)) + 1
-    ny = int(round((y1 - y0) / h)) + 1
-    return Grid2D(x0, x1, y0, y1, max(nx, 5), max(ny, 5))
+    return rect_grid((x0, x1, y0, y1), args.h)
 
 
 def _tol(args) -> float:
@@ -156,70 +140,17 @@ def cmd_families_eval(args) -> int:
     return 0
 
 
-def _halved(g: Grid2D) -> Grid2D:
-    return Grid2D(g.x0, g.x1, g.y0, g.y1, 2 * g.nx - 1, 2 * g.ny - 1)
-
-
 def _verify_family(fam, g, tol, convergence) -> list:
-    checks = []
-    if fam.kind == "sinh_solution":
-        sup, n = residual_sinh_gordon(eval_family(fam.id, g)).sup_norm()
-        ratio, ok = None, sup < tol
-        if convergence:
-            sup2, _ = residual_sinh_gordon(eval_family(fam.id, _halved(g))).sup_norm()
-            ratio = sup / sup2 if sup2 > 0 else float("inf")
-            ok = ok and 3.5 <= ratio <= 4.5
-        checks.append(CheckResult(
-            f"{fam.id}.sinh_residual", fam.formula, sup, n, tol, ok,
-            grid=g.to_json(), ratio=ratio,
-        ))
-    elif fam.kind == "sine_solution":
-        th = eval_family(fam.id, g)
-        probed = sign_probe(th)
-        sigma = probed if probed != 0 else 1
-        sup, n = residual_sine_gordon(th, sigma).sup_norm()
-        ok = sup < tol and probed == fam.sign
-        ratio = None
-        if convergence:
-            sup2, _ = residual_sine_gordon(eval_family(fam.id, _halved(g)), sigma).sup_norm()
-            ratio = sup / sup2 if sup2 > 0 else float("inf")
-            ok = ok and 3.5 <= ratio <= 4.5
-        checks.append(CheckResult(
-            f"{fam.id}.sine_residual", fam.formula, sup, n, tol, ok,
-            flags={"probed_sigma": probed, "recorded_sigma": fam.sign},
-            grid=g.to_json(), ratio=ratio,
-        ))
-    elif fam.kind == "harmonic_map":
-        u = eval_family(fam.id, g)
-        wgt = hopf_weight(fam.id, g)
-        sup, n = hopf_residual(u, wgt).sup_norm()
-        checks.append(CheckResult(
-            f"{fam.id}.hopf", fam.formula, sup, n, tol, sup < tol, grid=g.to_json(),
-        ))
-        wpart = eval_family(fam.partner, g, fam.partner_params)
-        conv, res = correspondence_check(u, wpart)
-        sup, n = res.sup_norm()
-        checks.append(CheckResult(
-            f"{fam.id}.correspondence", "dzbar_u/dz_u against exp(-+2w)",
-            sup, n, tol, sup < tol and conv == fam.convention,
-            flags={"convention": conv, "partner": fam.partner}, grid=g.to_json(),
-        ))
-        gc = acceptance._grid(fam.curvature_rect, (g.x1 - g.x0) / (g.nx - 1))
-        uc = eval_family(fam.id, gc)
-        K = gaussian_curvature(pullback_metric(uc, hopf_weight(fam.id, gc)))
-        sup, n = field(gc, K.values + 1.0, K.mask).sup_norm()
-        checks.append(CheckResult(
-            f"{fam.id}.pullback_curvature", "pullback metric curvature -1",
-            sup, n, tol, sup < tol, grid=gc.to_json(),
-        ))
-    else:  # target_metric
-        K = gaussian_curvature(eval_family(fam.id, g))
-        sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
-        checks.append(CheckResult(
-            f"{fam.id}.curvature", fam.formula, sup, n, tol, sup < tol,
-            grid=g.to_json(),
-        ))
-    return checks
+    """A family's designated checks on g, built by the acceptance check builders."""
+    if fam.kind in families.SCALAR_KINDS:
+        name = f"{fam.id}.{fam.kind.removesuffix('_solution')}_residual"
+        return [acceptance.residual_check(name, fam.id, g, tol, convergence)]
+    if fam.kind == "harmonic_map":
+        gc = rect_grid(fam.curvature_rect, g.hx)
+        return acceptance.harmonic_checks(fam.id, fam.id, g, tol) + [
+            acceptance.pullback_check(f"{fam.id}.pullback_curvature", fam.id, gc, tol)
+        ]
+    return [acceptance.metric_check(f"{fam.id}.curvature", fam.id, g, tol)]
 
 
 def cmd_verify(args) -> int:
@@ -335,12 +266,7 @@ def cmd_harmonic_verify(args) -> int:
         fam = _family(args.metric)
         if fam.kind != "target_metric":
             raise ConfigError(f"{fam.id} is not a target metric")
-        K = gaussian_curvature(eval_family(fam.id, u.grid))
-        sup, n = field(u.grid, K.values + 1.0, K.mask).sup_norm()
-        checks.append(CheckResult(
-            f"{fam.id}.curvature", fam.formula, sup, n, tol, sup < tol,
-            grid=u.grid.to_json(),
-        ))
+        checks.append(acceptance.metric_check(f"{fam.id}.curvature", fam.id, u.grid, tol))
     return _emit(VerificationReport(checks, {"u": args.u}), args)
 
 

@@ -69,6 +69,10 @@ class Grid2D:
             raise ValueError(f"y = {y} does not coincide with a grid line")
         return j
 
+    def refined(self) -> "Grid2D":
+        """The same rectangle at half the spacing: 2n - 1 points per axis."""
+        return Grid2D(self.x0, self.x1, self.y0, self.y1, 2 * self.nx - 1, 2 * self.ny - 1)
+
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -79,6 +83,19 @@ class Grid2D:
 
 def make_grid(x0, x1, y0, y1, nx, ny) -> Grid2D:
     return Grid2D(float(x0), float(x1), float(y0), float(y1), int(nx), int(ny))
+
+
+def rect_grid(rect, h: float) -> Grid2D:
+    """Grid on rect = (x0, x1, y0, y1) with spacing nearest h, at least 5 points per axis.
+
+    Raises ValueError unless h is positive and finite.
+    """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"grid spacing must be positive and finite, got {h!r}")
+    x0, x1, y0, y1 = rect
+    nx = int(round((x1 - x0) / h)) + 1
+    ny = int(round((y1 - y0) / h)) + 1
+    return Grid2D(x0, x1, y0, y1, max(nx, 5), max(ny, 5))
 
 
 @dataclass(frozen=True)

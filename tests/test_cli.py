@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gordon import acceptance
 from gordon.cli import main
 from gordon.grid import load_complex_csv, load_scalar_csv
 
@@ -206,3 +207,80 @@ class TestAcceptanceCommand:
             "verify", "--family", "W_TAN_SPECIAL",
             "--grid", coarse(-0.3, 0.3, -0.3, 0.3), "--tol", tol,
         ]) == 2
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("h", ["0", "-0.01", "nan", "inf"])
+    def test_bad_spacing_families_eval(self, h, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        rc = main(["families", "eval", "--family", "W_TAN_SPECIAL", "--out", str(out), f"--h={h}"])
+        assert rc == 2
+        assert not out.exists()
+        assert "spacing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", ["0", "-0.01", "nan", "inf"])
+    def test_bad_spacing_acceptance(self, h, capsys):
+        assert main(["acceptance", f"--h={h}", "--no-convergence"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,params", [
+        ("W_SQRT2", "[1]"),
+        ("W_SQRT2", '{"bogus": 1}'),
+        ("U_EX1", '{"eps": "a"}'),
+        ("U_EX1", "{not json"),
+    ])
+    def test_bad_params(self, family, params, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        rc = main([
+            "families", "eval", "--family", family, "--out", str(out), "--params", params,
+            "--h", "0.05",
+        ])
+        assert rc == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+    def test_declared_params_listed(self, capsys):
+        assert main(["families", "list", "--json"]) == 0
+        rows = {r["id"]: r for r in json.loads(capsys.readouterr().out)}
+        assert rows["U_EX1"]["params"] == {"eps": 1.0}
+
+
+class TestVerifyParity:
+    """`gordon verify` and the acceptance criteria build their checks alike."""
+
+    H = 0.01
+    TOL = 1e-3
+
+    @pytest.mark.parametrize("fid,criteria", [
+        ("W_SQRT2", (1,)),
+        ("THETA_EX2", (2,)),
+        ("U_EX2", (5, 7)),
+        ("METRIC_EX2", (7,)),
+    ])
+    def test_verify_matches_criterion(self, fid, criteria, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GORDON_TOL", raising=False)
+        out = tmp_path / "v.json"
+        rc = main([
+            "verify", "--family", fid, "--h", str(self.H), "--convergence", "--json", str(out),
+        ])
+        assert rc in (0, 1)
+        verified = json.loads(out.read_text())["checks"]
+        run = {
+            1: lambda: acceptance.criterion_1(self.H, self.TOL),
+            2: lambda: acceptance.criterion_2(self.H, self.TOL),
+            5: lambda: acceptance.criterion_5(self.H, self.TOL),
+            7: lambda: acceptance.criterion_7(self.H, self.TOL, 1e-6),
+        }
+        accepted = {}
+        for k in criteria:
+            for c in run[k]():
+                name = c.name.split(".", 1)[1]
+                if name.startswith("pullback."):  # pullback.<id>.curvature
+                    name = name.split(".")[1] + ".pullback_curvature"
+                accepted[name] = c.to_json()
+        keys = ("sup_norm", "valid_points", "tolerance", "passed", "convergence_ratio")
+        assert verified
+        for c in verified:
+            assert c["name"] in accepted, c["name"]
+            want = accepted[c["name"]]
+            assert {k: c.get(k) for k in keys} == {k: want.get(k) for k in keys}, c["name"]

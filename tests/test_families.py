@@ -3,16 +3,18 @@ import pytest
 
 from gordon.families import (
     CATALOG,
+    MetricSample,
     eval_family,
     get_family,
     hopf_weight,
     residual_sine_gordon,
     residual_sinh_gordon,
+    scalar_callable,
     sign_probe,
     u_ex_section3,
     w_one_soliton,
 )
-from gordon.grid import field, make_grid
+from gordon.grid import ComplexField, ScalarField, field, make_grid
 
 H = 1 / 100  # unit tests run coarse; acceptance re-checks at 1/400
 TOL = 16 * 1e-3  # second-order scaling of the 1e-3 floor from h = 1/400
@@ -137,3 +139,61 @@ class TestHopfWeight:
             g = family_grid(fid)
             wgt = hopf_weight(fid, g)
             assert wgt is not None and np.all(wgt.values[wgt.mask] > 0)
+
+
+SCALAR_KINDS = ("sinh_solution", "sine_solution")
+CONTAINERS = {
+    "sinh_solution": ScalarField,
+    "sine_solution": ScalarField,
+    "harmonic_map": ComplexField,
+    "target_metric": MetricSample,
+}
+
+
+class TestCatalogRecords:
+    @pytest.mark.parametrize("fid", sorted(CATALOG))
+    def test_record_is_complete(self, fid):
+        fam = CATALOG[fid]
+        g = make_grid(*fam.rectangle, 9, 9)
+        assert isinstance(eval_family(fid, g), CONTAINERS[fam.kind])
+        assert (scalar_callable(fid) is not None) == (fam.kind in SCALAR_KINDS)
+        if fam.kind == "harmonic_map":
+            partner = CATALOG[fam.partner]
+            assert partner.kind == "sinh_solution"
+            assert set(fam.partner_params) <= set(partner.params)
+            assert isinstance(eval_family(fam.partner, g, fam.partner_params), ScalarField)
+        else:
+            assert fam.weight is None and hopf_weight(fid, g) is None
+
+    def test_unknown_id_has_no_weight_or_callable(self):
+        g = make_grid(-1, 1, -1, 1, 9, 9)
+        with pytest.raises(KeyError):
+            hopf_weight("U_NOPE", g)
+        assert scalar_callable("U_NOPE") is None
+
+
+class TestParams:
+    def test_declared_params_are_used(self):
+        g = make_grid(0.3, 1.0, -0.5, 0.5, 9, 9)
+        assert CATALOG["U_EX1"].params == {"eps": 1.0}
+        flipped = eval_family("U_EX1", g, {"eps": -1.0})
+        assert not flipped.mask.any()  # S = -sinh(2x)/2 < 0 leaves the half-plane
+        w = eval_family("W_ONE_SOLITON", make_grid(0.3, 1.2, -0.5, 0.5, 9, 9), {"exponent_sign": -1})
+        assert w.mask.all()
+
+    @pytest.mark.parametrize("params", [{"bogus": 1}, {"eps": 1.0, "exponent_sign": 1.0}])
+    def test_undeclared_key_rejected(self, params):
+        g = make_grid(0.3, 1.0, -0.5, 0.5, 9, 9)
+        with pytest.raises(ValueError, match="does not declare"):
+            eval_family("U_EX1", g, params)
+
+    @pytest.mark.parametrize("value", ["a", None, True, [1.0], float("nan"), float("inf"), 1j])
+    def test_non_real_value_rejected(self, value):
+        g = make_grid(0.3, 1.0, -0.5, 0.5, 9, 9)
+        with pytest.raises(ValueError, match="finite real number"):
+            eval_family("U_EX1", g, {"eps": value})
+
+    def test_params_must_be_a_mapping(self):
+        g = make_grid(0.2, 1.0, -0.35, 0.35, 9, 9)
+        with pytest.raises(ValueError, match="JSON object"):
+            eval_family("W_SQRT2", g, [1])

@@ -16,6 +16,7 @@ from gordon.grid import (
     make_grid,
     partial_x,
     partial_y,
+    rect_grid,
     wirtinger,
 )
 
@@ -231,3 +232,22 @@ class TestCsvRoundTrip:
         p = tmp_path / "g.json"
         dump_grid_sidecar(g, str(p))
         assert Grid2D.from_json(json.loads(p.read_text())) == g
+
+
+class TestRectGrid:
+    def test_spacing_and_minimum_points(self):
+        g = rect_grid((0.0, 1.0, -0.5, 0.5), 0.01)
+        assert (g.nx, g.ny) == (101, 101)
+        g = rect_grid((0.0, 1.0, -0.5, 0.5), 10.0)
+        assert (g.nx, g.ny) == (5, 5)
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, float("nan"), float("inf"), float("-inf")])
+    def test_bad_spacing_rejected(self, h):
+        with pytest.raises(ValueError, match="spacing"):
+            rect_grid((0.0, 1.0, 0.0, 1.0), h)
+
+    def test_refined_halves_the_spacing(self):
+        g = make_grid(0, 1, -1, 1, 5, 9)
+        r = g.refined()
+        assert (r.x0, r.x1, r.y0, r.y1, r.nx, r.ny) == (0, 1, -1, 1, 9, 17)
+        assert r.hx == g.hx / 2 and r.hy == g.hy / 2
