@@ -19,7 +19,9 @@ The suite is organized into nine criteria (check names are prefixed c1..c9):
 All grids, summation orders, and probe choices are fixed, so the emitted
 report is bit-identical across runs with the same configuration.  Each check
 kind on a catalog family has one builder (residual_check, harmonic_checks,
-pullback_check, metric_check); `gordon verify` runs the same builders.
+pullback_check, metric_check); `gordon verify` runs the same builders.  Every
+check whose measure is a residual field's interior sup is made by sup_check,
+which the CLI uses too.
 """
 
 from __future__ import annotations
@@ -81,18 +83,28 @@ def base_tolerance(tol: float | None = None) -> float:
     return tol
 
 
-def _ratio_check(sup, tol, convergence, refined_sup):
-    """(ratio, passed) for a sup measured on a grid g.
+def sup_check(name, anchor, res, tol, ok=True, refined=None, flags=None):
+    """Check that a residual field's interior sup is below tol.
 
-    Passing needs sup < tol and, with convergence, a drop sup / refined_sup()
-    within RATIO_BAND, where refined_sup() measures the same sup on the same
-    rectangle at half the spacing, g.refined().
+    The check records res.grid and passes when `ok and sup < tol`.  Given
+    `refined`, a callable returning the same residual on res.grid.refined(),
+    it also needs the drop sup / refined sup within RATIO_BAND.
     """
-    if not convergence:
-        return None, sup < tol
-    sup2 = refined_sup()
-    ratio = sup / sup2 if sup2 > 0 else float("inf")
-    return ratio, sup < tol and RATIO_BAND[0] <= ratio <= RATIO_BAND[1]
+    sup, n = res.sup_norm()
+    ratio = None
+    if refined is not None:
+        sup2 = refined().sup_norm()[0]
+        ratio = sup / sup2 if sup2 > 0 else float("inf")
+        ok = ok and RATIO_BAND[0] <= ratio <= RATIO_BAND[1]
+    return CheckResult(
+        name=name, anchor=anchor, sup=sup, count=n, tol=tol, passed=ok and sup < tol,
+        flags=flags or {}, grid=res.grid.to_json(), ratio=ratio,
+    )
+
+
+def _max_abs(a, b):
+    """One field max(|a|, |b|) on the points where both a and b are valid."""
+    return field(a.grid, np.maximum(np.abs(a.values), np.abs(b.values)), a.mask & b.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +120,16 @@ def residual_check(name, fid, g, tol, convergence):
     fam = get_family(fid)
     f = eval_family(fid, g)
     flags = {"family": fid}
+    ok = True
     if fam.kind == "sinh_solution":
         residual = residual_sinh_gordon
     else:
         flags["sigma"] = fam.sign
         flags["probed_sigma"] = sign_probe(f)
+        ok = flags["probed_sigma"] == fam.sign
         residual = lambda th: residual_sine_gordon(th, fam.sign or 1)
-    sup, n = residual(f).sup_norm()
-    ratio, ok = _ratio_check(
-        sup, tol, convergence, lambda: residual(eval_family(fid, g.refined())).sup_norm()[0]
-    )
-    if fam.kind == "sine_solution":
-        ok = ok and flags["probed_sigma"] == fam.sign
-    return CheckResult(
-        name=name, anchor=fam.formula, sup=sup, count=n, tol=tol, passed=ok,
-        flags=flags, grid=g.to_json(), ratio=ratio,
-    )
+    refined = (lambda: residual(eval_family(fid, g.refined()))) if convergence else None
+    return sup_check(name, fam.formula, residual(f), tol, ok, refined, flags)
 
 
 def harmonic_checks(stem, fid, g, tol):
@@ -134,41 +140,22 @@ def harmonic_checks(stem, fid, g, tol):
     fam = get_family(fid)
     u = eval_family(fid, g)
     wgt = hopf_weight(fid, g)
-    sup, n = hopf_residual(u, wgt).sup_norm()
-    hopf = CheckResult(
-        name=f"{stem}.hopf",
-        anchor=fam.formula,
-        sup=sup,
-        count=n,
-        tol=tol,
-        passed=sup < tol,
+    hopf = sup_check(
+        f"{stem}.hopf", fam.formula, hopf_residual(u, wgt), tol,
         flags={"weight": "half-plane 1/S^2" if wgt is None else "target-metric weight"},
-        grid=g.to_json(),
     )
-    wpart = eval_family(fam.partner, g, fam.partner_params)
-    conv, res = correspondence_check(u, wpart)
-    sup, n = res.sup_norm()
-    corr = CheckResult(
-        name=f"{stem}.correspondence",
-        anchor="dzbar_u / dz_u matches one of exp(-+2w) of the partner solution",
-        sup=sup,
-        count=n,
-        tol=tol,
-        passed=sup < tol and conv == fam.convention,
-        flags={"partner": fam.partner, "convention": conv},
-        grid=g.to_json(),
+    conv, res = correspondence_check(u, eval_family(fam.partner, g, fam.partner_params))
+    corr = sup_check(
+        f"{stem}.correspondence",
+        "dzbar_u / dz_u matches one of exp(-+2w) of the partner solution",
+        res, tol, conv == fam.convention, flags={"partner": fam.partner, "convention": conv},
     )
     return [hopf, corr]
 
 
 def _curvature_check(name, anchor, metric, tol):
-    g = metric.grid
     K = gaussian_curvature(metric)
-    sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
-    return CheckResult(
-        name=name, anchor=anchor, sup=sup, count=n, tol=tol, passed=sup < tol,
-        grid=g.to_json(),
-    )
+    return sup_check(name, anchor, field(metric.grid, K.values + 1.0, K.mask), tol)
 
 
 def pullback_check(name, fid, g, tol):
@@ -205,45 +192,30 @@ def criterion_2(h, tol, convergence=True):
     # theta assembled from integrated profiles (the sqrt(2) coefficient set)
     cspec, dspec = tanh_family_profiles(-4.0, 4.0, 4.0, dc_init=2.0, dd_init=-2.0)
 
-    def assembled_sup(g):
+    def residual(g):
         th = assemble_tanh_family(
             integrate_profile(cspec, g.x()), integrate_profile(dspec, g.y()), g
         )
-        return th, residual_sine_gordon(th, -1).sup_norm()
+        return th, residual_sine_gordon(th, -1)
 
     g = rect_grid(get_family("THETA_SQRT2").rectangle, h)
-    th, (sup, n) = assembled_sup(g)
+    th, res = residual(g)
     probed = sign_probe(th)
-    ratio, ok = _ratio_check(sup, tol, convergence, lambda: assembled_sup(g.refined())[1][0])
-    ok = ok and probed == -1
-    checks.append(CheckResult(
-        name="c2.assembled_tanh_family.sine_residual",
-        anchor="theta = arcsin(tanh(C + D)) from integrated quartic profiles",
-        sup=sup,
-        count=n,
-        tol=tol,
-        passed=ok,
-        flags={"probed_sigma": probed, "coefficients": "c4=-4, c5=4, c6=4"},
-        grid=g.to_json(),
-        ratio=ratio,
+    checks.append(sup_check(
+        "c2.assembled_tanh_family.sine_residual",
+        "theta = arcsin(tanh(C + D)) from integrated quartic profiles",
+        res, tol, probed == -1,
+        (lambda: residual(g.refined())[1]) if convergence else None,
+        {"probed_sigma": probed, "coefficients": "c4=-4, c5=4, c6=4"},
     ))
 
     # constant theta = pi/2: sin(2 theta) vanishes, so both signs hold exactly
-    g = rect_grid(get_family("THETA_CONST_HALFPI").rectangle, h)
-    th = eval_family("THETA_CONST_HALFPI", g)
-    sup_b = max(
-        residual_sine_gordon(th, +1).sup_norm()[0],
-        residual_sine_gordon(th, -1).sup_norm()[0],
-    )
-    checks.append(CheckResult(
-        name="c2.THETA_CONST_HALFPI.both_signs",
-        anchor="theta = pi/2: residual vanishes for both sign conventions",
-        sup=sup_b,
-        count=residual_sine_gordon(th, +1).sup_norm()[1],
-        tol=1e-12,
-        passed=sup_b < 1e-12,
+    th = eval_family("THETA_CONST_HALFPI", rect_grid(get_family("THETA_CONST_HALFPI").rectangle, h))
+    checks.append(sup_check(
+        "c2.THETA_CONST_HALFPI.both_signs",
+        "theta = pi/2: residual vanishes for both sign conventions",
+        _max_abs(residual_sine_gordon(th, +1), residual_sine_gordon(th, -1)), 1e-12,
         flags={"probed_sigma": sign_probe(th)},
-        grid=g.to_json(),
     ))
     return checks
 
@@ -289,23 +261,13 @@ def criterion_4(h, tol, march_tol, convergence=True):
     checks = []
     for fid_w, fid_t in (("W_SQRT2", "THETA_SQRT2"), ("W_EX2", "THETA_EX2")):
         g = rect_grid(get_family(fid_w).rectangle, h)
-
-        def sup_at(gg):
-            r1, r2 = backlund_residuals(_pair(fid_w, fid_t, gg))
-            return max(r1.sup_norm()[0], r2.sup_norm()[0]), r1.sup_norm()[1]
-
-        sup, n = sup_at(g)
-        ratio, ok = _ratio_check(sup, tol, convergence, lambda: sup_at(g.refined())[0])
-        checks.append(CheckResult(
-            name=f"c4.pair.{fid_w}.system_residuals",
-            anchor="w_x - theta_y + 2 sinh(w) sin(theta); w_y + theta_x + 2 cosh(w) cos(theta)",
-            sup=sup,
-            count=n,
-            tol=tol,
-            passed=ok,
+        residual = lambda gg: _max_abs(*backlund_residuals(_pair(fid_w, fid_t, gg)))
+        checks.append(sup_check(
+            f"c4.pair.{fid_w}.system_residuals",
+            "w_x - theta_y + 2 sinh(w) sin(theta); w_y + theta_x + 2 cosh(w) cos(theta)",
+            residual(g), tol,
+            refined=(lambda: residual(g.refined())) if convergence else None,
             flags={"pair": f"({fid_w}, {fid_t})"},
-            grid=g.to_json(),
-            ratio=ratio,
         ))
 
     # quadrature reconstruction of w from theta, against the printed w
@@ -375,28 +337,16 @@ def criterion_6(h, tol, quad_tol):
         grid=g.to_json(),
     )]
 
-    sup, n = hopf_residual(result.u).sup_norm()
-    checks.append(CheckResult(
-        name="c6.ppfd.hopf",
-        anchor="constructed u = R + iS satisfies the half-plane Hopf condition",
-        sup=sup,
-        count=n,
-        tol=tol,
-        passed=sup < tol,
-        grid=g.to_json(),
+    checks.append(sup_check(
+        "c6.ppfd.hopf",
+        "constructed u = R + iS satisfies the half-plane Hopf condition",
+        hopf_residual(result.u), tol,
     ))
-
     conv, res = correspondence_check(result.u, pair.w)
-    sup, n = res.sup_norm()
-    checks.append(CheckResult(
-        name="c6.ppfd.correspondence",
-        anchor="dzbar_u / dz_u of the constructed map matches exp(-2w)",
-        sup=sup,
-        count=n,
-        tol=tol,
-        passed=sup < tol and conv == "exp(-2w)",
-        flags={"convention": conv},
-        grid=g.to_json(),
+    checks.append(sup_check(
+        "c6.ppfd.correspondence",
+        "dzbar_u / dz_u of the constructed map matches exp(-2w)",
+        res, tol, conv == "exp(-2w)", flags={"convention": conv},
     ))
 
     # printed closed forms carry a global factor 2 relative to the quadrature

@@ -30,7 +30,7 @@ from .grid import (
     rect_grid,
 )
 from .harmonic import correspondence_check, hopf_residual, ppfd_construct
-from .report import CheckResult, VerificationReport
+from .report import VerificationReport
 
 
 class ConfigError(Exception):
@@ -178,20 +178,15 @@ def cmd_backlund_run(args) -> int:
         w = eval_family(fam.id, g)
         th = w_to_theta(w, args.theta00, analytic=analytic)
         out_field, out_name = th, "theta"
-    pair = BacklundPair(w, th, provenance=f"{args.direction} march from {fam.id}")
-    r1, r2 = backlund_residuals(pair)
-    s1, n1 = r1.sup_norm()
-    s2, n2 = r2.sup_norm()
+    r1, r2 = backlund_residuals(BacklundPair(w, th, f"{args.direction} march from {fam.id}"))
     try:
         sigma = sign_probe(th)
     except ValueError:
         sigma = 0
     checks = [
-        CheckResult("backlund.r1", "w_x - theta_y + 2 sinh(w) sin(theta)",
-                    s1, n1, tol, s1 < tol, grid=g.to_json()),
-        CheckResult("backlund.r2", "w_y + theta_x + 2 cosh(w) cos(theta)",
-                    s2, n2, tol, s2 < tol, flags={"probed_sigma": sigma},
-                    grid=g.to_json()),
+        acceptance.sup_check("backlund.r1", "w_x - theta_y + 2 sinh(w) sin(theta)", r1, tol),
+        acceptance.sup_check("backlund.r2", "w_y + theta_x + 2 cosh(w) cos(theta)", r2, tol,
+                             flags={"probed_sigma": sigma}),
     ]
     dump_scalar_csv(out_field, args.out)
     dump_grid_sidecar(g, args.out + ".grid.json")
@@ -218,27 +213,30 @@ def _resolve_pair(spec: str, args):
     return BacklundPair(w, th, provenance="loaded from CSV")
 
 
+def _map_checks(u, w, tol) -> list:
+    """Half-plane Hopf condition of a map u and, given a partner w, the correspondence."""
+    checks = [acceptance.sup_check("harmonic.hopf", "half-plane Hopf condition",
+                                   hopf_residual(u), tol)]
+    if w is not None:
+        conv, res = correspondence_check(u, w)
+        checks.append(acceptance.sup_check(
+            "harmonic.correspondence", "dzbar_u/dz_u against exp(-+2w)", res, tol,
+            conv != "none", flags={"convention": conv},
+        ))
+    return checks
+
+
 def cmd_harmonic_build(args) -> int:
     if args.S0 <= 0:
         raise ConfigError("--S0 must be positive")
     pair = _resolve_pair(args.pair, args)
-    g = pair.grid
     result = ppfd_construct(pair, args.R0, args.S0)
     tol = _tol(args)
     dump_complex_csv(result.u, args.out + ".u.csv")
     for name, f in (("I1", result.I1), ("I2", result.I2), ("I3", result.I3), ("I4", result.I4)):
         dump_scalar_csv(f, f"{args.out}.{name}.csv")
-    dump_grid_sidecar(g, args.out + ".grid.json")
-    sup, n = hopf_residual(result.u).sup_norm()
-    conv, res = correspondence_check(result.u, pair.w)
-    sup_c, n_c = res.sup_norm()
-    checks = [
-        CheckResult("harmonic.hopf", "half-plane Hopf condition of the constructed map",
-                    sup, n, tol, sup < tol, grid=g.to_json()),
-        CheckResult("harmonic.correspondence", "dzbar_u/dz_u against exp(-+2w)",
-                    sup_c, n_c, tol, sup_c < tol and conv != "none",
-                    flags={"convention": conv}, grid=g.to_json()),
-    ]
+    dump_grid_sidecar(pair.grid, args.out + ".grid.json")
+    checks = _map_checks(result.u, pair.w, tol)
     print(f"wrote {args.out}.u.csv and quadrature fields I1..I4")
     args.json = args.json or (args.out + ".report.json")
     return _emit(VerificationReport(checks, {"R0": args.R0, "S0": args.S0}), args)
@@ -247,21 +245,7 @@ def cmd_harmonic_build(args) -> int:
 def cmd_harmonic_verify(args) -> int:
     u = load_complex_csv(args.u)
     tol = _tol(args)
-    checks = []
-    sup, n = hopf_residual(u).sup_norm()
-    checks.append(CheckResult(
-        "harmonic.hopf", "half-plane Hopf condition", sup, n, tol, sup < tol,
-        grid=u.grid.to_json(),
-    ))
-    if args.w:
-        w = load_scalar_csv(args.w)
-        conv, res = correspondence_check(u, w)
-        sup, n = res.sup_norm()
-        checks.append(CheckResult(
-            "harmonic.correspondence", "dzbar_u/dz_u against exp(-+2w)",
-            sup, n, tol, sup < tol and conv != "none",
-            flags={"convention": conv}, grid=u.grid.to_json(),
-        ))
+    checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol)
     if args.metric:
         fam = _family(args.metric)
         if fam.kind != "target_metric":

@@ -19,6 +19,8 @@ import numpy as np
 # intermediate exceeds the magnitude cap.
 SINGULARITY_EPS = 1e-8
 MAGNITUDE_CAP = 1e12
+# Largest grid accepted, in points: a bound on what one field may allocate.
+MAX_POINTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,8 @@ class Grid2D:
             raise ValueError("grid bounds must be ordered: x1 > x0 and y1 > y0")
         if self.nx < 5 or self.ny < 5:
             raise ValueError("need nx >= 5 and ny >= 5 for five-point stencils")
+        if self.nx * self.ny > MAX_POINTS:
+            raise ValueError(f"grid of {self.nx} x {self.ny} points exceeds {MAX_POINTS} points")
 
     @property
     def hx(self) -> float:
@@ -88,14 +92,23 @@ def make_grid(x0, x1, y0, y1, nx, ny) -> Grid2D:
 def rect_grid(rect, h: float) -> Grid2D:
     """Grid on rect = (x0, x1, y0, y1) with spacing nearest h, at least 5 points per axis.
 
-    Raises ValueError unless h is positive and finite.
+    An axis whose range is symmetric about 0 gets an even cell count, so that
+    its 0 line, where the marches and quadratures seed, is a grid line.
+    Raises ValueError unless h is positive and finite and the point count is
+    finite.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"grid spacing must be positive and finite, got {h!r}")
+
+    def points(a, b):
+        cells = (b - a) / h
+        if not np.isfinite(cells):
+            raise ValueError(f"grid spacing {h!r} gives no finite point count")
+        n = 2 * round(cells / 2) if a == -b else round(cells)
+        return max(int(n) + 1, 5)
+
     x0, x1, y0, y1 = rect
-    nx = int(round((x1 - x0) / h)) + 1
-    ny = int(round((y1 - y0) / h)) + 1
-    return Grid2D(x0, x1, y0, y1, max(nx, 5), max(ny, 5))
+    return Grid2D(x0, x1, y0, y1, points(x0, x1), points(y0, y1))
 
 
 @dataclass(frozen=True)
@@ -299,31 +312,24 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def dump_scalar_csv(f: ScalarField, path: str) -> None:
-    """Write `x,y,value,valid` rows, looping y in the outer loop."""
-    x = f.grid.x()
-    y = f.grid.y()
+def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray) -> None:
+    """Write `x,y,<names>,valid` rows, looping y in the outer loop."""
+    xs = [_fmt(v) for v in grid.x()]
+    ys = [_fmt(v) for v in grid.y()]
+    cols = [map(_fmt, a.T.ravel().tolist()) for a in columns]
+    valid = map(str, mask.T.ravel().astype(int).tolist())
+    rows = zip(xs * grid.ny, (y for y in ys for _ in xs), *cols, valid)
     with open(path, "w") as fh:
-        fh.write("x,y,value,valid\n")
-        for j in range(f.grid.ny):
-            for i in range(f.grid.nx):
-                fh.write(
-                    f"{_fmt(x[i])},{_fmt(y[j])},{_fmt(f.values[i, j])},{int(f.mask[i, j])}\n"
-                )
+        fh.write(",".join(("x", "y", *names, "valid")) + "\n")
+        fh.writelines(",".join(r) + "\n" for r in rows)
+
+
+def dump_scalar_csv(f: ScalarField, path: str) -> None:
+    _dump_csv(path, f.grid, ("value",), (f.values,), f.mask)
 
 
 def dump_complex_csv(u: ComplexField, path: str) -> None:
-    """Write `x,y,re,im,valid` rows, looping y in the outer loop."""
-    x = u.grid.x()
-    y = u.grid.y()
-    with open(path, "w") as fh:
-        fh.write("x,y,re,im,valid\n")
-        for j in range(u.grid.ny):
-            for i in range(u.grid.nx):
-                fh.write(
-                    f"{_fmt(x[i])},{_fmt(y[j])},{_fmt(u.re[i, j])},{_fmt(u.im[i, j])},"
-                    f"{int(u.mask[i, j])}\n"
-                )
+    _dump_csv(path, u.grid, ("re", "im"), (u.re, u.im), u.mask)
 
 
 def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
@@ -332,33 +338,31 @@ def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
         fh.write("\n")
 
 
-def _load_rows(path: str, ncols: int):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
+def _load_csv(path: str, ncols: int):
+    """(grid, value columns as (nx, ny) arrays) of a dump with ncols columns.
+
+    Raises ValueError unless the x and y columns are the grid coordinates in
+    y-major order, within the tolerance of Grid2D.index_of_x.
+    """
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != ncols:
         raise ValueError(f"{path}: expected {ncols} columns")
-    return data
-
-
-def _grid_from_columns(xs: np.ndarray, ys: np.ndarray) -> Grid2D:
-    ux = np.unique(xs)
-    uy = np.unique(ys)
-    return make_grid(ux[0], ux[-1], uy[0], uy[-1], len(ux), len(uy))
+    xs, ys = np.unique(data[:, 0]), np.unique(data[:, 1])
+    g = make_grid(xs[0], xs[-1], ys[0], ys[-1], len(xs), len(ys))
+    if not (
+        len(data) == g.nx * g.ny
+        and np.all(np.abs(data[:, 0] - np.tile(g.x(), g.ny)) <= 1e-9 * max(1.0, g.hx))
+        and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))
+    ):
+        raise ValueError(f"{path}: rows are not the y-major points of a {g.nx} x {g.ny} grid")
+    return g, [data[:, k].reshape(g.ny, g.nx).T for k in range(2, ncols)]
 
 
 def load_scalar_csv(path: str) -> ScalarField:
-    data = _load_rows(path, 4)
-    g = _grid_from_columns(data[:, 0], data[:, 1])
-    vals = data[:, 2].reshape(g.ny, g.nx).T
-    mask = data[:, 3].reshape(g.ny, g.nx).T.astype(bool)
-    return field(g, vals, mask)
+    g, (vals, valid) = _load_csv(path, 4)
+    return field(g, vals, valid.astype(bool))
 
 
 def load_complex_csv(path: str) -> ComplexField:
-    data = _load_rows(path, 5)
-    g = _grid_from_columns(data[:, 0], data[:, 1])
-    re = data[:, 2].reshape(g.ny, g.nx).T
-    im = data[:, 3].reshape(g.ny, g.nx).T
-    mask = data[:, 4].reshape(g.ny, g.nx).T.astype(bool)
-    return complex_field(g, re, im, mask)
+    g, (re, im, valid) = _load_csv(path, 5)
+    return complex_field(g, re, im, valid.astype(bool))

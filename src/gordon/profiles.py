@@ -56,17 +56,6 @@ class QuarticProfile:
         """Right-hand side of the second-order reduction p''."""
         return 2 * self.q4 * p**3 + self.q2 * p
 
-    @staticmethod
-    def from_json(d: dict) -> "QuarticProfile":
-        return QuarticProfile(
-            float(d["q4"]),
-            float(d["q2"]),
-            float(d["q0"]),
-            float(d["p_init"]),
-            float(d["dp_init"]),
-            str(d.get("direction", "x")),
-        )
-
 
 @dataclass(frozen=True)
 class SampledProfile:
@@ -179,13 +168,6 @@ def integrate_profile(spec: QuarticProfile, axis: np.ndarray, P0: float = 0.0) -
     p[~valid] = 0.0
     dp[~valid] = 0.0
     return SampledProfile(t, p, dp, P, valid)
-
-
-def dump_profile_csv(sp: SampledProfile, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,p,P,valid\n")
-        for k in range(len(sp.t)):
-            fh.write(f"{sp.t[k]:.17g},{sp.p[k]:.17g},{sp.P[k]:.17g},{int(sp.valid[k])}\n")
 
 
 # ---------------------------------------------------------------------------

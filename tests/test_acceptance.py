@@ -5,9 +5,11 @@ each test asserts that every check belonging to its criterion passed and
 prints a PASS/FAIL summary line even under pytest's capture.
 """
 
+import numpy as np
 import pytest
 
-from gordon.acceptance import run_acceptance
+from gordon.acceptance import run_acceptance, sup_check
+from gordon.grid import field, make_grid
 
 DESCRIPTIONS = {
     1: "closed-form sinh-Gordon solutions satisfy the equation",
@@ -42,3 +44,49 @@ def test_every_check_belongs_to_a_criterion(report):
     prefixes = tuple(f"c{k}." for k in DESCRIPTIONS)
     assert all(c.name.startswith(prefixes) for c in report.checks)
     assert report.passed
+
+
+def flat(g, v):
+    """A residual field of constant value v on g."""
+    return field(g, np.full((g.nx, g.ny), v))
+
+
+class TestSupCheck:
+    G = make_grid(0, 1, 0, 1, 5, 7)
+
+    def test_records_sup_count_and_grid(self):
+        v = np.zeros((5, 7))
+        v[2, 3] = -0.25
+        v[0, 0] = 9.0  # on the frame, outside the interior sup
+        c = sup_check("n", "a", field(self.G, v), 0.5, flags={"k": "v"})
+        assert (c.name, c.anchor, c.sup, c.count, c.tol) == ("n", "a", 0.25, 15, 0.5)
+        assert c.passed and c.grid == self.G.to_json() and c.flags == {"k": "v"}
+
+    def test_strict_tolerance(self):
+        assert not sup_check("n", "a", flat(self.G, 0.5), 0.5).passed
+        assert sup_check("n", "a", flat(self.G, 0.4999), 0.5).passed
+
+    def test_ok_false_fails(self):
+        assert not sup_check("n", "a", flat(self.G, 0.0), 0.5, ok=False).passed
+
+    @pytest.mark.parametrize("ratio", [3.5, 4.5])
+    def test_band_edges_pass(self, ratio):
+        c = sup_check("n", "a", flat(self.G, ratio / 8), 1.0,
+                      refined=lambda: flat(self.G.refined(), 1 / 8))
+        assert c.ratio == ratio and c.passed
+        assert c.to_json()["convergence_ratio"] == ratio
+
+    @pytest.mark.parametrize("ratio", [3.4375, 4.5625])
+    def test_outside_band_fails(self, ratio):
+        c = sup_check("n", "a", flat(self.G, ratio / 16), 1.0,
+                      refined=lambda: flat(self.G.refined(), 1 / 16))
+        assert c.ratio == ratio and not c.passed
+
+    def test_zero_refined_sup_fails(self):
+        c = sup_check("n", "a", flat(self.G, 0.1), 1.0,
+                      refined=lambda: flat(self.G.refined(), 0.0))
+        assert c.ratio == float("inf") and not c.passed
+
+    def test_no_ratio_without_refined(self):
+        c = sup_check("n", "a", flat(self.G, 0.1), 1.0)
+        assert c.ratio is None and "convergence_ratio" not in c.to_json()

@@ -239,6 +239,32 @@ class TestRejectedInput:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_swapped_csv_rows(self, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        assert main([
+            "families", "eval", "--family", "U_SQRT2", "--out", str(out),
+            "--grid", coarse(0.05, 0.3, 0.05, 0.3, h=1 / 100),
+        ]) == 0
+        lines = out.read_text().splitlines(True)
+        lines[5], lines[6] = lines[6], lines[5]
+        out.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["harmonic", "verify", "--u", str(out)]) == 2
+        assert "y-major" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_args", [
+        ["--h", "1e-320"],
+        ["--h", "1e-7"],
+        ["--grid", '{"x0": 0, "x1": 1, "y0": 0, "y1": 1, "nx": 1000000000, "ny": 5}'],
+    ])
+    def test_grid_too_large(self, grid_args, tmp_path, capsys):
+        # rejected from the point count, before any array is allocated
+        out = tmp_path / "w.csv"
+        rc = main(["families", "eval", "--family", "W_SQRT2", "--out", str(out), *grid_args])
+        assert rc == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_declared_params_listed(self, capsys):
         assert main(["families", "list", "--json"]) == 0
         rows = {r["id"]: r for r in json.loads(capsys.readouterr().out)}
@@ -284,3 +310,40 @@ class TestVerifyParity:
             assert c["name"] in accepted, c["name"]
             want = accepted[c["name"]]
             assert {k: c.get(k) for k in keys} == {k: want.get(k) for k in keys}, c["name"]
+
+
+class TestAxisLines:
+    """A spacing that does not divide a symmetric range still puts a grid line on 0."""
+
+    def test_acceptance_at_h_0_003(self, capsys):
+        assert main(["acceptance", "--h", "0.003"]) != 2
+        assert "does not coincide" not in capsys.readouterr().err
+
+    def test_backlund_run_at_h_0_003(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        rc = main([
+            "backlund", "run", "--direction", "t2w", "--family", "THETA_SQRT2",
+            "--h", "0.003", "--out", str(out),
+        ])
+        assert rc != 2
+        assert out.exists()
+
+
+def test_harmonic_build_and_verify_agree(tmp_path, capsys):
+    """`harmonic verify` of a built map and its partner repeats the build's checks."""
+    grid = coarse(0.0, 0.6, -0.35, 0.35, h=0.025)
+    prefix, w = str(tmp_path / "map"), str(tmp_path / "w.csv")
+    assert main([
+        "harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2", "--S0", "0.5",
+        "--out", prefix, "--grid", grid, "--tol", "0.1",
+    ]) == 0
+    assert main(["families", "eval", "--family", "W_SQRT2", "--out", w, "--grid", grid]) == 0
+    report = tmp_path / "verify.json"
+    assert main([
+        "harmonic", "verify", "--u", prefix + ".u.csv", "--w", w, "--tol", "0.1",
+        "--json", str(report),
+    ]) == 0
+    built = json.loads((tmp_path / "map.report.json").read_text())["checks"]
+    verified = json.loads(report.read_text())["checks"]
+    assert [c["name"] for c in verified] == ["harmonic.correspondence", "harmonic.hopf"]
+    assert verified == built

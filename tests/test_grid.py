@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gordon.grid import (
+    MAX_POINTS,
     Grid2D,
     cumulative_integral_x,
     cumulative_integral_y,
@@ -225,6 +226,44 @@ class TestCsvRoundTrip:
         assert back.grid == g
         assert np.array_equal(back.re, u.re) and np.array_equal(back.im, u.im)
 
+    def test_bytes(self, tmp_path):
+        # the documented format, written point by point: header, y-major rows,
+        # 17 significant digits, valid as 0/1
+        g = make_grid(-0.3, 0.7, -1, 0, 5, 6)
+        X, Y = g.mesh()
+        u = complex_field(g, np.exp(X) * np.cos(Y), Y**3 / 3 - X, np.abs(X + Y) > 0.4)
+        f = field(g, u.re, u.mask)
+        x, y = g.x(), g.y()
+        pts = [(i, j) for j in range(g.ny) for i in range(g.nx)]
+        p = tmp_path / "u.csv"
+        dump_complex_csv(u, str(p))
+        assert p.read_text() == "x,y,re,im,valid\n" + "".join(
+            f"{x[i]:.17g},{y[j]:.17g},{u.re[i, j]:.17g},{u.im[i, j]:.17g},{int(u.mask[i, j])}\n"
+            for i, j in pts
+        )
+        dump_scalar_csv(f, str(p))
+        assert p.read_text() == "x,y,value,valid\n" + "".join(
+            f"{x[i]:.17g},{y[j]:.17g},{f.values[i, j]:.17g},{int(f.mask[i, j])}\n" for i, j in pts
+        )
+
+    @pytest.mark.parametrize("edit", ["swap", "drop", "shift"])
+    def test_rows_off_the_grid_rejected(self, edit, tmp_path):
+        g = make_grid(0, 1, -1, 0, 7, 9)
+        X, Y = g.mesh()
+        p = tmp_path / "f.csv"
+        dump_scalar_csv(field(g, X + Y), str(p))
+        lines = p.read_text().splitlines(True)
+        if edit == "swap":
+            lines[3], lines[4] = lines[4], lines[3]
+        elif edit == "drop":
+            del lines[10]
+        else:  # an x that misses its grid line by more than the tolerance
+            row = lines[3].split(",")
+            lines[3] = ",".join([repr(float(row[0]) + 1e-6)] + row[1:])
+        p.write_text("".join(lines))
+        with pytest.raises(ValueError, match="y-major"):
+            load_scalar_csv(str(p))
+
     def test_sidecar(self, tmp_path):
         import json
 
@@ -245,6 +284,25 @@ class TestRectGrid:
     def test_bad_spacing_rejected(self, h):
         with pytest.raises(ValueError, match="spacing"):
             rect_grid((0.0, 1.0, 0.0, 1.0), h)
+
+    def test_symmetric_axis_has_even_cell_count(self):
+        # 0.7 / 0.003 = 233.3 cells would put no grid line on y = 0
+        g = rect_grid((0.0, 0.6, -0.35, 0.35), 0.003)
+        assert (g.nx, g.ny) == (201, 235)
+        assert g.y()[g.index_of_y(0.0)] == 0.0
+        assert rect_grid((-0.25, 0.25, -0.3, 0.3), 0.01).nx == 51  # already even
+
+    @pytest.mark.parametrize("h", [1e-320, 5e-324])
+    def test_non_finite_point_count_rejected(self, h):
+        with pytest.raises(ValueError, match="finite point count"):
+            rect_grid((0.0, 1.0, 0.0, 1.0), h)
+
+    def test_point_limit(self):
+        make_grid(0, 1, 0, 1, 10**4, 10**4)  # exactly MAX_POINTS; nothing is allocated
+        with pytest.raises(ValueError, match="exceeds"):
+            make_grid(0, 1, 0, 1, MAX_POINTS // 5 + 1, 5)
+        with pytest.raises(ValueError, match="exceeds"):
+            rect_grid((0.0, 1.0, 0.0, 1.0), 1e-7)
 
     def test_refined_halves_the_spacing(self):
         g = make_grid(0, 1, -1, 1, 5, 9)

@@ -9,7 +9,6 @@ from gordon.profiles import (
     assemble_product_family,
     assemble_tan_family,
     assemble_tanh_family,
-    dump_profile_csv,
     integrate_profile,
     tan_family_profiles,
     tanh_family_profiles,
@@ -30,12 +29,6 @@ class TestQuarticProfile:
     def test_direction_validated(self):
         with pytest.raises(ValueError):
             QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0, direction="z")
-
-    def test_from_json(self):
-        spec = QuarticProfile.from_json(
-            {"q4": -1, "q2": 4, "q0": 0, "p_init": 2, "dp_init": 0, "direction": "y"}
-        )
-        assert spec.direction == "y" and spec.q2 == 4.0
 
 
 class TestIntegrateProfile:
@@ -261,13 +254,3 @@ class TestAssembly:
         b = integrate_profile(QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0), g.y())
         with pytest.raises(ValueError):
             assemble_tan_family(wrong, b, g)
-
-
-def test_profile_csv(tmp_path):
-    spec = QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0)
-    sp = integrate_profile(spec, np.linspace(-1, 1, 21))
-    p = tmp_path / "prof.csv"
-    dump_profile_csv(sp, str(p))
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == "t,p,P,valid"
-    assert len(lines) == 22
