@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicSpline
 
+from .families import w_from_tanh_half
 from .grid import (
     Grid2D,
     ScalarField,
@@ -75,7 +76,8 @@ def _tabulator(f: ScalarField, analytic, along: int, seed: bool):
     coordinate 0) when `seed`, else (len(T), n) over all n lines.  The
     analytic path makes one vectorized call per quantity, the derivative by
     _FD_STEP central differences; the sampled path evaluates cubic splines
-    of f and of its cross gradient along the march axis.
+    of f and of its cross gradient along the march axis, of the seed line
+    alone when `seed`.
     """
     g = f.grid
     if analytic is not None:
@@ -89,17 +91,14 @@ def _tabulator(f: ScalarField, analytic, along: int, seed: bool):
 
     cross = 1 - along
     t_axis = (g.x(), g.y())[along]
-    splines = [
-        CubicSpline(t_axis, v, axis=along)
-        for v in (f.values, np.gradient(f.values, (g.hx, g.hy)[cross], axis=cross))
-    ]
+    values = (f.values, np.gradient(f.values, (g.hx, g.hy)[cross], axis=cross))
     if seed:
         k = g.index_of_y(0.0) if along == 0 else g.index_of_x(0.0)
-        # the seed line's own pieces evaluate to the same numbers as its
-        # entry of the full row or column, without computing the others
-        splines = [PPoly(s.c[..., k], s.x) for s in splines]
-    elif along == 1:
-        return lambda T: tuple(np.ascontiguousarray(s(T).T) for s in splines)
+        splines = [CubicSpline(t_axis, np.take(v, k, axis=cross)) for v in values]
+    else:
+        splines = [CubicSpline(t_axis, v, axis=along) for v in values]
+        if along == 1:
+            return lambda T: tuple(np.ascontiguousarray(s(T).T) for s in splines)
     return lambda T: tuple(s(T) for s in splines)
 
 
@@ -243,17 +242,8 @@ def closed_form_w_product(theta: ScalarField, K: np.ndarray, Fx: SampledProfile 
     T = np.tanh(M[None, :] / 2 * Xf.values)
     num = A[None, :] + M[None, :] * T
     den = M[None, :] + A[None, :] * T
-    ok = (
-        np.isfinite(K)[None, :]
-        & Yf.mask[i0, :][None, :]
-        & Xf.mask
-        & (np.abs(den) >= SINGULARITY_EPS)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / den
-    ok = ok & (1 - np.abs(t) >= SINGULARITY_EPS)
-    t = np.where(ok, t, 0.0)
-    return field(g, np.log1p(t) - np.log1p(-t), ok)
+    w, ok = w_from_tanh_half(num, den)
+    return field(g, w, ok & np.isfinite(K)[None, :] & Yf.mask[i0, :][None, :] & Xf.mask)
 
 
 def closed_form_w_tanh(theta: ScalarField, c: np.ndarray, w00: float) -> ScalarField:
@@ -287,9 +277,5 @@ def closed_form_w_tanh(theta: ScalarField, c: np.ndarray, w00: float) -> ScalarF
     tq = np.tan(q[:, None] * Yf.values)
     num = L[:, None] * (E[:, None] + L[:, None] * tq)
     den = L[:, None] - E[:, None] * tq
-    ok = ok_x[:, None] & Yf.mask & (np.abs(den) >= SINGULARITY_EPS)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / den
-    ok = ok & (1 - np.abs(t) >= SINGULARITY_EPS)
-    t = np.where(ok, t, 0.0)
-    return field(g, np.log1p(t) - np.log1p(-t), ok)
+    w, ok = w_from_tanh_half(num, den)
+    return field(g, w, ok & ok_x[:, None] & Yf.mask)

@@ -331,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     hv.set_defaults(fn=cmd_harmonic_verify)
 
     acc = sub.add_parser("acceptance", help="run the full acceptance suite")
-    acc.add_argument("--quick", action="store_true", help="h = 1/100 with tolerances x16")
-    acc.add_argument("--h", type=float, default=acceptance.DEFAULT_H)
+    spacing = acc.add_mutually_exclusive_group()
+    spacing.add_argument("--quick", action="store_true", help="h = 1/100 with tolerances x16")
+    spacing.add_argument("--h", type=float, default=acceptance.DEFAULT_H)
     acc.add_argument("--tol", type=float)
     acc.add_argument("--no-convergence", action="store_true")
     acc.add_argument("--json", help="write the report JSON here")

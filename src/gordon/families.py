@@ -33,12 +33,6 @@ SQRT2 = np.sqrt(2.0)
 SCALAR_KINDS = ("sinh_solution", "sine_solution")
 
 
-def _arctanh2(t):
-    """2*arctanh(t) in log form; caller masks |t| >= 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log1p(t) - np.log1p(-t)
-
-
 @dataclass(frozen=True)
 class SolutionFamily:
     id: str
@@ -108,10 +102,21 @@ def w_tan_special(x, y):
     return w, np.abs(den) >= SINGULARITY_EPS
 
 
+def w_from_tanh_half(num, den):
+    """(w, valid mask) of tanh(w/2) = num/den, with w = 2 artanh(t) in log form.
+
+    Masked where |den| < SINGULARITY_EPS or 1 - |num/den| < SINGULARITY_EPS.
+    """
+    ok = np.abs(den) >= SINGULARITY_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num / den
+    ok = ok & (1 - np.abs(t) >= SINGULARITY_EPS)
+    t = np.where(ok, t, 0.0)
+    return np.log1p(t) - np.log1p(-t), ok
+
+
 def w_one_soliton(x, y, exponent_sign=1.0):
-    q = np.exp(2 * exponent_sign * x)
-    ok = 1 - q >= SINGULARITY_EPS
-    return _arctanh2(np.where(ok, q, 0.0)), ok
+    return w_from_tanh_half(np.exp(2 * exponent_sign * x), 1.0)
 
 
 def theta_const_halfpi(x, y):
@@ -130,11 +135,7 @@ def theta_ex2(x, y):
 def w_ex2(x, y):
     num = np.cos(y) * (np.sin(2 * x) - 2 * y) + np.sin(y)
     den = np.cos(y) + (2 * y + np.sin(2 * x)) * np.sin(y)
-    ok = np.abs(den) >= SINGULARITY_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / den
-    ok = ok & (1 - np.abs(t) >= SINGULARITY_EPS)
-    return _arctanh2(np.where(ok, t, 0.0)), ok
+    return w_from_tanh_half(num, den)
 
 
 def theta_sqrt2(x, y):
@@ -145,11 +146,7 @@ def theta_sqrt2(x, y):
 
 def w_sqrt2(x, y):
     den = SQRT2 * np.sinh(SQRT2 * x) - 2 * np.cosh(SQRT2 * x)
-    ok = np.abs(den) >= SINGULARITY_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = SQRT2 * np.sinh(SQRT2 * y) / den
-    ok = ok & (1 - np.abs(t) >= SINGULARITY_EPS)
-    return _arctanh2(np.where(ok, t, 0.0)), ok
+    return w_from_tanh_half(SQRT2 * np.sinh(SQRT2 * y), den)
 
 
 def u_ex_section3(x, y):

@@ -9,8 +9,10 @@ points never contaminate residual norms.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,20 +133,12 @@ class ScalarField:
         self.values.setflags(write=False)
         self.mask.setflags(write=False)
 
-    def sup_norm(self, interior: bool = True):
-        """(sup |value| over valid points, number of valid points).
-
-        With interior=True the one-cell boundary frame is excluded, matching
-        how stencil outputs are reported.
-        """
-        m = self.mask.copy()
-        if interior:
-            m[0, :] = m[-1, :] = False
-            m[:, 0] = m[:, -1] = False
-        n = int(np.count_nonzero(m))
+    def sup_norm(self):
+        """(sup |value| over valid points, number of valid points)."""
+        n = int(np.count_nonzero(self.mask))
         if n == 0:
             return float("nan"), 0
-        return float(np.max(np.abs(self.values[m]))), n
+        return float(np.max(np.abs(self.values[self.mask]))), n
 
 
 @dataclass(frozen=True)
@@ -275,16 +269,9 @@ def _cumtrapz_anchored(values: np.ndarray, t: np.ndarray, k0: int, axis: int) ->
 def _contiguous_valid(mask: np.ndarray, k0: int, axis: int) -> np.ndarray:
     """Valid iff every point between index k0 and here (inclusive) is valid."""
     m = np.moveaxis(mask, axis, 0)
-    out = np.zeros_like(m)
-    out[k0] = m[k0]
-    acc = m[k0].copy()
-    for k in range(k0 + 1, m.shape[0]):
-        acc = acc & m[k]
-        out[k] = acc
-    acc = m[k0].copy()
-    for k in range(k0 - 1, -1, -1):
-        acc = acc & m[k]
-        out[k] = acc
+    out = np.empty_like(m)
+    out[k0:] = np.logical_and.accumulate(m[k0:], axis=0)
+    out[k0::-1] = np.logical_and.accumulate(m[k0::-1], axis=0)
     return np.moveaxis(out, 0, axis)
 
 
@@ -312,6 +299,20 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Text handle on `<path>.<pid>.tmp`, renamed to `path` on success, else removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray) -> None:
     """Write `x,y,<names>,valid` rows, looping y in the outer loop."""
     xs = [_fmt(v) for v in grid.x()]
@@ -319,7 +320,7 @@ def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray) -> None
     cols = [map(_fmt, a.T.ravel().tolist()) for a in columns]
     valid = map(str, mask.T.ravel().astype(int).tolist())
     rows = zip(xs * grid.ny, (y for y in ys for _ in xs), *cols, valid)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(("x", "y", *names, "valid")) + "\n")
         fh.writelines(",".join(r) + "\n" for r in rows)
 
@@ -333,7 +334,7 @@ def dump_complex_csv(u: ComplexField, path: str) -> None:
 
 
 def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(grid.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

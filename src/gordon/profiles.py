@@ -36,11 +36,8 @@ class QuarticProfile:
     q0: float
     p_init: float
     dp_init: float
-    direction: str = "x"
 
     def __post_init__(self):
-        if self.direction not in ("x", "y"):
-            raise ValueError("direction must be 'x' or 'y'")
         lhs = self.dp_init**2
         rhs = self.quartic(self.p_init)
         scale = 1.0 + abs(lhs) + abs(rhs)
@@ -179,8 +176,8 @@ def tan_family_profiles(c1, c2, c3, a_init=0.0, da_init=None, b_init=0.0, db_ini
     lhs, rhs = 4 * c1, 16 + c3 - c2
     if abs(lhs - rhs) > _CONSTRAINT_TOL * (1 + abs(lhs) + abs(rhs)):
         raise ValueError(f"coefficient constraint violated: 4*c1 = {lhs} != 16 + c3 - c2 = {rhs}")
-    a_spec = QuarticProfile(-1.0, c1, c2, a_init, _slope(da_init, -1.0, c1, c2, a_init), "x")
-    b_spec = QuarticProfile(-1.0, 8 - c1, c3, b_init, _slope(db_init, -1.0, 8 - c1, c3, b_init), "y")
+    a_spec = QuarticProfile(-1.0, c1, c2, a_init, _slope(da_init, -1.0, c1, c2, a_init))
+    b_spec = QuarticProfile(-1.0, 8 - c1, c3, b_init, _slope(db_init, -1.0, 8 - c1, c3, b_init))
     return a_spec, b_spec
 
 
@@ -189,8 +186,8 @@ def tanh_family_profiles(c4, c5, c6, c_init=0.0, dc_init=None, d_init=0.0, dd_in
     lhs, rhs = 16 + 4 * c4, c6 - c5
     if abs(lhs - rhs) > _CONSTRAINT_TOL * (1 + abs(lhs) + abs(rhs)):
         raise ValueError(f"coefficient constraint violated: 16 + 4*c4 = {lhs} != c6 - c5 = {rhs}")
-    c_spec = QuarticProfile(1.0, c4, c5, c_init, _slope(dc_init, 1.0, c4, c5, c_init), "x")
-    d_spec = QuarticProfile(1.0, -(8 + c4), c6, d_init, _slope(dd_init, 1.0, -(8 + c4), c6, d_init), "y")
+    c_spec = QuarticProfile(1.0, c4, c5, c_init, _slope(dc_init, 1.0, c4, c5, c_init))
+    d_spec = QuarticProfile(1.0, -(8 + c4), c6, d_init, _slope(dd_init, 1.0, -(8 + c4), c6, d_init))
     return c_spec, d_spec
 
 

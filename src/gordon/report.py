@@ -7,9 +7,9 @@ at 17 significant digits via repr) and are written atomically.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field as dc_field
+
+from .grid import atomic_open
 
 
 @dataclass
@@ -70,14 +70,6 @@ class VerificationReport:
 
     def write(self, path: str) -> None:
         """Write JSON atomically (temp file in the target directory, then rename)."""
-        d = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_open(path) as fh:
+            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from gordon.acceptance import run_acceptance, sup_check
-from gordon.grid import field, make_grid
+from gordon.backlund import BacklundPair, backlund_residuals
+from gordon.families import make_metric
+from gordon.grid import complex_field, field, laplacian, make_grid, partial_x, partial_y, wirtinger
+from gordon.harmonic import correspondence_check, gaussian_curvature, hopf_residual
 
 DESCRIPTIONS = {
     1: "closed-form sinh-Gordon solutions satisfy the equation",
@@ -55,11 +58,15 @@ class TestSupCheck:
     G = make_grid(0, 1, 0, 1, 5, 7)
 
     def test_records_sup_count_and_grid(self):
+        # the sup and count run over the valid points, frame included
         v = np.zeros((5, 7))
         v[2, 3] = -0.25
-        v[0, 0] = 9.0  # on the frame, outside the interior sup
-        c = sup_check("n", "a", field(self.G, v), 0.5, flags={"k": "v"})
-        assert (c.name, c.anchor, c.sup, c.count, c.tol) == ("n", "a", 0.25, 15, 0.5)
+        v[0, 0] = 0.375
+        mask = np.ones((5, 7), dtype=bool)
+        mask[4, 6] = mask[1, 1] = False
+        v[1, 1] = 9.0  # masked out: never measured
+        c = sup_check("n", "a", field(self.G, v, mask), 0.5, flags={"k": "v"})
+        assert (c.name, c.anchor, c.sup, c.count, c.tol) == ("n", "a", 0.375, 33, 0.5)
         assert c.passed and c.grid == self.G.to_json() and c.flags == {"k": "v"}
 
     def test_strict_tolerance(self):
@@ -90,3 +97,40 @@ class TestSupCheck:
     def test_no_ratio_without_refined(self):
         c = sup_check("n", "a", flat(self.G, 0.1), 1.0)
         assert c.ratio is None and "convergence_ratio" not in c.to_json()
+
+
+class TestStencilFrames:
+    """Every stencil output a check measures has no valid point on the grid frame.
+
+    Fields are all-valid on input, so a valid frame point could only come
+    from the stencil itself.  partial_x and partial_y mask the frame along
+    their own axis; the composites mask all of it.
+    """
+
+    G = make_grid(0.0, 1.0, 1.0, 2.0, 9, 11)
+
+    @staticmethod
+    def frame(mask):
+        return np.concatenate([mask[0, :], mask[-1, :], mask[:, 0], mask[:, -1]])
+
+    def fields(self):
+        X, Y = self.G.mesh()
+        u = complex_field(self.G, X + 0.3 * Y**2, Y + 0.1 * X)
+        return X, Y, u, field(self.G, 0.2 * X * Y)
+
+    def test_axis_derivatives(self):
+        X, _, _, _ = self.fields()
+        fx, fy = partial_x(field(self.G, X)), partial_y(field(self.G, X))
+        assert fx.mask.any() and not (fx.mask[0, :].any() or fx.mask[-1, :].any())
+        assert fy.mask.any() and not (fy.mask[:, 0].any() or fy.mask[:, -1].any())
+
+    def test_composites(self):
+        X, Y, u, w = self.fields()
+        outs = [laplacian(w), *wirtinger(u), hopf_residual(u),
+                hopf_residual(u, field(self.G, 1 / Y**2)), correspondence_check(u, w)[1],
+                *backlund_residuals(BacklundPair(w, field(self.G, X - Y), "test"))]
+        E, G = 1 / Y**2, 2 / Y**2
+        for Fc in (np.zeros_like(Y), 0.5 * np.sqrt(E * G)):  # diagonal, then Brioschi
+            outs.append(gaussian_curvature(make_metric(self.G, E, Fc, G)))
+        for f in outs:
+            assert f.mask.any() and not self.frame(f.mask).any()

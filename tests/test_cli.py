@@ -1,5 +1,7 @@
 import filecmp
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -200,6 +202,13 @@ class TestAcceptanceCommand:
         assert main(["acceptance", "--quick"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_quick_excludes_h(self, capsys):
+        # --quick fixes its own spacing, so a --h beside it would be ignored
+        with pytest.raises(SystemExit) as e:
+            main(["acceptance", "--quick", "--h", "0.005"])
+        assert e.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_bad_tol_flag_is_config_error(self, tol, capsys):
         assert main(["acceptance", "--quick", "--tol", tol]) == 2
@@ -347,3 +356,15 @@ def test_harmonic_build_and_verify_agree(tmp_path, capsys):
     verified = json.loads(report.read_text())["checks"]
     assert [c["name"] for c in verified] == ["harmonic.correspondence", "harmonic.hopf"]
     assert verified == built
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    """Every `gordon ...` line of the README's CLI block exits 0, run in order."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("gordon ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from gordon import grid
 from gordon.grid import (
     MAX_POINTS,
     Grid2D,
+    _contiguous_valid,
+    _cumtrapz_anchored,
+    _shrink_mask,
     cumulative_integral_x,
     cumulative_integral_y,
     dump_complex_csv,
@@ -185,16 +191,16 @@ class TestCumulativeIntegral:
 
 
 class TestFieldNorms:
-    def test_sup_norm_interior(self):
+    def test_sup_norm_over_valid_points(self):
         g = make_grid(0, 1, 0, 1, 5, 5)
         v = np.zeros((5, 5))
-        v[0, 0] = 100.0  # boundary point: excluded from the interior norm
-        v[2, 2] = 3.0
-        f = field(g, v)
-        sup, n = f.sup_norm()
-        assert sup == 3.0 and n == 9
-        sup_all, n_all = f.sup_norm(interior=False)
-        assert sup_all == 100.0 and n_all == 25
+        v[0, 0] = -100.0  # a valid frame point counts like any other
+        v[2, 2] = 300.0
+        mask = np.ones((5, 5), dtype=bool)
+        mask[2, 2] = False
+        assert field(g, v, mask).sup_norm() == (100.0, 24)
+        sup, n = field(g, v, np.zeros((5, 5), dtype=bool)).sup_norm()
+        assert np.isnan(sup) and n == 0
 
     def test_nonfinite_masked(self):
         g = make_grid(0, 1, 0, 1, 5, 5)
@@ -272,6 +278,27 @@ class TestCsvRoundTrip:
         dump_grid_sidecar(g, str(p))
         assert Grid2D.from_json(json.loads(p.read_text())) == g
 
+    def test_interrupted_dump_keeps_old_file(self, tmp_path, monkeypatch):
+        g = make_grid(0, 1, -1, 0, 7, 9)
+        X, Y = g.mesh()
+        p = tmp_path / "f.csv"
+        dump_scalar_csv(field(g, X + Y), str(p))
+        old = p.read_bytes()
+        calls = []
+
+        def failing_fmt(v):
+            calls.append(v)
+            if len(calls) > 40:
+                raise RuntimeError("interrupted")
+            return f"{v:.17g}"
+
+        monkeypatch.setattr(grid, "_fmt", failing_fmt)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            dump_scalar_csv(field(g, X - Y), str(p))
+        assert len(calls) == 41  # failed partway, after some rows were formatted
+        assert p.read_bytes() == old
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["f.csv"]
+
 
 class TestRectGrid:
     def test_spacing_and_minimum_points(self):
@@ -309,3 +336,58 @@ class TestRectGrid:
         r = g.refined()
         assert (r.x0, r.x1, r.y0, r.y1, r.nx, r.ny) == (0, 1, -1, 1, 9, 17)
         assert r.hx == g.hx / 2 and r.hy == g.hy / 2
+
+
+# ---------------------------------------------------------------------------
+# properties of the mask propagation and the anchored quadrature
+
+FAST = settings(max_examples=40, deadline=None)
+masks = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: arrays(bool, shape)
+)
+
+
+def contiguous_valid_oracle(mask, k0, axis):
+    """Two loops outward from k0, each carrying the running AND."""
+    m = np.moveaxis(mask, axis, 0)
+    out = np.zeros_like(m)
+    out[k0] = m[k0]
+    acc = m[k0].copy()
+    for k in range(k0 + 1, m.shape[0]):
+        acc = acc & m[k]
+        out[k] = acc
+    acc = m[k0].copy()
+    for k in range(k0 - 1, -1, -1):
+        acc = acc & m[k]
+        out[k] = acc
+    return np.moveaxis(out, 0, axis)
+
+
+class TestMaskProperties:
+    @FAST
+    @given(masks, st.integers(0, 1), st.data())
+    def test_contiguous_valid_matches_loops(self, mask, axis, data):
+        k0 = data.draw(st.integers(0, mask.shape[axis] - 1))
+        assert np.array_equal(_contiguous_valid(mask, k0, axis),
+                              contiguous_valid_oracle(mask, k0, axis))
+
+    @FAST
+    @given(masks)
+    def test_shrink_mask_per_point(self, mask):
+        nx, ny = mask.shape
+        expect = np.zeros_like(mask)
+        for i in range(1, nx - 1):
+            for j in range(1, ny - 1):
+                expect[i, j] = all(mask[i + di, j + dj] for di, dj in
+                                   ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
+        assert np.array_equal(_shrink_mask(mask), expect)
+
+    @FAST
+    @given(st.tuples(st.integers(2, 9), st.integers(1, 9)).flatmap(
+        lambda shape: arrays(float, shape, elements=st.floats(-1e6, 1e6))
+    ), st.integers(0, 1), st.data())
+    def test_cumtrapz_zero_at_anchor(self, values, axis, data):
+        n = values.shape[axis]
+        k0 = data.draw(st.integers(0, n - 1))
+        c = _cumtrapz_anchored(values, np.linspace(-1.0, 2.0, n), k0, axis)
+        assert np.all(np.take(c, k0, axis=axis) == 0.0)

@@ -26,10 +26,6 @@ class TestQuarticProfile:
         with pytest.raises(ValueError):
             QuarticProfile(-1.0, 4.0, 0.0, 2.0, 1.0)  # slope^2 = 1 but quartic(2) = 0
 
-    def test_direction_validated(self):
-        with pytest.raises(ValueError):
-            QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0, direction="z")
-
 
 class TestIntegrateProfile:
     def test_sech_closed_form(self):
