@@ -9,6 +9,7 @@ finite-difference verification of every construction.
 from .grid import (
     ComplexField,
     Grid2D,
+    NumericalError,
     ScalarField,
     complex_field,
     cumulative_integral_x,
@@ -73,6 +74,7 @@ __all__ = [
     "Grid2D",
     "HarmonicMapResult",
     "MetricSample",
+    "NumericalError",
     "QuarticProfile",
     "SampledProfile",
     "ScalarField",

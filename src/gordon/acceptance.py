@@ -448,7 +448,9 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
     tol = base_tolerance(tol)
     factor = (h / DEFAULT_H) ** 2  # second-order scaling of every FD floor
     tol_fd = tol * factor
-    march_tol = 5e-4 * factor
+    # the analytic march's _FD_STEP error (<= 1.2e-10) does not shrink with h:
+    # the 0.1 floor keeps fine grids above it
+    march_tol = 1e-8 * max(factor, 0.1)
     quad_tol = 1e-6 * factor
     control_tol = 1e-6 * factor
     ode_tol = 1e-8 * max(factor**2, 1.0)  # RK4 floor scales with h^4

@@ -8,12 +8,16 @@ solution theta is
 
 Given one side, the other is constructed by quadrature: seed the transverse
 axis line first, then sweep all parallel lines, enforcing one equation with
-RK4 and reporting the other as a residual.  Each march cell is tabulated,
-then marched: the given field and its cross derivative are evaluated once at
-all RK4 stage times of the cell, in one vectorized call per quantity, and
-the RK4 stages only index those tables.  Two closed-form shortcuts for w
-printed for special theta families are also provided; they are evaluated
-verbatim and *checked against* the quadrature construction, never trusted.
+RK4 and reporting the other as a residual.  A sweep is tabulated, then
+marched: the RK4 stage times of its cells depend only on the axis, so the
+given field and its cross derivative are evaluated at the stage times of a
+block of cells in one vectorized call per quantity (a block holds up to
+MARCH_BLOCK table entries), and the RK4 stages only index those tables.  A line sweep
+marches both sides of the seed line together while both have cells left.
+Neither changes a bit of the output of a cell-by-cell march.  Two
+closed-form shortcuts for w printed for special theta families are also
+provided; they are evaluated verbatim and *checked against* the quadrature
+construction, never trusted.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .profiles import SampledProfile
 MARCH_SUBSTEPS = 8
 W_CAP = 30.0  # |w| beyond this overflows cosh/sinh scales; treat as blow-up
 _FD_STEP = 1e-5  # small-step derivative for analytic callables
+MARCH_BLOCK = 1 << 16  # table entries per coefficient call: at most 0.5 MB a table
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,8 @@ def _tabulator(f: ScalarField, analytic, along: int, seed: bool):
     coordinate 0) when `seed`, else (len(T), n) over all n lines.  The
     analytic path makes one vectorized call per quantity, the derivative by
     _FD_STEP central differences; the sampled path evaluates cubic splines
-    of f and of its cross gradient along the march axis, of the seed line
-    alone when `seed`.
+    along the march axis of f and of its cross derivative (itself taken from
+    cubic splines across the lines), of the seed line alone when `seed`.
     """
     g = f.grid
     if analytic is not None:
@@ -90,8 +95,9 @@ def _tabulator(f: ScalarField, analytic, along: int, seed: bool):
         return lambda T: (at(T, c), (at(T, c + _FD_STEP) - at(T, c - _FD_STEP)) / (2 * _FD_STEP))
 
     cross = 1 - along
-    t_axis = (g.x(), g.y())[along]
-    values = (f.values, np.gradient(f.values, (g.hx, g.hy)[cross], axis=cross))
+    t_axis, c_axis = (g.x(), g.y())[along], (g.x(), g.y())[cross]
+    # a first-order edge stencil here would leave the march first order
+    values = (f.values, CubicSpline(c_axis, f.values, axis=cross).derivative()(c_axis))
     if seed:
         k = g.index_of_y(0.0) if along == 0 else g.index_of_x(0.0)
         splines = [CubicSpline(t_axis, np.take(v, k, axis=cross)) for v in values]
@@ -102,51 +108,75 @@ def _tabulator(f: ScalarField, analytic, along: int, seed: bool):
     return lambda T: tuple(s(T) for s in splines)
 
 
-def _rk4_cell(coeffs, G, t0, u, t1):
-    """RK4 for du/dt = P(t) + G(u) Q(t) from t0 to t1 in MARCH_SUBSTEPS substeps.
+def _stage_times(t0, t1):
+    """Step h and RK4 stage times of the cells t0 -> t1, elementwise over arrays.
 
-    coeffs(T) -> (P, Q) tabulates both once per cell at all stage times,
-    found by the recurrence t, t + h/2, t + h; t <- t + h.
+    Per cell h = (t1 - t0) / MARCH_SUBSTEPS and the stage times follow the
+    recurrence t, t + h/2, t + h; t <- t + h.  T has the shape of t0 with a
+    stage axis of length 2 MARCH_SUBSTEPS + 1 inserted after the first.
     """
     h = (t1 - t0) / MARCH_SUBSTEPS
     t, T = t0, [t0]
     for _ in range(MARCH_SUBSTEPS):
         T += [t + h / 2, t + h]
         t = t + h
-    P, Q = coeffs(np.array(T))
+    return h, np.stack(T, axis=1)
+
+
+def _rk4(G, u, h, P, Q):
+    """RK4 for du/dt = P(t) + G(u) Q(t) over one cell of MARCH_SUBSTEPS steps h.
+
+    P and Q hold the tables at the cell's stage times, stage axis first.
+    """
+    h2, h6 = h / 2, h / 6
     for s in range(0, 2 * MARCH_SUBSTEPS, 2):
         k1 = P[s] + G(u) * Q[s]
-        k2 = P[s + 1] + G(u + h / 2 * k1) * Q[s + 1]
-        k3 = P[s + 1] + G(u + h / 2 * k2) * Q[s + 1]
+        k2 = P[s + 1] + G(u + h2 * k1) * Q[s + 1]
+        k3 = P[s + 1] + G(u + h2 * k2) * Q[s + 1]
         k4 = P[s + 2] + G(u + h * k3) * Q[s + 2]
-        u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        u = u + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return u
 
 
 def _sweep(axis, k0, u0, coeffs, G):
-    """March a state vector outward from index k0 along `axis`.
+    """March a state outward from index k0 along `axis`, both directions.
 
-    Each cell is one _rk4_cell(coeffs, G, ...).  Entries that leave
-    [-W_CAP, W_CAP] or go non-finite are frozen and flagged invalid from
-    there on.
+    coeffs(T) -> (P, Q) tabulates the right-hand side at a flat array of
+    stage times; it is called once per block of at most MARCH_BLOCK table
+    entries.  A line sweep (vector state) marches the cells k0 + j and
+    k0 - j as one two-row state while both sides have cells, then the
+    longer side alone; a seed sweep (scalar state) marches each side alone,
+    as scalar numpy ops are cheaper than ops on two-element arrays.
+    Entries that leave [-W_CAP, W_CAP] or go non-finite are frozen and
+    flagged invalid from there on.
     """
     n = len(axis)
     m = np.shape(u0)
     out = np.zeros((n,) + m)
     valid = np.zeros((n,) + m, dtype=bool)
     out[k0] = u0
-    valid[k0] = np.isfinite(u0) & (np.abs(u0) <= W_CAP)
-    for direction in (1, -1):
-        u = np.array(u0, dtype=float)
-        alive = valid[k0].copy()
-        for k in range(k0 + direction, n if direction == 1 else -1, direction):
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = _rk4_cell(coeffs, G, axis[k - direction], u, axis[k])
-            bad = ~np.isfinite(u) | (np.abs(u) > W_CAP)
-            alive = alive & ~bad
-            u = np.where(alive, u, 0.0)
-            out[k] = u
-            valid[k] = alive
+    valid[k0] = np.abs(u0) <= W_CAP  # False for nan and inf too
+    up, down = np.arange(k0, n), np.arange(k0, -1, -1)
+    if m:
+        j = min(len(up), len(down))
+        legs = [np.stack([up[:j], down[:j]], axis=1), up[j - 1:], down[j - 1:]]
+    else:
+        legs = [up, down]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ks in legs:
+            u, alive = out[ks[0]], valid[ks[0]]
+            h, T = _stage_times(axis[ks[:-1]], axis[ks[1:]])
+            h = h.reshape(h.shape + (1,) * (h.ndim - 1))  # (cells, 2, 1) on paired legs
+            block = max(1, MARCH_BLOCK // (np.prod(T.shape[1:]) * np.size(u0)))
+            for b in range(0, len(T), block):
+                Tb = T[b:b + block]
+                P, Q = (a.reshape(Tb.shape + a.shape[1:]) for a in coeffs(Tb.ravel()))
+                for i, k in enumerate(ks[b + 1:b + 1 + len(Tb)]):
+                    u = _rk4(G, u, h[b + i], P[i], Q[i])
+                    alive = alive & (np.abs(u) <= W_CAP)
+                    u = np.where(alive, u, 0.0)
+                    out[k] = u
+                    valid[k] = alive
     return out, valid
 
 
@@ -186,8 +216,8 @@ def theta_to_w(theta: ScalarField, w00: float, analytic=None) -> ScalarField:
     """
     return _march(
         theta, w00, analytic, 0,
-        lambda th, th_y: (th_y, -np.sin(th)), lambda w: 2 * np.sinh(w),
-        lambda th, th_x: (-th_x, -np.cos(th)), lambda w: 2 * np.cosh(w),
+        lambda th, th_y: (th_y, -2 * np.sin(th)), np.sinh,
+        lambda th, th_x: (-th_x, -2 * np.cos(th)), np.cosh,
     )
 
 

@@ -3,7 +3,8 @@
 Subcommands: families list / families eval, verify, backlund run,
 harmonic build / harmonic verify, acceptance.  Reports are JSON, fields are
 CSV with a JSON grid sidecar.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 invalid configuration.  The GORDON_TOL environment variable
+failed or a computation broke down (NumericalError), 2 invalid
+configuration.  The GORDON_TOL environment variable
 overrides the default verification tolerance of 1e-3.
 """
 
@@ -21,6 +22,7 @@ from .backlund import BacklundPair, backlund_residuals, theta_to_w, w_to_theta
 from .families import CATALOG, eval_family, get_family, sign_probe
 from .grid import (
     Grid2D,
+    NumericalError,
     dump_complex_csv,
     dump_grid_sidecar,
     dump_scalar_csv,
@@ -349,6 +351,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except NumericalError as e:  # a ValueError: caught before the clause below
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

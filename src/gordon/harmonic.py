@@ -26,6 +26,7 @@ from .backlund import BacklundPair
 from .families import MetricSample, make_metric
 from .grid import (
     ComplexField,
+    NumericalError,
     ScalarField,
     SINGULARITY_EPS,
     complex_field,
@@ -126,7 +127,7 @@ def correspondence_check(u: ComplexField, w: ScalarField):
     mag = np.abs(dz_u.complex_values())
     ok = dz_u.mask & w.mask & (mag >= SINGULARITY_EPS)
     if np.count_nonzero(ok) < 9:
-        raise ValueError("dz_u degenerate on almost all of the grid")
+        raise NumericalError("dz_u degenerate on almost all of the grid")
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(ok, dzb_u.complex_values() / np.where(ok, dz_u.complex_values(), 1.0), 0.0)
     res_m = field(g, np.abs(rho - np.exp(-2 * w.values)), ok)

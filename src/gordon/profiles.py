@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid2D, ScalarField, field
+from .grid import Grid2D, NumericalError, ScalarField, field
 
 BLOWUP_LIMIT = 1e6
 ODE_REFINEMENT = 8  # RK4 substeps per axis cell
@@ -142,7 +142,7 @@ def integrate_profile(spec: QuarticProfile, axis: np.ndarray, P0: float = 0.0) -
         else (spec.p_init, spec.dp_init, 0.0, False)
     )
     if blown:
-        raise ValueError("profile blew up before reaching the sample axis")
+        raise NumericalError("profile blew up before reaching the sample axis")
     p[k0], dp[k0] = p0, dp0
     valid[k0] = True
 

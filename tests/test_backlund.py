@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from gordon import backlund
 from gordon.backlund import (
     W_CAP,
     BacklundPair,
@@ -167,8 +168,8 @@ def reference_march(f, u00, direction, analytic=None):
     """(values, mask) of theta_to_w ("t2w") or w_to_theta ("w2t"), stage by stage.
 
     Each stage evaluates the callable, or the cubic splines of f and of its
-    cross gradient, at its own time; the seed line uses its own entry of a
-    full row or column.
+    cross derivative (from splines across the lines), at its own time; the
+    seed line uses its own entry of a full row or column.
     """
     g = f.grid
     x, y = g.x(), g.y()
@@ -181,8 +182,9 @@ def reference_march(f, u00, direction, analytic=None):
         col0, row0 = (lambda t: along_y(0.0, t)), (lambda t: along_x(t, 0.0))
     else:
         v = f.values
-        sy, sy_dx = CubicSpline(y, v, axis=1), CubicSpline(y, np.gradient(v, g.hx, axis=0), axis=1)
-        sx, sx_dy = CubicSpline(x, v, axis=0), CubicSpline(x, np.gradient(v, g.hy, axis=1), axis=0)
+        dx, dy = CubicSpline(x, v, axis=0).derivative()(x), CubicSpline(y, v, axis=1).derivative()(y)
+        sy, sy_dx = CubicSpline(y, v, axis=1), CubicSpline(y, dx, axis=1)
+        sx, sx_dy = CubicSpline(x, v, axis=0), CubicSpline(x, dy, axis=0)
         col, row = (lambda t: (sy(t), sy_dx(t))), (lambda t: (sx(t), sx_dy(t)))
         col0, row0 = (lambda t: (sy(t)[i0], sy_dx(t)[i0])), (lambda t: (sx(t)[j0], sx_dy(t)[j0]))
 
@@ -226,29 +228,57 @@ MARCH_CASES = [
     ("w2t", "W_EX2", (-0.16, 0.16, -0.16, 0.16), np.pi),
     # w = 2 artanh(e^{2x}/2) passes W_CAP inside the grid: the march freezes
     ("t2w", -np.pi / 2, (-0.3, 0.6, -0.2, 0.2), np.log(3.0)),
+    # origin off-centre on the line-sweep axis (y for t2w, x for w2t): the
+    # two sides march paired, then the longer side's tail alone
+    ("t2w", "THETA_SQRT2", (-0.1, 0.5, -0.3, 0.1), 0.0),
+    ("t2w", "THETA_SQRT2", (-0.1, 0.5, -0.1, 0.3), 0.0),
+    ("w2t", "W_SQRT2", (-0.4, 0.1, -0.1, 0.3), 1.3),
+    ("w2t", "W_SQRT2", (-0.1, 0.4, -0.3, 0.1), 1.3),
 ]
+
+
+def _case_id(case):
+    direction, src, rect, _ = case
+    lo, hi = rect[2:] if direction == "t2w" else rect[:2]  # the line-sweep axis
+    tail = "" if lo == 0 or lo == -hi else ("-tail+" if hi > -lo else "-tail-")
+    return f"{direction}-{src if isinstance(src, str) else 'freeze'}{tail}"
+
+
+def _march_case(case, sampled):
+    """(march output, source field, analytic callable or None) of a MARCH_CASES entry."""
+    direction, src, rect, u00 = case
+    g = grid(*rect, h=1 / 50)
+    if isinstance(src, str):
+        f, fn = eval_family(src, g), scalar_callable(src)
+    else:
+        f, fn = const_field(g, src), _const(src)
+    analytic = None if sampled else fn
+    march = theta_to_w if direction == "t2w" else w_to_theta
+    return march(f, u00, analytic=analytic), f, analytic
 
 
 class TestTabulatedMarch:
     @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
-    @pytest.mark.parametrize(
-        "case", MARCH_CASES, ids=lambda c: f"{c[0]}-{c[1] if isinstance(c[1], str) else 'freeze'}"
-    )
+    @pytest.mark.parametrize("case", MARCH_CASES, ids=_case_id)
     def test_bit_identical_to_stage_by_stage_rk4(self, case, sampled):
-        direction, src, rect, u00 = case
-        g = grid(*rect, h=1 / 50)
-        if isinstance(src, str):
-            f, fn = eval_family(src, g), scalar_callable(src)
-        else:
-            f, fn = const_field(g, src), _const(src)
-        analytic = None if sampled else fn
-        march = theta_to_w if direction == "t2w" else w_to_theta
-        got = march(f, u00, analytic=analytic)
+        direction, src, _, u00 = case
+        got, f, analytic = _march_case(case, sampled)
         vals, ok = reference_march(f, u00, direction, analytic)
         assert np.array_equal(got.mask, ok)
         assert np.array_equal(got.values, vals)
         if not isinstance(src, str):
             assert not ok.all() and ok[0].all()  # the freeze case really froze
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize("case", MARCH_CASES[-4:], ids=_case_id)  # the off-centre cases
+    def test_block_bound_leaves_bits(self, case, sampled, monkeypatch):
+        # one cell per coefficient call, or a whole sweep in one call
+        want, _, _ = _march_case(case, sampled)
+        for block in (1, 1 << 40):
+            monkeypatch.setattr(backlund, "MARCH_BLOCK", block)
+            got, _, _ = _march_case(case, sampled)
+            assert np.array_equal(got.mask, want.mask)
+            assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("direction,fid", [("t2w", "THETA_SQRT2"), ("w2t", "W_SQRT2")])
     def test_callable_calls_linear_in_cells(self, direction, fid):

@@ -8,7 +8,15 @@ import pytest
 
 from gordon import acceptance
 from gordon.cli import main
-from gordon.grid import load_complex_csv, load_scalar_csv
+from gordon.grid import (
+    complex_field,
+    dump_complex_csv,
+    dump_scalar_csv,
+    field,
+    load_complex_csv,
+    load_scalar_csv,
+    make_grid,
+)
 
 
 def coarse(x0, x1, y0, y1, h=1 / 50):
@@ -182,6 +190,15 @@ class TestHarmonic:
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["harmonic", "verify", "--u", "/nonexistent/u.csv"]) == 2
+
+    def test_degenerate_map_is_a_failure(self, tmp_path, capsys):
+        # a constant map has dz_u = 0 everywhere: a numerical breakdown, exit 1
+        g = make_grid(0.0, 0.5, 0.5, 1.0, 11, 11)
+        u_path, w_path = str(tmp_path / "u.csv"), str(tmp_path / "w.csv")
+        dump_complex_csv(complex_field(g, np.zeros((11, 11)), np.ones((11, 11))), u_path)
+        dump_scalar_csv(field(g, np.zeros((11, 11))), w_path)
+        assert main(["harmonic", "verify", "--u", u_path, "--w", w_path]) == 1
+        assert "dz_u degenerate" in capsys.readouterr().err
 
 
 class TestAcceptanceCommand:

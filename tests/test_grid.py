@@ -209,6 +209,21 @@ class TestFieldNorms:
         f = field(g, v)
         assert not f.mask[1, 1] and f.values[1, 1] == 0.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_direct_construction_checks_valid_points_only(self, bad):
+        g = make_grid(0, 1, 0, 1, 5, 5)
+        v = np.ones((5, 5))
+        v[1, 1] = bad
+        mask = np.ones((5, 5), dtype=bool)
+        with pytest.raises(ValueError, match="non-finite"):
+            grid.ScalarField(g, v.copy(), mask.copy())
+        with pytest.raises(ValueError, match="non-finite"):
+            grid.ComplexField(g, np.ones((5, 5)), v.copy(), mask.copy())
+        mask[1, 1] = False
+        assert grid.ScalarField(g, v.copy(), mask.copy()).sup_norm() == (1.0, 24)
+        c = grid.ComplexField(g, v.copy(), v.copy(), mask.copy())
+        assert not c.mask[1, 1]
+
 
 class TestCsvRoundTrip:
     def test_scalar(self, tmp_path):

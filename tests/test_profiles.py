@@ -3,7 +3,7 @@ import pytest
 
 from gordon import profiles
 from gordon.families import residual_sinh_gordon, residual_sine_gordon
-from gordon.grid import make_grid
+from gordon.grid import NumericalError, make_grid
 from gordon.profiles import (
     QuarticProfile,
     assemble_product_family,
@@ -96,6 +96,11 @@ class TestIntegrateProfile:
         spec = QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             integrate_profile(spec, np.array([0.0, 0.1, 0.3]))
+
+    def test_blow_up_before_the_axis_is_a_numerical_error(self):
+        spec = QuarticProfile(1.0, 0.0, 4.0, 0.0, 2.0)  # blows up near t = 1.31
+        with pytest.raises(NumericalError, match="blew up"):
+            integrate_profile(spec, axis(1.5, 2.0, 0.01))
 
 
 def reference_march(spec, t_from, p, dp, t_to, nsub):
