@@ -24,7 +24,6 @@ from .grid import (
 from .profiles import (
     QuarticProfile,
     SampledProfile,
-    assemble_product_family,
     assemble_tan_family,
     assemble_tanh_family,
     integrate_profile,
@@ -47,7 +46,6 @@ from .families import (
 from .backlund import (
     BacklundPair,
     backlund_residuals,
-    closed_form_w_product,
     closed_form_w_tanh,
     theta_to_w,
     w_to_theta,
@@ -80,11 +78,9 @@ __all__ = [
     "ScalarField",
     "SolutionFamily",
     "VerificationReport",
-    "assemble_product_family",
     "assemble_tan_family",
     "assemble_tanh_family",
     "backlund_residuals",
-    "closed_form_w_product",
     "closed_form_w_tanh",
     "complex_field",
     "correspondence_check",

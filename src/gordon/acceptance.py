@@ -16,6 +16,10 @@ The suite is organized into nine criteria (check names are prefixed c1..c9):
      resolution
   9. wall-clock budget for the whole suite
 
+Criteria 1-8 are independent, so run_acceptance runs them on a pool of
+forked worker processes, one per usable CPU (at most eight), and assembles
+their checks in criterion order.
+
 All grids, summation orders, and probe choices are fixed, so the emitted
 report is bit-identical across runs with the same configuration.  Each check
 kind on a catalog family has one builder (residual_check, harmonic_checks,
@@ -27,8 +31,10 @@ sup_check, which the CLI uses too.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -65,6 +71,10 @@ MARCH_RECT_SQRT2 = (0.0, 0.6, -0.35, 0.35)  # contains both axis lines
 ROUNDTRIP_RECT = (-0.25, 0.25, -0.25, 0.25)
 POINCARE_RECT = (0.0, 1.0, 8.0, 12.0)  # far from y = 0 so 1/y^2 is mild
 SQRT2 = np.sqrt(2.0)
+# criteria by their measured seconds at h = 1/400, longest first (c4 0.43 s
+# down to c8 0.04 s): the short ones then fill in behind the long ones
+LONGEST_FIRST = (4, 2, 7, 1, 5, 3, 6, 8)
+MAX_WORKERS = 8  # one per criterion
 
 
 def base_tolerance(tol: float | None = None) -> float:
@@ -437,8 +447,28 @@ def criterion_8(h, ode_tol):
     return checks
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _timed(criterion, *args):
+    """Run one criterion in a worker: (its checks, its seconds, the worker's pid)."""
+    t0 = time.perf_counter()
+    checks = criterion(*args)
+    return checks, time.perf_counter() - t0, os.getpid()
+
+
 def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool = False,
                    convergence: bool = True) -> VerificationReport:
+    """Run criteria 1-8 on forked workers and add the c9 runtime budget.
+
+    A worker's exception is raised here with its own type.  The report's
+    `diagnostics` (never serialized) hold the worker count, the wall time and
+    each criterion's seconds and worker pid.
+    """
     t_start = time.monotonic()
     if quick:
         # coarse grids sit before the asymptotic regime, so h-halving ratios
@@ -446,6 +476,10 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
         h = 1.0 / 100
         convergence = False
     tol = base_tolerance(tol)
+    # a spacing no grid accepts is a configuration error, raised before any
+    # worker starts: c3's and c8's profile axes of 2/h samples have no
+    # point-count bound of their own
+    rect_grid(ROUNDTRIP_RECT, h)
     factor = (h / DEFAULT_H) ** 2  # second-order scaling of every FD floor
     tol_fd = tol * factor
     # the analytic march's _FD_STEP error (<= 1.2e-10) does not shrink with h:
@@ -455,16 +489,25 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
     control_tol = 1e-6 * factor
     ode_tol = 1e-8 * max(factor**2, 1.0)  # RK4 floor scales with h^4
 
-    checks = []
-    checks += criterion_1(h, tol_fd, convergence)
-    checks += criterion_2(h, tol_fd, convergence)
-    checks += criterion_3(h, ode_tol)
-    checks += criterion_4(h, tol_fd, march_tol, convergence)
-    checks += criterion_5(h, tol_fd)
-    checks += criterion_6(h, tol_fd, quad_tol)
-    checks += criterion_7(h, tol_fd, control_tol)
-    checks += criterion_8(h, ode_tol)
+    calls = {
+        1: (criterion_1, h, tol_fd, convergence),
+        2: (criterion_2, h, tol_fd, convergence),
+        3: (criterion_3, h, ode_tol),
+        4: (criterion_4, h, tol_fd, march_tol, convergence),
+        5: (criterion_5, h, tol_fd),
+        6: (criterion_6, h, tol_fd, quad_tol),
+        7: (criterion_7, h, tol_fd, control_tol),
+        8: (criterion_8, h, ode_tol),
+    }
+    workers = min(_usable_cpus(), MAX_WORKERS)
+    # fork, not spawn: a spawned worker re-imports numpy and scipy (about
+    # 0.7 s).  With fork the pool starts every worker before its own manager
+    # thread, so no thread is running when it forks.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {k: pool.submit(_timed, *calls[k]) for k in LONGEST_FIRST}
+        results = {k: futures[k].result() for k in calls}  # criterion order
 
+    checks = [c for part, _, _ in results.values() for c in part]
     elapsed = time.monotonic() - t_start
     # wall-clock time is kept out of the serialized report so that identical
     # configurations produce bit-identical JSON
@@ -480,4 +523,10 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
         checks=checks,
         config={"h": h, "tolerance": tol, "quick": quick, "convergence": convergence},
         elapsed=elapsed,
+        diagnostics={
+            "workers": workers,
+            "wall_s": elapsed,
+            "criteria": {f"c{k}": {"seconds": s, "pid": pid}
+                         for k, (_, s, pid) in results.items()},
+        },
     )

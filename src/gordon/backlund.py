@@ -14,10 +14,10 @@ given field and its cross derivative are evaluated at the stage times of a
 block of cells in one vectorized call per quantity (a block holds up to
 MARCH_BLOCK table entries), and the RK4 stages only index those tables.  A line sweep
 marches both sides of the seed line together while both have cells left.
-Neither changes a bit of the output of a cell-by-cell march.  Two
-closed-form shortcuts for w printed for special theta families are also
-provided; they are evaluated verbatim and *checked against* the quadrature
-construction, never trusted.
+Neither changes a bit of the output of a cell-by-cell march.  The
+closed-form w printed for the tanh theta family is also provided; it is
+evaluated verbatim and *checked against* the quadrature construction, never
+trusted.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .grid import (
     partial_x,
     partial_y,
 )
-from .profiles import SampledProfile
 
 MARCH_SUBSTEPS = 8
 W_CAP = 30.0  # |w| beyond this overflows cosh/sinh scales; treat as blow-up
@@ -236,44 +235,6 @@ def w_to_theta(w: ScalarField, theta00: float, analytic=None) -> ScalarField:
 
 # ---------------------------------------------------------------------------
 # printed closed forms (evaluated verbatim; the quadrature march is the oracle)
-
-
-def closed_form_w_product(theta: ScalarField, K: np.ndarray, Fx: SampledProfile | None = None) -> ScalarField:
-    """Printed w for product-form theta = 2 arctan(F(x) G(y)).
-
-    K is the sampled logarithmic derivative H'/H of H = 1/G along the grid
-    y-axis (non-finite entries are masked).  With Y(y) the y-quadrature of
-    cos(theta) along x = 0 and X(x,y) the x-quadrature of sin(theta),
-
-        tanh(w/2) = (2 - K tan Y + M tanh(M X / 2)) / (M + (2 - K tan Y) tanh(M X / 2)),
-
-    M = sqrt(K^2 + 4).  The derivation holds K fixed during the x-quadrature
-    even though K depends on y, so agreement with the march degrades away
-    from y = 0; compare before use.
-    """
-    g = theta.grid
-    K = np.asarray(K, dtype=float)
-    if K.shape != (g.ny,):
-        raise ValueError("K must be sampled on the grid y-axis")
-    if Fx is not None:
-        k = int(np.argmin(np.abs(Fx.t)))
-        if abs(Fx.t[k]) > 1e-9 or abs(Fx.dp[k]) > 1e-8:
-            raise ValueError("closed form requires F'(0) = 0")
-    i0 = g.index_of_x(0.0)
-    cos_th = field(g, np.cos(theta.values), theta.mask)
-    sin_th = field(g, np.sin(theta.values), theta.mask)
-    Yf = cumulative_integral_y(cos_th, 0.0)
-    Y = Yf.values[i0, :]  # Y depends on y only (evaluated along x = 0)
-    Xf = cumulative_integral_x(sin_th, 0.0)
-
-    Kk = np.where(np.isfinite(K), K, 0.0)
-    M = np.sqrt(Kk**2 + 4)
-    A = 2 - Kk * np.tan(Y)  # (ny,)
-    T = np.tanh(M[None, :] / 2 * Xf.values)
-    num = A[None, :] + M[None, :] * T
-    den = M[None, :] + A[None, :] * T
-    w, ok = w_from_tanh_half(num, den)
-    return field(g, w, ok & np.isfinite(K)[None, :] & Yf.mask[i0, :][None, :] & Xf.mask)
 
 
 def closed_form_w_tanh(theta: ScalarField, c: np.ndarray, w00: float) -> ScalarField:

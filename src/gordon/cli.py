@@ -25,6 +25,7 @@ from .grid import (
     NumericalError,
     dump_complex_csv,
     dump_grid_sidecar,
+    dump_json,
     dump_scalar_csv,
     field,
     load_complex_csv,
@@ -260,6 +261,9 @@ def cmd_acceptance(args) -> int:
     rep = acceptance.run_acceptance(
         h=args.h, tol=_tol(args), quick=args.quick, convergence=not args.no_convergence
     )
+    if args.diagnostics:
+        dump_json(rep.diagnostics, args.diagnostics)
+        print(f"diagnostics written to {args.diagnostics}")
     return _emit(rep, args)
 
 
@@ -339,6 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     acc.add_argument("--tol", type=float)
     acc.add_argument("--no-convergence", action="store_true")
     acc.add_argument("--json", help="write the report JSON here")
+    acc.add_argument("--diagnostics",
+                     help="write per-criterion seconds and worker pids, the worker count "
+                     "and the wall time here (JSON, not part of the report)")
     acc.set_defaults(fn=cmd_acceptance)
 
     return ap

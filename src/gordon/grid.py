@@ -336,17 +336,24 @@ def dump_complex_csv(u: ComplexField, path: str) -> None:
     _dump_csv(path, u.grid, ("re", "im"), (u.re, u.im), u.mask)
 
 
-def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
+def dump_json(obj, path: str) -> None:
+    """Write obj as indented JSON with sorted keys, atomically."""
     with atomic_open(path) as fh:
-        json.dump(grid.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
+    dump_json(grid.to_json(), path)
 
 
 def _load_csv(path: str, ncols: int):
     """(grid, value columns as (nx, ny) arrays) of a dump with ncols columns.
 
     Raises ValueError unless the x and y columns are the grid coordinates in
-    y-major order, within the tolerance of Grid2D.index_of_x.
+    y-major order, within the tolerance of Grid2D.index_of_x, and, where the
+    dump's sidecar `<path>.grid.json` exists, unless that grid is the sidecar's
+    (a file cut at a whole grid row would otherwise load as a smaller grid).
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != ncols:
@@ -359,14 +366,26 @@ def _load_csv(path: str, ncols: int):
         and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))
     ):
         raise ValueError(f"{path}: rows are not the y-major points of a {g.nx} x {g.ny} grid")
-    return g, [data[:, k].reshape(g.ny, g.nx).T for k in range(2, ncols)]
+    sidecar = path + ".grid.json"
+    if os.path.exists(sidecar):
+        with open(sidecar) as fh:
+            want = Grid2D.from_json(json.load(fh))
+        if g != want:
+            raise ValueError(f"{path}: rows hold the grid {g.to_json()}, "
+                             f"its sidecar {sidecar} the grid {want.to_json()}")
+    return g, [np.ascontiguousarray(data[:, k].reshape(g.ny, g.nx).T) for k in range(2, ncols)]
 
 
 def load_scalar_csv(path: str) -> ScalarField:
+    """The dumped field bit for bit: values and mask as written.
+
+    A non-finite value at a valid point raises ValueError.
+    """
     g, (vals, valid) = _load_csv(path, 4)
-    return field(g, vals, valid.astype(bool))
+    return ScalarField(g, vals, valid.astype(bool))
 
 
 def load_complex_csv(path: str) -> ComplexField:
+    """The dumped map bit for bit, as load_scalar_csv."""
     g, (re, im, valid) = _load_csv(path, 5)
-    return complex_field(g, re, im, valid.astype(bool))
+    return ComplexField(g, re, im, valid.astype(bool))

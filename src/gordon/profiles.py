@@ -8,7 +8,6 @@ forms:
 
     sinh w = tan(A(x) + B(y))        (tan family,  A' = a, B' = b)
     sin theta = tanh(C(x) + D(y))    (tanh family, C' = c, D' = d)
-    theta = 2 arctan(F(x) G(y))      (product family)
 """
 
 from __future__ import annotations
@@ -229,10 +228,3 @@ def assemble_tanh_family(Cx: SampledProfile, Dy: SampledProfile, grid: Grid2D) -
     theta = np.arcsin(np.tanh(s))
     return field(grid, theta, ok)
 
-
-def assemble_product_family(Fx: SampledProfile, Gy: SampledProfile, grid: Grid2D) -> ScalarField:
-    """theta = 2 arctan(F(x) G(y))."""
-    _check_axes(Fx, Gy, grid)
-    theta = 2 * np.arctan(Fx.p[:, None] * Gy.p[None, :])
-    ok = Fx.valid[:, None] & Gy.valid[None, :]
-    return field(grid, theta, ok)

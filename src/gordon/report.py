@@ -6,10 +6,9 @@ at 17 significant digits via repr) and are written atomically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
-from .grid import atomic_open
+from .grid import dump_json
 
 
 @dataclass
@@ -56,6 +55,7 @@ class VerificationReport:
     checks: list
     config: dict = dc_field(default_factory=dict)
     elapsed: float | None = None  # wall-clock seconds; never serialized
+    diagnostics: dict | None = None  # where a run's time went; never serialized
 
     @property
     def passed(self) -> bool:
@@ -70,6 +70,4 @@ class VerificationReport:
 
     def write(self, path: str) -> None:
         """Write JSON atomically (temp file in the target directory, then rename)."""
-        with atomic_open(path) as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(self.to_json(), path)

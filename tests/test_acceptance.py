@@ -5,14 +5,29 @@ each test asserts that every check belonging to its criterion passed and
 prints a PASS/FAIL summary line even under pytest's capture.
 """
 
+import json
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from gordon import acceptance
 from gordon.acceptance import run_acceptance, sup_check
 from gordon.backlund import BacklundPair, backlund_residuals
+from gordon.cli import main
 from gordon.families import make_metric
-from gordon.grid import complex_field, field, laplacian, make_grid, partial_x, partial_y, wirtinger
+from gordon.grid import (
+    NumericalError,
+    complex_field,
+    field,
+    laplacian,
+    make_grid,
+    partial_x,
+    partial_y,
+    wirtinger,
+)
 from gordon.harmonic import correspondence_check, gaussian_curvature, hopf_residual
+from gordon.report import CheckResult, VerificationReport
 
 DESCRIPTIONS = {
     1: "closed-form sinh-Gordon solutions satisfy the equation",
@@ -134,3 +149,63 @@ class TestStencilFrames:
             outs.append(gaussian_curvature(make_metric(self.G, E, Fc, G)))
         for f in outs:
             assert f.mask.any() and not self.frame(f.mask).any()
+
+
+# ---------------------------------------------------------------------------
+# the worker pool: same report, worker errors with their own type, no leftovers
+
+
+def in_process_report(h, quick):
+    """The report one process assembles: criteria 1-8 in order, then c9."""
+    convergence = not quick
+    factor = (h / acceptance.DEFAULT_H) ** 2
+    tol_fd = 1e-3 * factor
+    march_tol = 1e-8 * max(factor, 0.1)
+    ode_tol = 1e-8 * max(factor**2, 1.0)
+    checks = (
+        acceptance.criterion_1(h, tol_fd, convergence)
+        + acceptance.criterion_2(h, tol_fd, convergence)
+        + acceptance.criterion_3(h, ode_tol)
+        + acceptance.criterion_4(h, tol_fd, march_tol, convergence)
+        + acceptance.criterion_5(h, tol_fd)
+        + acceptance.criterion_6(h, tol_fd, 1e-6 * factor)
+        + acceptance.criterion_7(h, tol_fd, 1e-6 * factor)
+        + acceptance.criterion_8(h, ode_tol)
+    )
+    checks.append(CheckResult("c9.runtime_budget", "full suite finishes within five minutes",
+                              0.0, len(checks), 300.0, True))
+    config = {"h": h, "tolerance": 1e-3, "quick": quick, "convergence": convergence}
+    return VerificationReport(checks, config)
+
+
+def report_bytes(rep):
+    return json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("kwargs,h", [({"quick": True}, 1 / 100), ({"h": 0.005}, 0.005)],
+                         ids=["quick", "h0.005"])
+def test_pool_report_equals_in_process_report(kwargs, h, monkeypatch):
+    monkeypatch.delenv("GORDON_TOL", raising=False)
+    rep = run_acceptance(**kwargs)
+    assert multiprocessing.active_children() == []
+    oracle = in_process_report(h, kwargs.get("quick", False))
+    assert [c.name for c in rep.checks] == [c.name for c in oracle.checks]
+    assert report_bytes(rep) == report_bytes(oracle)
+
+
+@pytest.mark.parametrize("error,code", [(NumericalError, 1), (ValueError, 2)])
+def test_worker_error_keeps_its_type(error, code, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise error("injected breakdown")
+
+    monkeypatch.setattr(acceptance, "ppfd_construct", broken)  # c6, inherited by the fork
+    assert main(["acceptance", "--quick"]) == code
+    assert "injected breakdown" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_bad_spacing_rejected_before_any_worker(monkeypatch):
+    # h = 1e-6 would give c3 and c8 profile axes of 2e6 samples
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", None)  # a pool would be a TypeError
+    with pytest.raises(ValueError, match="exceeds"):
+        run_acceptance(h=1e-6)

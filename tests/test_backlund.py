@@ -7,7 +7,6 @@ from gordon.backlund import (
     W_CAP,
     BacklundPair,
     backlund_residuals,
-    closed_form_w_product,
     closed_form_w_tanh,
     theta_to_w,
     w_to_theta,
@@ -339,37 +338,3 @@ class TestClosedFormTanh:
         c = np.full(g.nx, 2.0)  # L blows up at c = 2
         w = closed_form_w_tanh(th, c, 0.0)
         assert not w.mask.any()
-
-
-class TestClosedFormProduct:
-    def test_documented_variance_against_printed_w(self):
-        # the printed derivation freezes the y-dependent K during the
-        # x-quadrature, so the formula drifts from the true w off the x-axis;
-        # the mismatch is reported, not patched
-        g = grid(-0.15, 0.15, -0.15, 0.15)
-        th = eval_family("THETA_EX2", g)
-        y = g.y()
-        with np.errstate(divide="ignore"):
-            K = -1.0 / y  # H = 1/(2y) gives K = H'/H = -1/y
-        w = closed_form_w_product(th, K)
-        wp = eval_family("W_EX2", g)
-        ok = w.mask & wp.mask
-        assert ok.any()
-        assert np.abs(w.values - wp.values)[ok].max() > 1e-2
-
-    def test_singular_K_row_masked(self):
-        g = grid(-0.15, 0.15, -0.15, 0.15)
-        th = eval_family("THETA_EX2", g)
-        K = np.full(g.ny, np.inf)
-        K[0] = 0.0
-        w = closed_form_w_product(th, K)
-        assert not w.mask[:, 1:].any()
-
-    def test_hypothesis_violation_rejected(self):
-        from gordon.profiles import QuarticProfile, integrate_profile
-
-        g = grid(-0.15, 0.15, -0.15, 0.15)
-        th = eval_family("THETA_EX2", g)
-        sloped = integrate_profile(QuarticProfile(1.0, 0.0, 4.0, 0.0, 2.0), g.x())
-        with pytest.raises(ValueError):
-            closed_form_w_product(th, np.zeros(g.ny), Fx=sloped)

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import os
 import pathlib
 import shlex
 
@@ -213,6 +214,22 @@ class TestAcceptanceCommand:
         assert len(rep["checks"]) >= 30
         assert "elapsed" not in rep
 
+    def test_diagnostics_leave_the_report_bytes(self, tmp_path, capsys):
+        plain, with_diag = tmp_path / "a.json", tmp_path / "b.json"
+        diag_path = tmp_path / "diag.json"
+        assert main(["acceptance", "--quick", "--json", str(plain)]) == 0
+        assert main(["acceptance", "--quick", "--json", str(with_diag),
+                     "--diagnostics", str(diag_path)]) == 0
+        assert filecmp.cmp(plain, with_diag, shallow=False)
+        diag = json.loads(diag_path.read_text())
+        assert diag["workers"] == min(acceptance._usable_cpus(), 8)
+        assert sorted(diag["criteria"]) == [f"c{k}" for k in range(1, 9)]
+        runs = diag["criteria"].values()
+        assert all(r["seconds"] > 0 for r in runs)
+        assert len({r["pid"] for r in runs}) <= diag["workers"]
+        assert os.getpid() not in {r["pid"] for r in runs}
+        assert diag["wall_s"] >= max(r["seconds"] for r in runs)
+
     @pytest.mark.parametrize("env", ["-1", "0", "nan", "inf", "abc"])
     def test_bad_env_tolerance_is_config_error(self, env, capsys, monkeypatch):
         monkeypatch.setenv("GORDON_TOL", env)
@@ -290,6 +307,21 @@ class TestRejectedInput:
         assert rc == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_csv_cut_at_a_grid_row(self, tmp_path, capsys):
+        # both members lose their last grid row, so their rows still agree
+        # with each other; only the sidecars show the cut
+        grid = coarse(0.0, 0.6, -0.35, 0.35, h=0.025)
+        nx = json.loads(grid)["nx"]
+        paths = [tmp_path / "w.csv", tmp_path / "theta.csv"]
+        for fid, p in zip(("W_SQRT2", "THETA_SQRT2"), paths):
+            assert main(["families", "eval", "--family", fid, "--out", str(p), "--grid", grid]) == 0
+            p.write_text("".join(p.read_text().splitlines(True)[:-nx]))
+        capsys.readouterr()
+        rc = main(["harmonic", "build", "--pair", ",".join(map(str, paths)),
+                   "--out", str(tmp_path / "map")])
+        assert rc == 2
+        assert "sidecar" in capsys.readouterr().err
 
     def test_declared_params_listed(self, capsys):
         assert main(["families", "list", "--json"]) == 0
@@ -381,7 +413,7 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line, comments=True) for line in block.splitlines()
                 if line.startswith("gordon ")]
-    assert len(commands) == 7
+    assert len(commands) == 8
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, " ".join(argv)

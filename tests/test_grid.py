@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,9 @@ from hypothesis.extra.numpy import arrays
 from gordon import grid
 from gordon.grid import (
     MAX_POINTS,
+    ComplexField,
     Grid2D,
+    ScalarField,
     _contiguous_valid,
     _cumtrapz_anchored,
     _shrink_mask,
@@ -293,6 +297,18 @@ class TestCsvRoundTrip:
         dump_grid_sidecar(g, str(p))
         assert Grid2D.from_json(json.loads(p.read_text())) == g
 
+    def test_rows_must_be_the_sidecar_grid(self, tmp_path):
+        # a file cut at a whole grid row is still a grid, just not the dumped one
+        g = make_grid(0, 1, -1, 0, 7, 9)
+        X, Y = g.mesh()
+        p = tmp_path / "f.csv"
+        dump_scalar_csv(field(g, X + Y), str(p))
+        dump_grid_sidecar(g, str(p) + ".grid.json")
+        assert load_scalar_csv(str(p)).grid == g
+        p.write_text("".join(p.read_text().splitlines(True)[:-g.nx]))
+        with pytest.raises(ValueError, match="sidecar"):
+            load_scalar_csv(str(p))
+
     def test_interrupted_dump_keeps_old_file(self, tmp_path, monkeypatch):
         g = make_grid(0, 1, -1, 0, 7, 9)
         X, Y = g.mesh()
@@ -376,6 +392,60 @@ def contiguous_valid_oracle(mask, k0, axis):
         acc = acc & m[k]
         out[k] = acc
     return np.moveaxis(out, 0, axis)
+
+
+# values the text format must carry exactly: signed zeros, subnormals, and
+# magnitudes far beyond the magnitude cap
+special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                           1e300, -1e300])
+values64 = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def grids(draw):
+    x0, y0 = draw(st.floats(-10, 10)), draw(st.floats(-10, 10))
+    wx, wy = draw(st.floats(0.01, 10)), draw(st.floats(0.01, 10))
+    return Grid2D(x0, x0 + wx, y0, y0 + wy, draw(st.integers(5, 12)), draw(st.integers(5, 12)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestCsvRoundTripProperty:
+    """dump, sidecar, load: grid, mask and every value come back bit for bit."""
+
+    @FAST
+    @given(grids(), st.data())
+    def test_scalar(self, g, data):
+        shape = (g.nx, g.ny)
+        f = ScalarField(g, data.draw(arrays(float, shape, elements=values64)),
+                        data.draw(arrays(bool, shape)))
+        back = self._round_trip(f, g, dump_scalar_csv, load_scalar_csv)
+        assert np.array_equal(_bits(back.values), _bits(f.values))
+        assert np.array_equal(back.mask, f.mask)
+
+    @FAST
+    @given(grids(), st.data())
+    def test_complex(self, g, data):
+        shape = (g.nx, g.ny)
+        u = ComplexField(g, data.draw(arrays(float, shape, elements=values64)),
+                         data.draw(arrays(float, shape, elements=values64)),
+                         data.draw(arrays(bool, shape)))
+        back = self._round_trip(u, g, dump_complex_csv, load_complex_csv)
+        assert np.array_equal(_bits(back.re), _bits(u.re))
+        assert np.array_equal(_bits(back.im), _bits(u.im))
+        assert np.array_equal(back.mask, u.mask)
+
+    @staticmethod
+    def _round_trip(f, g, dump, load):
+        with tempfile.TemporaryDirectory() as d:
+            p = f"{d}/f.csv"
+            dump(f, p)
+            dump_grid_sidecar(g, p + ".grid.json")
+            back = load(p)
+        assert back.grid == g
+        return back
 
 
 class TestMaskProperties:

@@ -6,7 +6,6 @@ from gordon.families import residual_sinh_gordon, residual_sine_gordon
 from gordon.grid import NumericalError, make_grid
 from gordon.profiles import (
     QuarticProfile,
-    assemble_product_family,
     assemble_tan_family,
     assemble_tanh_family,
     integrate_profile,
@@ -233,21 +232,6 @@ class TestAssembly:
         )
         sup, _ = residual_sine_gordon(th, -1).sup_norm()
         assert sup < 16 * 1e-3
-
-    def test_product_family_constants_give_half_pi(self):
-        g = make_grid(-0.5, 0.5, -0.5, 0.5, 21, 21)
-        one = QuarticProfile(1.0, -2.0, 1.0, 1.0, 0.0)  # F = 1 is an equilibrium
-        F = integrate_profile(one, g.x())
-        G = integrate_profile(QuarticProfile(1.0, -2.0, 1.0, 1.0, 0.0), g.y())
-        th = assemble_product_family(F, G, g)
-        assert np.allclose(th.values, np.pi / 2, atol=1e-12)
-
-    def test_product_family_zero(self):
-        g = make_grid(-0.5, 0.5, -0.5, 0.5, 11, 11)
-        zero = integrate_profile(QuarticProfile(1.0, 1.0, 0.0, 0.0, 0.0), g.x())
-        G = integrate_profile(QuarticProfile(1.0, -2.0, 1.0, 1.0, 0.0), g.y())
-        th = assemble_product_family(zero, G, g)
-        assert np.all(th.values == 0.0)
 
     def test_axis_mismatch_rejected(self):
         g = make_grid(-0.5, 0.5, -0.5, 0.5, 11, 11)
