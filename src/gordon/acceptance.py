@@ -16,9 +16,10 @@ The suite is organized into nine criteria (check names are prefixed c1..c9):
      resolution
   9. wall-clock budget for the whole suite
 
-Criteria 1-8 are independent, so run_acceptance runs them on a pool of
-forked worker processes, one per usable CPU (at most eight), and assembles
-their checks in criterion order.
+Criteria 1-8 are independent, so run_acceptance runs them through
+pool.fork_map, on forked worker processes, one per usable CPU (at most
+eight), and assembles their checks in criterion order.  A march inside a
+criterion runs inline in its worker, since workers never nest.
 
 All grids, summation orders, and probe choices are fixed, so the emitted
 report is bit-identical across runs with the same configuration.  Each check
@@ -31,10 +32,8 @@ sup_check, which the CLI uses too.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -56,6 +55,7 @@ from .harmonic import (
     ppfd_construct,
     pullback_metric,
 )
+from .pool import fork_map, workers
 from .profiles import (
     QuarticProfile,
     assemble_tanh_family,
@@ -74,7 +74,6 @@ SQRT2 = np.sqrt(2.0)
 # criteria by their measured seconds at h = 1/400, longest first (c4 0.43 s
 # down to c8 0.04 s): the short ones then fill in behind the long ones
 LONGEST_FIRST = (4, 2, 7, 1, 5, 3, 6, 8)
-MAX_WORKERS = 8  # one per criterion
 
 
 def base_tolerance(tol: float | None = None) -> float:
@@ -447,13 +446,6 @@ def criterion_8(h, ode_tol):
     return checks
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _timed(criterion, *args):
     """Run one criterion in a worker: (its checks, its seconds, the worker's pid)."""
     t0 = time.perf_counter()
@@ -465,9 +457,9 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
                    convergence: bool = True) -> VerificationReport:
     """Run criteria 1-8 on forked workers and add the c9 runtime budget.
 
-    A worker's exception is raised here with its own type.  The report's
-    `diagnostics` (never serialized) hold the worker count, the wall time and
-    each criterion's seconds and worker pid.
+    A worker's exception is raised here with its own type, and no criterion
+    starts after it.  The report's `diagnostics` (never serialized) hold the
+    worker count, the wall time and each criterion's seconds and worker pid.
     """
     t_start = time.monotonic()
     if quick:
@@ -499,13 +491,8 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
         7: (criterion_7, h, tol_fd, control_tol),
         8: (criterion_8, h, ode_tol),
     }
-    workers = min(_usable_cpus(), MAX_WORKERS)
-    # fork, not spawn: a spawned worker re-imports numpy and scipy (about
-    # 0.7 s).  With fork the pool starts every worker before its own manager
-    # thread, so no thread is running when it forks.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {k: pool.submit(_timed, *calls[k]) for k in LONGEST_FIRST}
-        results = {k: futures[k].result() for k in calls}  # criterion order
+    done = fork_map([(_timed, *calls[k]) for k in LONGEST_FIRST])
+    results = {k: done[LONGEST_FIRST.index(k)] for k in calls}  # criterion order
 
     checks = [c for part, _, _ in results.values() for c in part]
     elapsed = time.monotonic() - t_start
@@ -524,7 +511,7 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
         config={"h": h, "tolerance": tol, "quick": quick, "convergence": convergence},
         elapsed=elapsed,
         diagnostics={
-            "workers": workers,
+            "workers": min(workers(), len(calls)),
             "wall_s": elapsed,
             "criteria": {f"c{k}": {"seconds": s, "pid": pid}
                          for k, (_, s, pid) in results.items()},

@@ -12,12 +12,15 @@ RK4 and reporting the other as a residual.  A sweep is tabulated, then
 marched: the RK4 stage times of its cells depend only on the axis, so the
 given field and its cross derivative are evaluated at the stage times of a
 block of cells in one vectorized call per quantity (a block holds up to
-MARCH_BLOCK table entries), and the RK4 stages only index those tables.  A line sweep
-marches both sides of the seed line together while both have cells left.
-Neither changes a bit of the output of a cell-by-cell march.  The
-closed-form w printed for the tanh theta family is also provided; it is
-evaluated verbatim and *checked against* the quadrature construction, never
-trusted.
+MARCH_BLOCK table entries), and the RK4 stages only index those tables.  A
+line sweep marches both sides of the seed line together while both have
+cells left.  Once the seed line is marched the lines are independent, so
+they are split into one contiguous chunk per worker, and pool.fork_map
+tabulates and sweeps each chunk on a forked worker (inline with one worker,
+and inside a worker, as workers never nest).  None of this changes a bit of
+the output of a cell-by-cell march.  The closed-form w printed for the tanh
+theta family is also provided; it is evaluated verbatim and *checked
+against* the quadrature construction, never trusted.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .grid import (
     partial_x,
     partial_y,
 )
+from .pool import fork_map, workers
 
 MARCH_SUBSTEPS = 8
 W_CAP = 30.0  # |w| beyond this overflows cosh/sinh scales; treat as blow-up
@@ -72,39 +76,48 @@ def backlund_residuals(pair: BacklundPair):
     return field(pair.grid, r1, m1), field(pair.grid, r2, m2)
 
 
-def _tabulator(f: ScalarField, analytic, along: int, seed: bool):
-    """Stage-time tables for a march along axis `along` (0: x, 1: y).
+def _tabulator(f: ScalarField, analytic, along: int):
+    """Stage-time tables for marches along axis `along` (0: x, 1: y).
 
-    Returns tab(T) -> (value, cross derivative) of f at the march
-    coordinates T: arrays of shape (len(T),) on the axis line (the other
-    coordinate 0) when `seed`, else (len(T), n) over all n lines.  The
-    analytic path makes one vectorized call per quantity, the derivative by
-    _FD_STEP central differences; the sampled path evaluates cubic splines
-    along the march axis of f and of its cross derivative (itself taken from
-    cubic splines across the lines), of the seed line alone when `seed`.
+    Returns tables(lines) -> tab, and tab(T) -> (value, cross derivative)
+    of f at the march coordinates T: arrays of shape (len(T),) on the axis
+    line when `lines` is its index, else (len(T), n) over the n lines of the
+    slice `lines`.  The analytic path makes one vectorized call per
+    quantity, the derivative by _FD_STEP central differences.  The sampled
+    path takes the cross derivative here, once, from cubic splines across
+    all lines, and tables(lines) fits cubic splines along the march axis to
+    those lines of f and of its cross derivative.
     """
     g = f.grid
-    if analytic is not None:
-        c = 0.0 if seed else (g.y(), g.x())[along]  # cross coordinates of the lines
-
-        def at(T, cc):
-            tt = T if seed else T[:, None]
-            return analytic(tt, cc) if along == 0 else analytic(cc, tt)
-
-        return lambda T: (at(T, c), (at(T, c + _FD_STEP) - at(T, c - _FD_STEP)) / (2 * _FD_STEP))
-
     cross = 1 - along
     t_axis, c_axis = (g.x(), g.y())[along], (g.x(), g.y())[cross]
+    if analytic is not None:
+        def tables(lines):
+            axis_line = not isinstance(lines, slice)
+            c = 0.0 if axis_line else c_axis[lines]  # cross coordinates of the lines
+
+            def at(T, cc):
+                tt = T if axis_line else T[:, None]
+                return analytic(tt, cc) if along == 0 else analytic(cc, tt)
+
+            return lambda T: (at(T, c), (at(T, c + _FD_STEP) - at(T, c - _FD_STEP)) / (2 * _FD_STEP))
+
+        return tables
+
     # a first-order edge stencil here would leave the march first order
     values = (f.values, CubicSpline(c_axis, f.values, axis=cross).derivative()(c_axis))
-    if seed:
-        k = g.index_of_y(0.0) if along == 0 else g.index_of_x(0.0)
-        splines = [CubicSpline(t_axis, np.take(v, k, axis=cross)) for v in values]
-    else:
-        splines = [CubicSpline(t_axis, v, axis=along) for v in values]
-        if along == 1:
-            return lambda T: tuple(np.ascontiguousarray(s(T).T) for s in splines)
-    return lambda T: tuple(s(T) for s in splines)
+
+    def tables(lines):
+        pick = (slice(None),) * cross + (lines,)
+        if not isinstance(lines, slice):
+            splines = [CubicSpline(t_axis, v[pick]) for v in values]
+        else:
+            splines = [CubicSpline(t_axis, v[pick], axis=along) for v in values]
+            if along == 1:
+                return lambda T: tuple(np.ascontiguousarray(s(T).T) for s in splines)
+        return lambda T: tuple(s(T) for s in splines)
+
+    return tables
 
 
 def _stage_times(t0, t1):
@@ -186,18 +199,30 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
     Seeds the partner along the axis line of `seed_axis` (0: y = 0, 1: x = 0)
     by du/dt = P + seed_G(u) Q, then marches every line of the other axis by
     du/dt = P + line_G(u) Q.  seed_coeffs and line_coeffs map (f, cross
-    derivative of f) at the stage times to (P, Q).
+    derivative of f) at the stage times to (P, Q).  The lines are swept in
+    one contiguous chunk per worker, each tabulated and swept on its own
+    worker by pool.fork_map, and joined along the state axis: every line's
+    values are those of a sweep over all lines at once.
     """
     g = f.grid
     axes = (g.x(), g.y())
     k0 = (g.index_of_x(0.0), g.index_of_y(0.0))
     line_axis = 1 - seed_axis
-    seed_tab = _tabulator(f, analytic, seed_axis, seed=True)
-    line_tab = _tabulator(f, analytic, line_axis, seed=False)
+    seed_tab = _tabulator(f, analytic, seed_axis)(k0[line_axis])
     seed, seed_ok = _sweep(axes[seed_axis], k0[seed_axis], np.float64(u00),
                            lambda T: seed_coeffs(*seed_tab(T)), seed_G)
-    vals, ok = _sweep(axes[line_axis], k0[line_axis], seed,
-                      lambda T: line_coeffs(*line_tab(T)), line_G)
+    line_tables = _tabulator(f, analytic, line_axis)
+
+    def sweep(lines):
+        tab = line_tables(lines)
+        return _sweep(axes[line_axis], k0[line_axis], seed[lines],
+                      lambda T: line_coeffs(*tab(T)), line_G)
+
+    n = len(seed)
+    chunks = min(workers(), n)
+    cuts = [n * c // chunks for c in range(chunks + 1)]
+    parts = fork_map([(sweep, slice(a, b)) for a, b in zip(cuts, cuts[1:])])
+    vals, ok = (np.concatenate(p, axis=1) for p in zip(*parts))
     if line_axis == 1:
         # _sweep ran over y with state vectors over x: transpose to (nx, ny)
         vals, ok = vals.T, ok.T

@@ -1,0 +1,114 @@
+"""One pool of forked workers for independent calls.
+
+fork_map runs a list of calls on min(usable CPUs, MAX_WORKERS, calls)
+worker processes and returns their results in call order.  The acceptance
+criteria and the line chunks of a transformation march both run through it.
+
+Workers are forked, not spawned: a spawned worker re-imports numpy and scipy
+(about 0.7 s), while a forked one inherits the parent's modules and memory,
+so a call may be a closure over arrays the parent already holds.  Only the
+call's index goes to a worker and only its result (or exception) comes back.
+Inside a worker fork_map runs its calls inline: pools never nest, and a
+march inside an acceptance worker is serial.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import threading
+import traceback
+from multiprocessing.connection import wait
+
+MAX_WORKERS = 8
+_in_worker = False  # set in each forked worker, never in the process that forks
+
+
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def workers() -> int:
+    """Workers fork_map starts for MAX_WORKERS or more calls.
+
+    1 inside a worker, and while other threads run: a fork copies only the
+    calling thread, so a lock another thread holds would stay held in the
+    worker.
+    """
+    if _in_worker or threading.active_count() > 1:
+        return 1
+    return min(usable_cpus(), MAX_WORKERS)
+
+
+def _serve(calls, conn, parent_ends):
+    """Worker loop: run calls[i] for each index i received, send (ok, result or exception)."""
+    global _in_worker
+    _in_worker = True
+    for c in parent_ends:  # inherited from the fork: held here, they would hide the parent's EOF
+        c.close()
+    while True:
+        try:
+            i = conn.recv()
+        except EOFError:  # the parent closed its end: no call is left
+            return
+        fn, *args = calls[i]
+        try:
+            out = (True, fn(*args))
+        except Exception as exc:  # raised again in the parent, with its own type
+            out = (False, (exc, traceback.format_exc()))
+        conn.send(out)
+
+
+def fork_map(calls: list) -> list:
+    """[fn(*args) for fn, *args in calls], with the calls run on forked workers.
+
+    Each idle worker takes the next call not yet started, in list order, so
+    put the longest calls first.  With one worker (see workers) the calls
+    run inline, in order.  When a call raises, no further call starts, the
+    running ones are stopped and the exception is raised here with its own
+    type; no worker outlives the call of fork_map.  A call must leave
+    nothing but its result, since it may be stopped part way, and its
+    result must pickle.
+    """
+    n = min(workers(), len(calls))
+    if n <= 1:
+        return [fn(*args) for fn, *args in calls]
+    ctx = multiprocessing.get_context("fork")
+    results = [None] * len(calls)
+    procs, busy = {}, {}  # by the parent's end of each worker's pipe: process, running call
+    try:
+        for i in range(n):
+            conn, child = ctx.Pipe()
+            procs[conn] = ctx.Process(target=_serve, args=(calls, child, [*procs, conn]))
+            procs[conn].start()
+            child.close()
+            conn.send(i)
+            busy[conn] = i
+        queued = iter(range(n, len(calls)))
+        while busy:
+            for conn in wait(list(busy)):
+                try:
+                    ok, value = conn.recv()
+                except EOFError:  # killed, or its result did not pickle
+                    procs[conn].join()
+                    raise RuntimeError(f"a worker exited (code {procs[conn].exitcode})"
+                                       " before returning its result") from None
+                if not ok:
+                    exc, tb = value
+                    raise exc from ChildProcessError(f"in a forked worker:\n{tb}")
+                results[busy.pop(conn)] = value
+                i = next(queued, None)
+                if i is not None:
+                    conn.send(i)
+                    busy[conn] = i
+    finally:
+        for conn, proc in procs.items():
+            if conn in busy:  # its result is no longer needed
+                proc.terminate()
+            conn.close()  # an idle worker sees EOF and exits
+        for proc in procs.values():
+            proc.join()
+    return results

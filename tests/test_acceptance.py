@@ -7,11 +7,12 @@ prints a PASS/FAIL summary line even under pytest's capture.
 
 import json
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
 
-from gordon import acceptance
+from gordon import acceptance, pool
 from gordon.acceptance import run_acceptance, sup_check
 from gordon.backlund import BacklundPair, backlund_residuals
 from gordon.cli import main
@@ -204,8 +205,32 @@ def test_worker_error_keeps_its_type(error, code, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_failure_starts_no_queued_criterion(tmp_path, monkeypatch):
+    # two workers take c4 and c2, the first two of LONGEST_FIRST; c4 fails at
+    # once while c2 is held, so every other criterion is still queued
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+
+    def marked(k):
+        def criterion(*args):
+            (tmp_path / f"c{k}").touch()
+            if k == 4:
+                raise NumericalError("injected breakdown")
+            if k == 2:
+                time.sleep(30)  # still running when c4 fails
+            return []
+        return criterion
+
+    for k in range(1, 9):
+        monkeypatch.setattr(acceptance, f"criterion_{k}", marked(k))
+    with pytest.raises(NumericalError, match="injected breakdown"):
+        run_acceptance(quick=True)
+    assert {p.name for p in tmp_path.iterdir()} <= {"c4", "c2"}
+    assert (tmp_path / "c4").exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_bad_spacing_rejected_before_any_worker(monkeypatch):
     # h = 1e-6 would give c3 and c8 profile axes of 2e6 samples
-    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", None)  # a pool would be a TypeError
+    monkeypatch.setattr(acceptance, "fork_map", None)  # a pool would be a TypeError
     with pytest.raises(ValueError, match="exceeds"):
         run_acceptance(h=1e-6)

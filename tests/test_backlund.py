@@ -1,8 +1,11 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from gordon import backlund
+from gordon import backlund, pool
 from gordon.backlund import (
     W_CAP,
     BacklundPair,
@@ -18,7 +21,8 @@ from gordon.families import (
     scalar_callable,
     sign_probe,
 )
-from gordon.grid import cumulative_integral_x, field, make_grid
+from gordon.grid import NumericalError, cumulative_integral_x, field, make_grid
+from gordon.pool import fork_map
 
 SQRT2 = np.sqrt(2.0)
 H = 1 / 100
@@ -259,12 +263,17 @@ def _march_case(case, sampled):
 class TestTabulatedMarch:
     @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
     @pytest.mark.parametrize("case", MARCH_CASES, ids=_case_id)
-    def test_bit_identical_to_stage_by_stage_rk4(self, case, sampled):
+    def test_bit_identical_to_stage_by_stage_rk4(self, case, sampled, monkeypatch):
+        # one line chunk inline, then two and three chunks on forked workers
         direction, src, _, u00 = case
-        got, f, analytic = _march_case(case, sampled)
-        vals, ok = reference_march(f, u00, direction, analytic)
-        assert np.array_equal(got.mask, ok)
-        assert np.array_equal(got.values, vals)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            got, f, analytic = _march_case(case, sampled)
+            if cpus == 1:
+                vals, ok = reference_march(f, u00, direction, analytic)
+            assert np.array_equal(got.mask, ok)
+            assert np.array_equal(got.values, vals)
+        assert multiprocessing.active_children() == []
         if not isinstance(src, str):
             assert not ok.all() and ok[0].all()  # the freeze case really froze
 
@@ -280,20 +289,55 @@ class TestTabulatedMarch:
             assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("direction,fid", [("t2w", "THETA_SQRT2"), ("w2t", "W_SQRT2")])
-    def test_callable_calls_linear_in_cells(self, direction, fid):
+    def test_callable_calls_linear_in_cells(self, direction, fid, tmp_path, monkeypatch):
         # tabulation calls the callable a fixed number of times per cell,
-        # never once per RK4 substep
+        # never once per RK4 substep; the calls are logged to a file, so the
+        # count covers the parent (the seed line) and both line-chunk workers
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         g = grid(0.0, 0.6, -0.3, 0.3, h=1 / 50)
         inner = scalar_callable(fid)
-        calls = []
+        log = tmp_path / "calls"
 
         def counted(x, y):
-            calls.append(1)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return inner(x, y)
 
         march = theta_to_w if direction == "t2w" else w_to_theta
         march(eval_family(fid, g), 0.5, analytic=counted)
+        calls = log.read_text().split()
+        assert len(set(calls)) == 3
         assert 0 < len(calls) <= 3 * ((g.nx - 1) + (g.ny - 1))
+
+    def test_chunk_error_keeps_its_type(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        inner, parent = scalar_callable("THETA_SQRT2"), os.getpid()
+
+        def breaks_in_a_worker(x, y):
+            if os.getpid() != parent:
+                raise NumericalError("injected breakdown")
+            return inner(x, y)
+
+        th = eval_family("THETA_SQRT2", grid(0.0, 0.6, -0.3, 0.3, h=1 / 50))
+        with pytest.raises(NumericalError, match="injected breakdown") as err:
+            theta_to_w(th, 0.0, analytic=breaks_in_a_worker)
+        assert err.type is NumericalError
+        assert multiprocessing.active_children() == []
+
+    def test_march_in_a_worker_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+
+        def march_without_pool(case, sampled):
+            pool.multiprocessing = None  # in this worker only: a nested pool would raise
+            got, _, _ = _march_case(case, sampled)
+            return got.values, got.mask, os.getpid()
+
+        calls = [(march_without_pool, case, sampled) for case in MARCH_CASES[:2] for sampled in (False, True)]
+        for (_, case, sampled), (vals, mask, pid) in zip(calls, fork_map(calls)):
+            want, _, _ = _march_case(case, sampled)
+            assert pid != os.getpid()
+            assert np.array_equal(mask, want.mask)
+            assert np.array_equal(vals, want.values)
 
 
 class TestClosedFormTanh:

@@ -7,7 +7,7 @@ import shlex
 import numpy as np
 import pytest
 
-from gordon import acceptance
+from gordon import acceptance, pool
 from gordon.cli import main
 from gordon.grid import (
     complex_field,
@@ -222,12 +222,13 @@ class TestAcceptanceCommand:
                      "--diagnostics", str(diag_path)]) == 0
         assert filecmp.cmp(plain, with_diag, shallow=False)
         diag = json.loads(diag_path.read_text())
-        assert diag["workers"] == min(acceptance._usable_cpus(), 8)
+        assert diag["workers"] == pool.workers()
         assert sorted(diag["criteria"]) == [f"c{k}" for k in range(1, 9)]
         runs = diag["criteria"].values()
+        pids = {r["pid"] for r in runs}
         assert all(r["seconds"] > 0 for r in runs)
-        assert len({r["pid"] for r in runs}) <= diag["workers"]
-        assert os.getpid() not in {r["pid"] for r in runs}
+        assert len(pids) <= diag["workers"]
+        assert (os.getpid() in pids) == (diag["workers"] == 1)  # one worker runs inline
         assert diag["wall_s"] >= max(r["seconds"] for r in runs)
 
     @pytest.mark.parametrize("env", ["-1", "0", "nan", "inf", "abc"])
