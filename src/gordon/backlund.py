@@ -14,13 +14,14 @@ given field and its cross derivative are evaluated at the stage times of a
 block of cells in one vectorized call per quantity (a block holds up to
 MARCH_BLOCK table entries), and the RK4 stages only index those tables.  A
 line sweep marches both sides of the seed line together while both have
-cells left.  Once the seed line is marched the lines are independent, so
-they are split into one contiguous chunk per worker, and pool.fork_map
-tabulates and sweeps each chunk on a forked worker (inline with one worker,
-and inside a worker, as workers never nest).  None of this changes a bit of
-the output of a cell-by-cell march.  The closed-form w printed for the tanh
-theta family is also provided; it is evaluated verbatim and *checked
-against* the quadrature construction, never trusted.
+cells left.  The seed line is tabulated as a chunk of one line.  Once it is
+marched the lines are independent, so they are split into contiguous
+chunks, one per worker but at least FORK_POINTS grid points each, and
+pool.fork_map tabulates and sweeps each chunk, on a forked worker when
+there is more than one.  None of this changes a bit of the output of a
+cell-by-cell march.  The closed-form w printed for the tanh theta family is
+also provided; it is evaluated verbatim and *checked against* the
+quadrature construction, never trusted.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ MARCH_SUBSTEPS = 8
 W_CAP = 30.0  # |w| beyond this overflows cosh/sinh scales; treat as blow-up
 _FD_STEP = 1e-5  # small-step derivative for analytic callables
 MARCH_BLOCK = 1 << 16  # table entries per coefficient call: at most 0.5 MB a table
+# Grid points per line chunk, at least.  Two forked chunks broke even at
+# about 2 FORK_POINTS: a t2w + w2t pair on acceptance.MARCH_RECT_SQRT2 on two
+# vCPUs took 1.1x its inline time at 38,191 points, 1.0x at 67,721 and
+# 0.77x at 269,841.
+FORK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -80,25 +86,22 @@ def _tabulator(f: ScalarField, analytic, along: int):
     """Stage-time tables for marches along axis `along` (0: x, 1: y).
 
     Returns tables(lines) -> tab, and tab(T) -> (value, cross derivative)
-    of f at the march coordinates T: arrays of shape (len(T),) on the axis
-    line when `lines` is its index, else (len(T), n) over the n lines of the
-    slice `lines`.  The analytic path makes one vectorized call per
-    quantity, the derivative by _FD_STEP central differences.  The sampled
-    path takes the cross derivative here, once, from cubic splines across
-    all lines, and tables(lines) fits cubic splines along the march axis to
-    those lines of f and of its cross derivative.
+    of f at the march coordinates T: arrays of shape (len(T), n) over the n
+    lines of the slice `lines`.  The analytic path makes one vectorized call
+    per quantity, the derivative by _FD_STEP central differences.  The
+    sampled path takes the cross derivative here, once, from cubic splines
+    across all lines, and tables(lines) fits cubic splines along the march
+    axis to those lines of f and of its cross derivative.
     """
     g = f.grid
     cross = 1 - along
     t_axis, c_axis = (g.x(), g.y())[along], (g.x(), g.y())[cross]
     if analytic is not None:
         def tables(lines):
-            axis_line = not isinstance(lines, slice)
-            c = 0.0 if axis_line else c_axis[lines]  # cross coordinates of the lines
+            c = c_axis[lines]  # cross coordinates of the lines
 
             def at(T, cc):
-                tt = T if axis_line else T[:, None]
-                return analytic(tt, cc) if along == 0 else analytic(cc, tt)
+                return analytic(T[:, None], cc) if along == 0 else analytic(cc, T[:, None])
 
             return lambda T: (at(T, c), (at(T, c + _FD_STEP) - at(T, c - _FD_STEP)) / (2 * _FD_STEP))
 
@@ -109,12 +112,9 @@ def _tabulator(f: ScalarField, analytic, along: int):
 
     def tables(lines):
         pick = (slice(None),) * cross + (lines,)
-        if not isinstance(lines, slice):
-            splines = [CubicSpline(t_axis, v[pick]) for v in values]
-        else:
-            splines = [CubicSpline(t_axis, v[pick], axis=along) for v in values]
-            if along == 1:
-                return lambda T: tuple(np.ascontiguousarray(s(T).T) for s in splines)
+        splines = [CubicSpline(t_axis, v[pick], axis=along) for v in values]
+        if along == 1:
+            return lambda T: tuple(np.ascontiguousarray(s(T).T) for s in splines)
         return lambda T: tuple(s(T) for s in splines)
 
     return tables
@@ -199,18 +199,19 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
     Seeds the partner along the axis line of `seed_axis` (0: y = 0, 1: x = 0)
     by du/dt = P + seed_G(u) Q, then marches every line of the other axis by
     du/dt = P + line_G(u) Q.  seed_coeffs and line_coeffs map (f, cross
-    derivative of f) at the stage times to (P, Q).  The lines are swept in
-    one contiguous chunk per worker, each tabulated and swept on its own
-    worker by pool.fork_map, and joined along the state axis: every line's
-    values are those of a sweep over all lines at once.
+    derivative of f) at the stage times to (P, Q).  The seed line is
+    tabulated as a one-line chunk.  The other lines are swept in contiguous
+    chunks, one per worker but at least FORK_POINTS grid points each, each
+    tabulated and swept by pool.fork_map, and joined along the state axis:
+    every line's values are those of a sweep over all lines at once.
     """
     g = f.grid
     axes = (g.x(), g.y())
     k0 = (g.index_of_x(0.0), g.index_of_y(0.0))
     line_axis = 1 - seed_axis
-    seed_tab = _tabulator(f, analytic, seed_axis)(k0[line_axis])
+    seed_tab = _tabulator(f, analytic, seed_axis)(slice(k0[line_axis], k0[line_axis] + 1))
     seed, seed_ok = _sweep(axes[seed_axis], k0[seed_axis], np.float64(u00),
-                           lambda T: seed_coeffs(*seed_tab(T)), seed_G)
+                           lambda T: seed_coeffs(*(a[:, 0] for a in seed_tab(T))), seed_G)
     line_tables = _tabulator(f, analytic, line_axis)
 
     def sweep(lines):
@@ -219,7 +220,7 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
                       lambda T: line_coeffs(*tab(T)), line_G)
 
     n = len(seed)
-    chunks = min(workers(), n)
+    chunks = max(1, min(workers(), n, g.nx * g.ny // FORK_POINTS))
     cuts = [n * c // chunks for c in range(chunks + 1)]
     parts = fork_map([(sweep, slice(a, b)) for a, b in zip(cuts, cuts[1:])])
     vals, ok = (np.concatenate(p, axis=1) for p in zip(*parts))

@@ -36,11 +36,7 @@ from .harmonic import correspondence_check, hopf_residual, ppfd_construct
 from .report import VerificationReport
 
 
-class ConfigError(Exception):
-    pass
-
-
-def _grid_from_args(args, fam=None, include_axes=False) -> Grid2D:
+def _grid_from_args(args, fam, include_axes=False) -> Grid2D:
     """Grid from --grid (inline JSON or a file path), else the family rectangle.
 
     include_axes expands the rectangle to contain the x = 0 and y = 0 lines,
@@ -55,32 +51,16 @@ def _grid_from_args(args, fam=None, include_axes=False) -> Grid2D:
             try:
                 d = json.loads(spec)
             except json.JSONDecodeError as e:
-                raise ConfigError(f"--grid is neither a file nor valid JSON: {e}")
+                raise ValueError(f"--grid is neither a file nor valid JSON: {e}")
         try:
             return Grid2D.from_json(d)
         except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad grid spec: {e}")
-    if fam is None:
-        raise ConfigError("no --grid given and no family to take a rectangle from")
+            raise ValueError(f"bad grid spec: {e}")
     x0, x1, y0, y1 = fam.rectangle
     if include_axes:
         x0, x1 = min(x0, 0.0), max(x1, 0.0)
         y0, y1 = min(y0, 0.0), max(y1, 0.0)
     return rect_grid((x0, x1, y0, y1), args.h)
-
-
-def _tol(args) -> float:
-    try:
-        return acceptance.base_tolerance(getattr(args, "tol", None))
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def _family(fid: str):
-    try:
-        return get_family(fid)
-    except KeyError as e:
-        raise ConfigError(str(e))
 
 
 def _emit(report: VerificationReport, args) -> int:
@@ -123,7 +103,7 @@ def cmd_families_list(args) -> int:
 
 
 def cmd_families_eval(args) -> int:
-    fam = _family(args.family)
+    fam = get_family(args.family)
     g = _grid_from_args(args, fam)
     params = json.loads(args.params) if args.params else None
     out = eval_family(fam.id, g, params)
@@ -157,27 +137,27 @@ def _verify_family(fam, g, tol, convergence) -> list:
 
 
 def cmd_verify(args) -> int:
-    fam = _family(args.family)
+    fam = get_family(args.family)
     g = _grid_from_args(args, fam)
-    tol = _tol(args)
+    tol = acceptance.base_tolerance(args.tol)
     checks = _verify_family(fam, g, tol, args.convergence)
     return _emit(VerificationReport(checks, {"family": fam.id, "tolerance": tol}), args)
 
 
 def cmd_backlund_run(args) -> int:
-    fam = _family(args.family)
+    fam = get_family(args.family)
     g = _grid_from_args(args, fam, include_axes=True)
     analytic = families.scalar_callable(fam.id, fam.params)
-    tol = _tol(args)
+    tol = acceptance.base_tolerance(args.tol)
     if args.direction == "t2w":
         if fam.kind != "sine_solution":
-            raise ConfigError("t2w needs a sine-Gordon family")
+            raise ValueError("t2w needs a sine-Gordon family")
         th = eval_family(fam.id, g)
         w = theta_to_w(th, args.w00, analytic=analytic)
         out_field, out_name = w, "w"
     else:
         if fam.kind != "sinh_solution":
-            raise ConfigError("w2t needs a sinh-Gordon family")
+            raise ValueError("w2t needs a sinh-Gordon family")
         w = eval_family(fam.id, g)
         th = w_to_theta(w, args.theta00, analytic=analytic)
         out_field, out_name = th, "theta"
@@ -200,17 +180,17 @@ def cmd_backlund_run(args) -> int:
 def _resolve_pair(spec: str, args):
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 2:
-        raise ConfigError("--pair takes 'W_ID,THETA_ID' or 'w.csv,theta.csv'")
+        raise ValueError("--pair takes 'W_ID,THETA_ID' or 'w.csv,theta.csv'")
     if all(p in CATALOG for p in parts):
-        fam_w, fam_t = _family(parts[0]), _family(parts[1])
+        fam_w, fam_t = get_family(parts[0]), get_family(parts[1])
         if fam_w.kind != "sinh_solution" or fam_t.kind != "sine_solution":
-            raise ConfigError("--pair ids must be a sinh family then a sine family")
+            raise ValueError("--pair ids must be a sinh family then a sine family")
         g = _grid_from_args(args, fam_w, include_axes=True)
         return BacklundPair(eval_family(fam_w.id, g), eval_family(fam_t.id, g),
                             provenance=f"closed forms ({fam_w.id}, {fam_t.id})")
     for p in parts:
         if not os.path.exists(p):
-            raise ConfigError(f"pair member {p!r} is neither a family id nor a file")
+            raise ValueError(f"pair member {p!r} is neither a family id nor a file")
     w = load_scalar_csv(parts[0])
     th = load_scalar_csv(parts[1])
     return BacklundPair(w, th, provenance="loaded from CSV")
@@ -231,10 +211,10 @@ def _map_checks(u, w, tol) -> list:
 
 def cmd_harmonic_build(args) -> int:
     if args.S0 <= 0:
-        raise ConfigError("--S0 must be positive")
+        raise ValueError("--S0 must be positive")
     pair = _resolve_pair(args.pair, args)
     result = ppfd_construct(pair, args.R0, args.S0)
-    tol = _tol(args)
+    tol = acceptance.base_tolerance(args.tol)
     dump_complex_csv(result.u, args.out + ".u.csv")
     for name, f in (("I1", result.I1), ("I2", result.I2), ("I3", result.I3), ("I4", result.I4)):
         dump_scalar_csv(f, f"{args.out}.{name}.csv")
@@ -247,20 +227,14 @@ def cmd_harmonic_build(args) -> int:
 
 def cmd_harmonic_verify(args) -> int:
     u = load_complex_csv(args.u)
-    tol = _tol(args)
+    tol = acceptance.base_tolerance(args.tol)
     checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol)
-    if args.metric:
-        fam = _family(args.metric)
-        if fam.kind != "target_metric":
-            raise ConfigError(f"{fam.id} is not a target metric")
-        checks.append(acceptance.metric_check(f"{fam.id}.curvature", fam.id, u.grid, tol))
     return _emit(VerificationReport(checks, {"u": args.u}), args)
 
 
 def cmd_acceptance(args) -> int:
-    rep = acceptance.run_acceptance(
-        h=args.h, tol=_tol(args), quick=args.quick, convergence=not args.no_convergence
-    )
+    rep = acceptance.run_acceptance(h=args.h, tol=acceptance.base_tolerance(args.tol),
+                                    quick=args.quick, convergence=not args.no_convergence)
     if args.diagnostics:
         dump_json(rep.diagnostics, args.diagnostics)
         print(f"diagnostics written to {args.diagnostics}")
@@ -331,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     hv = hsub.add_parser("verify", help="check a map loaded from CSV")
     hv.add_argument("--u", required=True)
     hv.add_argument("--w", help="partner solution CSV for the correspondence check")
-    hv.add_argument("--metric", help="target-metric family id for a curvature check")
     hv.add_argument("--tol", type=float)
     hv.add_argument("--json")
     hv.set_defaults(fn=cmd_harmonic_verify)
@@ -355,9 +328,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NumericalError as e:  # a ValueError: caught before the clause below
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -116,7 +116,7 @@ def w_from_tanh_half(num, den):
 
 
 def w_one_soliton(x, y, exponent_sign=1.0):
-    return w_from_tanh_half(np.exp(2 * exponent_sign * x), 1.0)
+    return w_from_tanh_half(np.exp(2 * exponent_sign * x), np.ones(np.shape(x * y)))
 
 
 def theta_const_halfpi(x, y):

@@ -172,7 +172,7 @@ def reference_march(f, u00, direction, analytic=None):
 
     Each stage evaluates the callable, or the cubic splines of f and of its
     cross derivative (from splines across the lines), at its own time; the
-    seed line uses its own entry of a full row or column.
+    seed line is evaluated at its grid coordinate, like every other line.
     """
     g = f.grid
     x, y = g.x(), g.y()
@@ -182,7 +182,7 @@ def reference_march(f, u00, direction, analytic=None):
         along_y = lambda xs, t: (analytic(xs, t), (analytic(xs + d, t) - analytic(xs - d, t)) / (2 * d))
         along_x = lambda t, ys: (analytic(t, ys), (analytic(t, ys + d) - analytic(t, ys - d)) / (2 * d))
         col, row = (lambda t: along_y(x, t)), (lambda t: along_x(t, y))
-        col0, row0 = (lambda t: along_y(0.0, t)), (lambda t: along_x(t, 0.0))
+        col0, row0 = (lambda t: along_y(x[i0], t)), (lambda t: along_x(t, y[j0]))
     else:
         v = f.values
         dx, dy = CubicSpline(x, v, axis=0).derivative()(x), CubicSpline(y, v, axis=1).derivative()(y)
@@ -231,6 +231,8 @@ MARCH_CASES = [
     ("w2t", "W_EX2", (-0.16, 0.16, -0.16, 0.16), np.pi),
     # w = 2 artanh(e^{2x}/2) passes W_CAP inside the grid: the march freezes
     ("t2w", -np.pi / 2, (-0.3, 0.6, -0.2, 0.2), np.log(3.0)),
+    # linspace puts the seed line y = 0 at 2.8e-17, and THETA_EX2 is odd in y
+    ("t2w", "THETA_EX2", (-0.16, 0.16, -0.16, 0.14), 0.2),
     # origin off-centre on the line-sweep axis (y for t2w, x for w2t): the
     # two sides march paired, then the longer side's tail alone
     ("t2w", "THETA_SQRT2", (-0.1, 0.5, -0.3, 0.1), 0.0),
@@ -265,6 +267,7 @@ class TestTabulatedMarch:
     @pytest.mark.parametrize("case", MARCH_CASES, ids=_case_id)
     def test_bit_identical_to_stage_by_stage_rk4(self, case, sampled, monkeypatch):
         # one line chunk inline, then two and three chunks on forked workers
+        monkeypatch.setattr(backlund, "FORK_POINTS", 1)
         direction, src, _, u00 = case
         for cpus in (1, 2, 3):
             monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
@@ -294,6 +297,7 @@ class TestTabulatedMarch:
         # never once per RK4 substep; the calls are logged to a file, so the
         # count covers the parent (the seed line) and both line-chunk workers
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(backlund, "FORK_POINTS", 1)
         g = grid(0.0, 0.6, -0.3, 0.3, h=1 / 50)
         inner = scalar_callable(fid)
         log = tmp_path / "calls"
@@ -309,8 +313,32 @@ class TestTabulatedMarch:
         assert len(set(calls)) == 3
         assert 0 < len(calls) <= 3 * ((g.nx - 1) + (g.ny - 1))
 
+    @pytest.mark.parametrize("case", MARCH_CASES[:2], ids=_case_id)
+    def test_chunk_count_follows_the_grid_size(self, case, monkeypatch):
+        # two usable CPUs: below FORK_POINTS points per chunk no worker
+        # starts, and from 2 FORK_POINTS points the lines split in two
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+        want, _, _ = _march_case(case, False)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        chunks = []
+        monkeypatch.setattr(backlund, "fork_map", lambda calls: chunks.append(len(calls)) or fork_map(calls))
+        points = want.grid.nx * want.grid.ny
+        assert points < backlund.FORK_POINTS
+        with monkeypatch.context() as m:
+            m.setattr(pool, "multiprocessing", None)  # a fork would raise
+            runs = [_march_case(case, False)[0]]
+        for fork_points in (points // 2 + 1, points // 2):
+            monkeypatch.setattr(backlund, "FORK_POINTS", fork_points)
+            runs.append(_march_case(case, False)[0])
+        assert chunks == [1, 1, 2]
+        for got in runs:
+            assert np.array_equal(got.mask, want.mask)
+            assert np.array_equal(got.values, want.values)
+        assert multiprocessing.active_children() == []
+
     def test_chunk_error_keeps_its_type(self, monkeypatch):
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(backlund, "FORK_POINTS", 1)
         inner, parent = scalar_callable("THETA_SQRT2"), os.getpid()
 
         def breaks_in_a_worker(x, y):
@@ -326,6 +354,7 @@ class TestTabulatedMarch:
 
     def test_march_in_a_worker_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(backlund, "FORK_POINTS", 1)  # outside a worker these marches would fork
 
         def march_without_pool(case, sampled):
             pool.multiprocessing = None  # in this worker only: a nested pool would raise

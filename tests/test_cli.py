@@ -172,8 +172,7 @@ class TestHarmonic:
         assert rc == 2
 
     def test_verify_with_metric(self, tmp_path, capsys):
-        # U_SQRT2 carries the plain half-plane weight, which is the one the
-        # standalone verify applies
+        # a target metric's curvature check on the grid of a map's dump
         out = str(tmp_path / "u.csv")
         rc = main([
             "families", "eval", "--family", "U_SQRT2", "--out", out,
@@ -182,12 +181,12 @@ class TestHarmonic:
         assert rc == 0
         capsys.readouterr()
         rc = main([
-            "harmonic", "verify", "--u", out, "--metric", "METRIC_SECTION3",
+            "verify", "--family", "METRIC_SECTION3", "--grid", out + ".grid.json",
             "--tol", "0.1",
         ])
         assert rc == 0
         text = capsys.readouterr().out
-        assert "METRIC_SECTION3.curvature" in text
+        assert "PASS  METRIC_SECTION3.curvature: sup=0.00658313 tol=0.1 n=484" in text
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["harmonic", "verify", "--u", "/nonexistent/u.csv"]) == 2

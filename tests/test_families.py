@@ -157,6 +157,8 @@ class TestCatalogRecords:
         g = make_grid(*fam.rectangle, 9, 9)
         assert isinstance(eval_family(fid, g), CONTAINERS[fam.kind])
         assert (scalar_callable(fid) is not None) == (fam.kind in SCALAR_KINDS)
+        if fam.kind in SCALAR_KINDS:  # the marches call it on a column of x and a row of y
+            assert scalar_callable(fid)(g.x()[:, None], g.y()).shape == (g.nx, g.ny)
         if fam.kind == "harmonic_map":
             partner = CATALOG[fam.partner]
             assert partner.kind == "sinh_solution"
