@@ -52,6 +52,7 @@ from .harmonic import (
     correspondence_check,
     gaussian_curvature,
     hopf_residual,
+    is_orthogonal,
     ppfd_construct,
     pullback_metric,
 )
@@ -173,7 +174,8 @@ def harmonic_checks(stem, fid, g, tol):
 
 def _curvature_check(name, anchor, metric, tol):
     K = gaussian_curvature(metric)
-    return sup_check(name, anchor, field(metric.grid, K.values + 1.0, K.mask), tol)
+    return sup_check(name, anchor, field(metric.grid, K.values + 1.0, K.mask), tol,
+                     is_orthogonal(metric))
 
 
 def pullback_check(name, fid, g, tol):

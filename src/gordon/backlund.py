@@ -203,11 +203,14 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
     tabulated as a one-line chunk.  The other lines are swept in contiguous
     chunks, one per worker but at least FORK_POINTS grid points each, each
     tabulated and swept by pool.fork_map, and joined along the state axis:
-    every line's values are those of a sweep over all lines at once.
+    every line's values are those of a sweep over all lines at once.  Raises
+    ValueError if f is invalid at (0, 0), where every march starts.
     """
     g = f.grid
     axes = (g.x(), g.y())
     k0 = (g.index_of_x(0.0), g.index_of_y(0.0))
+    if not f.mask[k0]:
+        raise ValueError("the given field is invalid at the seed point (0, 0)")
     line_axis = 1 - seed_axis
     seed_tab = _tabulator(f, analytic, seed_axis)(slice(k0[line_axis], k0[line_axis] + 1))
     seed, seed_ok = _sweep(axes[seed_axis], k0[seed_axis], np.float64(u00),

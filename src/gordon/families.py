@@ -51,7 +51,7 @@ class SolutionFamily:
 
 @dataclass(frozen=True)
 class MetricSample:
-    """Diagonal-dominant first fundamental form E dx^2 + 2 Fc dx dy + G dy^2."""
+    """First fundamental form E dx^2 + 2 Fc dx dy + G dy^2, in orthogonal coordinates if Fc = 0."""
 
     grid: Grid2D
     E: np.ndarray

@@ -353,7 +353,8 @@ def _load_csv(path: str, ncols: int):
     Raises ValueError unless the x and y columns are the grid coordinates in
     y-major order, within the tolerance of Grid2D.index_of_x, and, where the
     dump's sidecar `<path>.grid.json` exists, unless that grid is the sidecar's
-    (a file cut at a whole grid row would otherwise load as a smaller grid).
+    (a file cut at a whole grid row would otherwise load as a smaller grid),
+    and unless every entry of the last (valid) column is 0 or 1.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != ncols:
@@ -366,6 +367,8 @@ def _load_csv(path: str, ncols: int):
         and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))
     ):
         raise ValueError(f"{path}: rows are not the y-major points of a {g.nx} x {g.ny} grid")
+    if not np.all((data[:, -1] == 0) | (data[:, -1] == 1)):
+        raise ValueError(f"{path}: the valid column holds a value other than 0 and 1")
     sidecar = path + ".grid.json"
     if os.path.exists(sidecar):
         with open(sidecar) as fh:

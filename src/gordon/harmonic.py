@@ -13,7 +13,8 @@ four cumulative quadratures:
 Verification is by the Hopf condition e^F dz_u dz_ubar = 1 (with the
 half-plane weight e^F = 1/S^2 unless the target metric supplies another
 conformal weight), the first-order correspondence dzbar_u / dz_u = e^{-+2w},
-and Gaussian curvature -1 of target and pullback metrics.
+and Gaussian curvature -1 of target and pullback metrics in orthogonal
+coordinates (by the Hopf condition a pullback is 4cosh^2 w dx^2 + 4sinh^2 w dy^2).
 """
 
 from __future__ import annotations
@@ -141,80 +142,35 @@ def correspondence_check(u: ComplexField, w: ScalarField):
     return "none", res_m if sup_m <= sup_p else res_p
 
 
-def _dxx(v, hx):
-    out = np.zeros_like(v)
-    out[1:-1, :] = (v[2:, :] - 2 * v[1:-1, :] + v[:-2, :]) / hx**2
-    return out
+def _immersive(m: MetricSample):
+    """Points whose det = E G - Fc^2 clears IMMERSION_EPS, and sqrt(det) (1 elsewhere)."""
+    det = m.E * m.G - m.Fc**2
+    ok = m.mask & (det >= IMMERSION_EPS)
+    return ok, np.sqrt(np.where(ok, det, 1.0))
 
 
-def _dyy(v, hy):
-    out = np.zeros_like(v)
-    out[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / hy**2
-    return out
-
-
-def _dxy(v, hx, hy):
-    out = np.zeros_like(v)
-    out[1:-1, 1:-1] = (
-        v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]
-    ) / (4 * hx * hy)
-    return out
+def is_orthogonal(m: MetricSample) -> bool:
+    """The condition of gaussian_curvature's formula: |Fc| <= 1e-3 sqrt(det) wherever it reads m."""
+    ok, sq = _immersive(m)
+    return bool(np.all(np.abs(m.Fc[ok]) <= 1e-3 * sq[ok]))
 
 
 def gaussian_curvature(m: MetricSample) -> ScalarField:
-    """Gaussian curvature via central differences.
+    """Gaussian curvature of a metric in orthogonal coordinates, by central differences:
 
-    Diagonal metrics (|Fc| negligible against sqrt(EG)) use the reduction
+        K = -(1/(2 sqrt(EG))) [d/dx(G_x / sqrt(EG)) + d/dy(E_y / sqrt(EG))]
 
-        K = -(1/(2 sqrt(EG))) [d/dx(G_x / sqrt(EG)) + d/dy(E_y / sqrt(EG))],
-
-    whose nested first-derivative evaluation carries a markedly smaller
-    truncation constant than the general Brioschi determinant; metrics with
-    a genuine cross term fall back to Brioschi with compact stencils.
-    Degenerate points (det below the immersion guard) are masked.
+    as nested first derivatives.  Degenerate points (det below the immersion
+    guard) are masked.  The value is m's curvature only if is_orthogonal(m).
     """
     g = m.grid
-    det = m.E * m.G - m.Fc**2
-    ok = m.mask & (det >= IMMERSION_EPS)
-    sq = np.sqrt(np.where(ok, det, 1.0))
-    if np.all(np.abs(m.Fc[ok]) <= 1e-3 * sq[ok]):
-        E = field(g, m.E, ok)
-        G = field(g, m.G, ok)
-        Gx = partial_x(G)
-        Ey = partial_y(E)
-        t1 = partial_x(field(g, np.where(Gx.mask, Gx.values / sq, 0.0), Gx.mask))
-        t2 = partial_y(field(g, np.where(Ey.mask, Ey.values / sq, 0.0), Ey.mask))
-        mask = t1.mask & t2.mask
-        with np.errstate(divide="ignore", invalid="ignore"):
-            K = -(t1.values + t2.values) / (2 * sq)
-        return field(g, np.where(mask, K, 0.0), mask)
-    mask = np.zeros_like(ok)
-    mask[1:-1, 1:-1] = ok[1:-1, 1:-1]
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            mask[1:-1, 1:-1] &= ok[1 + di : ok.shape[0] - 1 + di, 1 + dj : ok.shape[1] - 1 + dj]
-    E = field(g, m.E, ok)
-    Fc = field(g, m.Fc, ok)
-    G = field(g, m.G, ok)
-    Ex, Ey = partial_x(E), partial_y(E)
-    Fx, Fy = partial_x(Fc), partial_y(Fc)
-    Gx, Gy = partial_x(G), partial_y(G)
-    e, f, gg = m.E, m.Fc, m.G
-    a11 = -_dyy(m.E, g.hy) / 2 + _dxy(m.Fc, g.hx, g.hy) - _dxx(m.G, g.hx) / 2
-    a12 = Ex.values / 2
-    a13 = Fx.values - Ey.values / 2
-    a21 = Fy.values - Gx.values / 2
-    a31 = Gy.values / 2
-    b12 = Ey.values / 2
-    b13 = Gx.values / 2
-    det1 = (
-        a11 * (e * gg - f**2)
-        - a12 * (a21 * gg - f * a31)
-        + a13 * (a21 * f - e * a31)
-    )
-    det2 = -b12 * (b12 * gg - b13 * f) + b13 * (b12 * f - b13 * e)
+    ok, sq = _immersive(m)
+    Gx, Ey = partial_x(field(g, m.G, ok)), partial_y(field(g, m.E, ok))
+    t1 = partial_x(field(g, np.where(Gx.mask, Gx.values / sq, 0.0), Gx.mask))
+    t2 = partial_y(field(g, np.where(Ey.mask, Ey.values / sq, 0.0), Ey.mask))
+    mask = t1.mask & t2.mask
     with np.errstate(divide="ignore", invalid="ignore"):
-        K = (det1 - det2) / det**2
+        K = -(t1.values + t2.values) / (2 * sq)
     return field(g, np.where(mask, K, 0.0), mask)
 
 

@@ -112,6 +112,13 @@ class TestThetaToW:
         with pytest.raises(ValueError):
             theta_to_w(const_field(g, 0.5), 0.0)
 
+    def test_requires_a_valid_seed_point(self):
+        g = grid(-0.3, 0.3, -0.3, 0.3)
+        mask = np.ones((g.nx, g.ny), dtype=bool)
+        mask[g.index_of_x(0.0), g.index_of_y(0.0)] = False
+        with pytest.raises(ValueError, match="seed point"):
+            theta_to_w(field(g, np.full((g.nx, g.ny), 0.5), mask), 0.0)
+
 
 class TestWToTheta:
     def test_zero_w(self):
@@ -128,6 +135,14 @@ class TestWToTheta:
         sigma = sign_probe(th)
         assert sigma != 0
         assert residual_sine_gordon(th, sigma).sup_norm()[0] < TOL
+
+    def test_singular_seed_point_rejected(self):
+        # W_ONE_SOLITON's w = 2 artanh(e^{2x}) is infinite on x = 0: a march
+        # from there would return a field with every point masked
+        g = grid(-0.5, 0.0, -0.2, 0.2)
+        with pytest.raises(ValueError, match="seed point"):
+            w_to_theta(eval_family("W_ONE_SOLITON", g), 0.0,
+                       analytic=scalar_callable("W_ONE_SOLITON"))
 
     def test_round_trip(self):
         g = grid(-0.25, 0.25, -0.25, 0.25)

@@ -135,6 +135,15 @@ class TestBacklund:
         text = capsys.readouterr().out
         assert "backlund.r1" in text and "backlund.r2" in text and "FAIL" not in text
 
+    def test_singular_seed_point_is_config_error(self, tmp_path, capsys):
+        # the grid is stretched to the axes, and W_ONE_SOLITON's w is infinite on x = 0
+        out = tmp_path / "theta.csv"
+        rc = main(["backlund", "run", "--direction", "w2t", "--family", "W_ONE_SOLITON",
+                   "--out", str(out), "--h", "0.01"])
+        assert rc == 2
+        assert not out.exists()
+        assert "seed point (0, 0)" in capsys.readouterr().err
+
     def test_w2t_needs_sinh_family(self, capsys):
         rc = main([
             "backlund", "run", "--direction", "w2t", "--family", "THETA_EX2",

@@ -289,6 +289,21 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="y-major"):
             load_scalar_csv(str(p))
 
+    @pytest.mark.parametrize("dump,load", [(dump_scalar_csv, load_scalar_csv),
+                                           (dump_complex_csv, load_complex_csv)],
+                             ids=["scalar", "complex"])
+    @pytest.mark.parametrize("bad", ["0.5", "7", "-1", "nan"])
+    def test_valid_column_is_0_or_1(self, dump, load, bad, tmp_path):
+        g = make_grid(0, 1, -1, 0, 7, 9)
+        X, Y = g.mesh()
+        p = tmp_path / "f.csv"
+        dump(complex_field(g, X, Y + 2) if dump is dump_complex_csv else field(g, X + Y), str(p))
+        lines = p.read_text().splitlines(True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{bad}\n"
+        p.write_text("".join(lines))
+        with pytest.raises(ValueError, match="valid column"):
+            load(str(p))
+
     def test_sidecar(self, tmp_path):
         import json
 

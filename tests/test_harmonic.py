@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from gordon import acceptance
 from gordon.backlund import BacklundPair
 from gordon.families import eval_family, get_family, hopf_weight, make_metric
-from gordon.grid import complex_field, field, make_grid
+from gordon.grid import complex_field, field, make_grid, rect_grid
 from gordon.harmonic import (
     correspondence_check,
     gaussian_curvature,
@@ -171,20 +172,18 @@ class TestGaussianCurvature:
         sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
         assert n > 100 and sup < TOL
 
-    def test_cross_term_fallback(self):
+    def test_cross_term_fails_its_check(self):
         # shear the Poincare metric by a constant linear change of variables:
-        # curvature is invariant, and Fc is genuinely nonzero
+        # curvature is still -1, but Fc is genuinely nonzero, so the formula of
+        # orthogonal coordinates does not apply and the check fails on its
+        # orthogonality rule, with the sup below the tolerance
         g = grid(0.0, 1.0, 8.0, 12.0)
         X, Y = g.mesh()
         lam = 1.0 / (X + Y) ** 2  # conformal factor evaluated at v = x + y
         # pullback of lam (du^2 + dv^2) under (u, v) = (x, x + y)
-        E = lam * 2.0
-        Fc = lam * 1.0
-        G = lam * 1.0
-        m = make_metric(g, E, Fc, G)
-        K = gaussian_curvature(m)
-        sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
-        assert n > 100 and sup < 1e-3
+        m = make_metric(g, 2 * lam, lam, lam)
+        check = acceptance._curvature_check("sheared", "sheared Poincare metric", m, 10.0)
+        assert check.count > 100 and check.sup < check.tol and not check.passed
 
 
 class TestPullback:
@@ -226,3 +225,12 @@ class TestPullback:
         K = gaussian_curvature(pullback_metric(u, hopf_weight(fid, g)))
         sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
         assert n > 100 and sup < tol
+
+    def test_coarse_pullback_with_a_cross_term_fails(self):
+        # at h = 1/50 the discrete pullback of U_EX_SECTION3 has |Fc| up to
+        # 1.29e-3 sqrt(det), past the orthogonality rule: its check fails
+        # although the sup is below the tolerance
+        fam = get_family("U_EX_SECTION3")
+        g = rect_grid(fam.curvature_rect, 1 / 50)
+        check = acceptance.pullback_check("coarse", fam.id, g, 1.0)
+        assert check.count > 0 and check.sup < check.tol and not check.passed
