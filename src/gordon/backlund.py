@@ -7,21 +7,19 @@ solution theta is
     w_y + theta_x = -2 cosh(w) cos(theta)        (r2)
 
 Given one side, the other is constructed by quadrature: seed the transverse
-axis line first, then sweep all parallel lines, enforcing one equation with
-RK4 and reporting the other as a residual.  A sweep is tabulated, then
-marched: the RK4 stage times of its cells depend only on the axis, so the
-given field and its cross derivative are evaluated at the stage times of a
-block of cells in one vectorized call per quantity (a block holds up to
-MARCH_BLOCK table entries), and the RK4 stages only index those tables.  A
-line sweep marches both sides of the seed line together while both have
-cells left.  The seed line is tabulated as a chunk of one line.  Once it is
-marched the lines are independent, so they are split into contiguous
-chunks, one per worker but at least FORK_POINTS grid points each, and
-pool.fork_map tabulates and sweeps each chunk, on a forked worker when
-there is more than one.  None of this changes a bit of the output of a
-cell-by-cell march.  The closed-form w printed for the tanh theta family is
-also provided; it is evaluated verbatim and *checked against* the
-quadrature construction, never trusted.
+axis line first, then sweep all parallel lines, enforcing one equation and
+reporting the other as a residual.  In t = tanh(w/2), or s = tan(theta/2),
+each sweep is a Riccati equation, i.e. a linear traceless 2x2 system for
+t = p/q (the Lax-pair form), marched one fourth-order Magnus cell at a time:
+the given field and its cross derivative are tabulated at the two Gauss
+points of every cell in vectorized blocks of at most MARCH_BLOCK entries,
+all transfer matrices are formed in one pass, and the march multiplies 2x2
+matrices.  A point is valid while the partner stays within W_CAP from the
+seed to it.  The seed line is a chunk of one line; the other lines are swept
+in chunks of at least FORK_POINTS grid points, one per worker, through
+pool.fork_map, with the bits of a cell-by-cell march.  The closed-form w
+printed for the tanh theta family is evaluated verbatim and *checked
+against* the quadrature construction, never trusted.
 """
 
 from __future__ import annotations
@@ -44,15 +42,16 @@ from .grid import (
 )
 from .pool import fork_map, workers
 
-MARCH_SUBSTEPS = 8
+MARCH_SUBSTEPS = 1  # Magnus steps per cell; perfbench counts backlund.rk4_substeps from it
 W_CAP = 30.0  # |w| beyond this overflows cosh/sinh scales; treat as blow-up
 _FD_STEP = 1e-5  # small-step derivative for analytic callables
 MARCH_BLOCK = 1 << 16  # table entries per coefficient call: at most 0.5 MB a table
-# Grid points per line chunk, at least.  Two forked chunks broke even at
-# about 2 FORK_POINTS: a t2w + w2t pair on acceptance.MARCH_RECT_SQRT2 on two
-# vCPUs took 1.1x its inline time at 38,191 points, 1.0x at 67,721 and
-# 0.77x at 269,841.
-FORK_POINTS = 1 << 15
+_GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # Gauss points of a unit cell
+# Grid points per line chunk, at least.  A fork costs about 20 ms: on two
+# vCPUs two forked chunks took 1.6x the inline time of a sampled t2w +
+# analytic w2t pair at 67,721 points, 1.3x at 132,441 and 0.96-1.09x at
+# 269,841, where they also keep 10 MB of tables out of the caller's peak RSS.
+FORK_POINTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def backlund_residuals(pair: BacklundPair):
 
 
 def _tabulator(f: ScalarField, analytic, along: int):
-    """Stage-time tables for marches along axis `along` (0: x, 1: y).
+    """Gauss-point tables for marches along axis `along` (0: x, 1: y).
 
     Returns tables(lines) -> tab, and tab(T) -> (value, cross derivative)
     of f at the march coordinates T: arrays of shape (len(T), n) over the n
@@ -120,91 +119,90 @@ def _tabulator(f: ScalarField, analytic, along: int):
     return tables
 
 
-def _stage_times(t0, t1):
-    """Step h and RK4 stage times of the cells t0 -> t1, elementwise over arrays.
+def _magnus(h, A1, A2):
+    """Entries (E11, E12, E21, E22) of each cell's transfer matrix exp(Omega).
 
-    Per cell h = (t1 - t0) / MARCH_SUBSTEPS and the stage times follow the
-    recurrence t, t + h/2, t + h; t <- t + h.  T has the shape of t0 with a
-    stage axis of length 2 MARCH_SUBSTEPS + 1 inserted after the first.
+    A1, A2: the Riccati coefficients (a, b, c) at the two Gauss points of the
+    cells of widths h, A = [[b/2, a], [-c, -b/2]].  Omega = h/2 (A1 + A2) +
+    (sqrt(3) h^2/12) [A2, A1] is the fourth-order Magnus exponent (Iserles &
+    Norsett, Phil. Trans. R. Soc. A 357, 1999); it is traceless, so
+    exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = -det(Omega).
     """
-    h = (t1 - t0) / MARCH_SUBSTEPS
-    t, T = t0, [t0]
-    for _ in range(MARCH_SUBSTEPS):
-        T += [t + h / 2, t + h]
-        t = t + h
-    return h, np.stack(T, axis=1)
+    (a1, b1, c1), (a2, b2, c2) = A1, A2
+    k = np.sqrt(3) / 12 * h * h
+    o1 = h / 4 * (b1 + b2) + k * (a1 * c2 - a2 * c1)
+    o2 = h / 2 * (a1 + a2) + k * (a1 * b2 - a2 * b1)
+    o3 = k * (b2 * c1 - b1 * c2) - h / 2 * (c1 + c2)
+    mu2 = o1 * o1 + o2 * o3
+    # Taylor series in mu^2; the first omitted terms are below 1e-20 where
+    # |mu^2| < 1e-2, which takes in every cell of h |A| < 0.1
+    C = 1 + mu2 * (1 / 2 + mu2 * (1 / 24 + mu2 * (1 / 720 + mu2 * (1 / 40320 + mu2 / 3628800))))
+    S = 1 + mu2 * (1 / 6 + mu2 * (1 / 120 + mu2 * (1 / 5040 + mu2 * (1 / 362880 + mu2 / 39916800))))
+    big = ~(np.abs(mu2) < 1e-2)  # nan too
+    x = mu2[big]
+    r = np.sqrt(np.abs(x))
+    C[big] = np.where(x > 0, np.cosh(r), np.cos(r))
+    S[big] = np.where(x > 0, np.sinh(r), np.sin(r)) / r
+    return C + S * o1, S * o2, S * o3, C - S * o1
 
 
-def _rk4(G, u, h, P, Q):
-    """RK4 for du/dt = P(t) + G(u) Q(t) over one cell of MARCH_SUBSTEPS steps h.
+def _advance(p, q, e11, e12, e21, e22):
+    """(p, q) times one cell's matrix, rescaled to |p| + |q| = 1."""
+    p, q = e11 * p + e12 * q, e21 * p + e22 * q
+    s = np.abs(p) + np.abs(q)
+    return p / s, q / s
 
-    P and Q hold the tables at the cell's stage times, stage axis first.
+
+def _sweep(axis, k0, u0, tab, coeffs, periodic):
+    """March u outward from index k0 along `axis`, both ways: (values, valid).
+
+    u0 holds u at k0, one entry per line.  The state (p, q) has p/q = tan(u/2)
+    if periodic, else tanh(u/2), so that v = p/q obeys v' = a + b v + c v^2
+    with (a, b, c) = coeffs(*tab(T)), tab giving the given field and its
+    cross derivative at the march coordinates T.  Cells below k0 are crossed
+    by the adjugate (the inverse, det 1).  u is 2 artanh(p/q), or u0 plus
+    the change of 2 atan2(p, q) made continuous from k0.  A point is valid
+    while |u| <= W_CAP (so not nan) from k0 to it; invalid points read 0.
     """
-    h2, h6 = h / 2, h / 6
-    for s in range(0, 2 * MARCH_SUBSTEPS, 2):
-        k1 = P[s] + G(u) * Q[s]
-        k2 = P[s + 1] + G(u + h2 * k1) * Q[s + 1]
-        k3 = P[s + 1] + G(u + h2 * k2) * Q[s + 1]
-        k4 = P[s + 2] + G(u + h * k3) * Q[s + 2]
-        u = u + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u
-
-
-def _sweep(axis, k0, u0, coeffs, G):
-    """March a state outward from index k0 along `axis`, both directions.
-
-    coeffs(T) -> (P, Q) tabulates the right-hand side at a flat array of
-    stage times; it is called once per block of at most MARCH_BLOCK table
-    entries.  A line sweep (vector state) marches the cells k0 + j and
-    k0 - j as one two-row state while both sides have cells, then the
-    longer side alone; a seed sweep (scalar state) marches each side alone,
-    as scalar numpy ops are cheaper than ops on two-element arrays.
-    Entries that leave [-W_CAP, W_CAP] or go non-finite are frozen and
-    flagged invalid from there on.
-    """
-    n = len(axis)
-    m = np.shape(u0)
-    out = np.zeros((n,) + m)
-    valid = np.zeros((n,) + m, dtype=bool)
-    out[k0] = u0
-    valid[k0] = np.abs(u0) <= W_CAP  # False for nan and inf too
-    up, down = np.arange(k0, n), np.arange(k0, -1, -1)
-    if m:
-        j = min(len(up), len(down))
-        legs = [np.stack([up[:j], down[:j]], axis=1), up[j - 1:], down[j - 1:]]
-    else:
-        legs = [up, down]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ks in legs:
-            u, alive = out[ks[0]], valid[ks[0]]
-            h, T = _stage_times(axis[ks[:-1]], axis[ks[1:]])
-            h = h.reshape(h.shape + (1,) * (h.ndim - 1))  # (cells, 2, 1) on paired legs
-            block = max(1, MARCH_BLOCK // (np.prod(T.shape[1:]) * np.size(u0)))
-            for b in range(0, len(T), block):
-                Tb = T[b:b + block]
-                P, Q = (a.reshape(Tb.shape + a.shape[1:]) for a in coeffs(Tb.ravel()))
-                for i, k in enumerate(ks[b + 1:b + 1 + len(Tb)]):
-                    u = _rk4(G, u, h[b + i], P[i], Q[i])
-                    alive = alive & (np.abs(u) <= W_CAP)
-                    u = np.where(alive, u, 0.0)
-                    out[k] = u
-                    valid[k] = alive
-    return out, valid
+    n, m = len(axis), len(u0)
+    h = np.diff(axis)
+    E = np.empty((4, n - 1, m))
+    block = max(1, MARCH_BLOCK // (2 * m))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, n - 1, block):
+            hc = h[lo:lo + block, None]
+            T = axis[lo:lo + len(hc), None] + hc * _GAUSS
+            f, df = (v.reshape(T.shape + (m,)) for v in tab(T.ravel()))
+            E[:, lo:lo + block] = _magnus(hc, coeffs(f[:, 0], df[:, 0]), coeffs(f[:, 1], df[:, 1]))
+        p, q = np.empty((n, m)), np.empty((n, m))
+        p[k0], q[k0] = (np.sin(u0 / 2), np.cos(u0 / 2)) if periodic else (np.tanh(u0 / 2), 1.0)
+        e11, e12, e21, e22 = E
+        for k in range(k0, n - 1):
+            p[k + 1], q[k + 1] = _advance(p[k], q[k], e11[k], e12[k], e21[k], e22[k])
+        for k in range(k0, 0, -1):
+            p[k - 1], q[k - 1] = _advance(p[k], q[k], e22[k - 1], -e12[k - 1], -e21[k - 1], e11[k - 1])
+        u = 2 * np.arctan2(p, q) if periodic else 2 * np.arctanh(p / q)
+        u[k0] = u0
+        ok = np.empty((n, m), dtype=bool)
+        for side in (np.s_[k0:], np.s_[k0::-1]):
+            if periodic:
+                turn = np.unwrap(u[side], axis=0)
+                u[side] = u0 + (turn - turn[0])
+            ok[side] = np.logical_and.accumulate(np.abs(u[side]) <= W_CAP, axis=0)
+    return np.where(ok, u, 0.0), ok
 
 
 def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
-           seed_coeffs, seed_G, line_coeffs, line_G) -> ScalarField:
+           seed_coeffs, line_coeffs, periodic: bool) -> ScalarField:
     """Construct the partner of f by quadrature, with value u00 at (0, 0).
 
     Seeds the partner along the axis line of `seed_axis` (0: y = 0, 1: x = 0)
-    by du/dt = P + seed_G(u) Q, then marches every line of the other axis by
-    du/dt = P + line_G(u) Q.  seed_coeffs and line_coeffs map (f, cross
-    derivative of f) at the stage times to (P, Q).  The seed line is
-    tabulated as a one-line chunk.  The other lines are swept in contiguous
-    chunks, one per worker but at least FORK_POINTS grid points each, each
-    tabulated and swept by pool.fork_map, and joined along the state axis:
-    every line's values are those of a sweep over all lines at once.  Raises
-    ValueError if f is invalid at (0, 0), where every march starts.
+    by seed_coeffs, then marches every line of the other axis by line_coeffs
+    (see _sweep).  The seed line is tabulated as a one-line chunk.  The other
+    lines are swept in contiguous chunks, one per worker but at least
+    FORK_POINTS grid points each, by pool.fork_map, and joined: every line's
+    values are those of a sweep over all lines at once.  Raises ValueError
+    if f is invalid at (0, 0), where every march starts.
     """
     g = f.grid
     axes = (g.x(), g.y())
@@ -213,14 +211,12 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
         raise ValueError("the given field is invalid at the seed point (0, 0)")
     line_axis = 1 - seed_axis
     seed_tab = _tabulator(f, analytic, seed_axis)(slice(k0[line_axis], k0[line_axis] + 1))
-    seed, seed_ok = _sweep(axes[seed_axis], k0[seed_axis], np.float64(u00),
-                           lambda T: seed_coeffs(*(a[:, 0] for a in seed_tab(T))), seed_G)
+    seed, seed_ok = (v[:, 0] for v in _sweep(axes[seed_axis], k0[seed_axis], np.array([u00], dtype=float),
+                                             seed_tab, seed_coeffs, periodic))
     line_tables = _tabulator(f, analytic, line_axis)
 
     def sweep(lines):
-        tab = line_tables(lines)
-        return _sweep(axes[line_axis], k0[line_axis], seed[lines],
-                      lambda T: line_coeffs(*tab(T)), line_G)
+        return _sweep(axes[line_axis], k0[line_axis], seed[lines], line_tables(lines), line_coeffs, periodic)
 
     n = len(seed)
     chunks = max(1, min(workers(), n, g.nx * g.ny // FORK_POINTS))
@@ -228,7 +224,7 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
     parts = fork_map([(sweep, slice(a, b)) for a, b in zip(cuts, cuts[1:])])
     vals, ok = (np.concatenate(p, axis=1) for p in zip(*parts))
     if line_axis == 1:
-        # _sweep ran over y with state vectors over x: transpose to (nx, ny)
+        # _sweep ran over y with one column per x line: transpose to (nx, ny)
         vals, ok = vals.T, ok.T
     ok = ok & np.expand_dims(seed_ok, line_axis) & f.mask
     return field(g, np.where(ok, vals, 0.0), ok)
@@ -241,25 +237,28 @@ def theta_to_w(theta: ScalarField, w00: float, analytic=None) -> ScalarField:
     every column by w_y = -theta_x - 2 cosh(w) cos(theta).  `analytic`, when
     given, is a vectorized (x, y) -> theta callable used for in-cell values
     and derivatives; otherwise cubic splines over the sampled field are used.
+    In t = tanh(w/2) these read t_x = th_y/2 - 2 sin(th) t - (th_y/2) t^2 and
+    t_y = (-th_x/2 - cos th) + (th_x/2 - cos th) t^2.
     """
-    return _march(
-        theta, w00, analytic, 0,
-        lambda th, th_y: (th_y, -2 * np.sin(th)), np.sinh,
-        lambda th, th_x: (-th_x, -2 * np.cos(th)), np.cosh,
-    )
+    def line(th, th_x):
+        cos = np.cos(th)
+        return -th_x / 2 - cos, 0.0, th_x / 2 - cos
+
+    return _march(theta, w00, analytic, 0,
+                  lambda th, th_y: (th_y / 2, -2 * np.sin(th), -th_y / 2), line, periodic=False)
 
 
 def w_to_theta(w: ScalarField, theta00: float, analytic=None) -> ScalarField:
     """Construct theta from w by quadrature, with theta(0,0) = theta00.
 
     Seeds theta along x = 0 by theta_y = w_x + 2 sinh(w) sin(theta), then
-    marches every row by theta_x = -w_y - 2 cosh(w) cos(theta).
+    marches every row by theta_x = -w_y - 2 cosh(w) cos(theta).  In
+    s = tan(theta/2) these read s_y = w_x/2 + 2 sinh(w) s + (w_x/2) s^2 and
+    s_x = (-w_y/2 - cosh w) + (cosh w - w_y/2) s^2.
     """
-    return _march(
-        w, theta00, analytic, 1,
-        lambda wv, w_x: (w_x, 2 * np.sinh(wv)), np.sin,
-        lambda wv, w_y: (-w_y, -2 * np.cosh(wv)), np.cos,
-    )
+    return _march(w, theta00, analytic, 1,
+                  lambda wv, w_x: (w_x / 2, 2 * np.sinh(wv), w_x / 2),
+                  lambda wv, w_y: (-w_y / 2 - np.cosh(wv), 0.0, np.cosh(wv) - w_y / 2), periodic=True)
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ def _params(fam: SolutionFamily, params) -> dict:
 def scalar_callable(fid: str, params: dict | None = None):
     """Vectorized (x, y) -> value function for a scalar family, or None.
 
-    Used by the transform marches, which need values at off-grid substeps.
+    Used by the transform marches, which need values between grid points.
     Invalid points come back as nan.
     """
     fam = CATALOG.get(fid)

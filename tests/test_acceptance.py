@@ -204,17 +204,18 @@ def test_worker_error_keeps_its_type(error, code, monkeypatch, capsys):
 
 
 def test_failure_starts_no_queued_criterion(tmp_path, monkeypatch):
-    # two workers take c4 and c2, the first two of LONGEST_FIRST; c4 fails at
-    # once while c2 is held, so every other criterion is still queued
+    # two workers take the first two of LONGEST_FIRST; the second fails at
+    # once while the first is held, so every other criterion is still queued
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    held, fails = acceptance.LONGEST_FIRST[:2]
 
     def marked(k):
         def criterion(*args):
             (tmp_path / f"c{k}").touch()
-            if k == 4:
+            if k == fails:
                 raise NumericalError("injected breakdown")
-            if k == 2:
-                time.sleep(30)  # still running when c4 fails
+            if k == held:
+                time.sleep(30)  # still running when the other one fails
             return []
         return criterion
 
@@ -222,8 +223,8 @@ def test_failure_starts_no_queued_criterion(tmp_path, monkeypatch):
         monkeypatch.setattr(acceptance, f"criterion_{k}", marked(k))
     with pytest.raises(NumericalError, match="injected breakdown"):
         run_acceptance(quick=True)
-    assert {p.name for p in tmp_path.iterdir()} <= {"c4", "c2"}
-    assert (tmp_path / "c4").exists()
+    assert {p.name for p in tmp_path.iterdir()} <= {f"c{fails}", f"c{held}"}
+    assert (tmp_path / f"c{fails}").exists()
     assert multiprocessing.active_children() == []
 
 

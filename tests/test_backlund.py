@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from gordon import backlund, pool
@@ -144,6 +145,32 @@ class TestWToTheta:
             w_to_theta(eval_family("W_ONE_SOLITON", g), 0.0,
                        analytic=scalar_callable("W_ONE_SOLITON"))
 
+    def test_from_theta00_pi_matches_an_ode_solver(self):
+        # theta00 = pi is the state (p, q) = (1, 0), where tan(theta/2) is
+        # infinite; the oracle integrates theta itself, the seed line and then
+        # every row, with the march's central-difference derivative of w
+        g = grid(-0.25, 0.25, -0.25, 0.25)
+        fn, d = scalar_callable("W_TAN_SPECIAL"), 1e-5
+        th = w_to_theta(eval_family("W_TAN_SPECIAL", g), np.pi, analytic=fn)
+        x, y = g.x(), g.y()
+
+        def both_ways(rhs, axis, k0, u0):
+            out = np.empty((len(axis),) + np.shape(u0))
+            for side in (np.s_[k0:], np.s_[k0::-1]):
+                t = axis[side]
+                sol = solve_ivp(rhs, (t[0], t[-1]), np.atleast_1d(u0), method="DOP853",
+                                t_eval=t, rtol=1e-13, atol=1e-13)
+                out[side] = sol.y.T.reshape(out[side].shape)
+            return out
+
+        seed = both_ways(lambda t, u: (fn(d, t) - fn(-d, t)) / (2 * d) + 2 * np.sinh(fn(0.0, t)) * np.sin(u),
+                         y, g.index_of_y(0.0), np.pi)
+        want = both_ways(lambda t, u: -(fn(t, y + d) - fn(t, y - d)) / (2 * d) - 2 * np.cosh(fn(t, y)) * np.cos(u),
+                         x, g.index_of_x(0.0), seed)
+        assert th.mask.all()
+        assert th.values[g.index_of_x(0.0), g.index_of_y(0.0)] == np.pi
+        assert np.abs(th.values - want).max() < 3e-9  # 3.1e-10 measured
+
     def test_round_trip(self):
         g = grid(-0.25, 0.25, -0.25, 0.25)
         w = eval_family("W_TAN_SPECIAL", g)
@@ -154,40 +181,79 @@ class TestWToTheta:
 
 
 # ---------------------------------------------------------------------------
-# stage-by-stage oracle for the tabulated marches
+# cell-by-cell oracle for the tabulated marches
+
+GAUSS = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
 
 
-def _reference_sweep(axis, k0, u0, rhs, nsub=8):
-    """RK4 sweep that evaluates rhs(t, u) at every stage, freezing like the march."""
-    n = len(axis)
-    out = np.zeros((n,) + np.shape(u0))
-    valid = np.zeros(out.shape, dtype=bool)
-    out[k0] = u0
-    valid[k0] = np.isfinite(u0) & (np.abs(u0) <= W_CAP)
-    for step in (1, -1):
-        u, alive = np.array(u0, dtype=float), valid[k0].copy()
-        for k in range(k0 + step, n if step == 1 else -1, step):
-            t, h = axis[k - step], (axis[k] - axis[k - step]) / nsub
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(nsub):
-                    k1 = rhs(t, u)
-                    k2 = rhs(t + h / 2, u + h / 2 * k1)
-                    k3 = rhs(t + h / 2, u + h / 2 * k2)
-                    k4 = rhs(t + h, u + h * k3)
-                    u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                    t = t + h
-            alive = alive & np.isfinite(u) & (np.abs(u) <= W_CAP)
-            u = np.where(alive, u, 0.0)
-            out[k], valid[k] = u, alive
-    return out, valid
+def _reference_cell(h, A1, A2):
+    """exp(Omega) of one cell as its entries (E11, E12, E21, E22).
+
+    Omega = h/2 (A1 + A2) + (sqrt(3) h^2/12) [A2, A1] for A = [[b/2, a],
+    [-c, -b/2]] at the two Gauss points; exp of a traceless 2x2 matrix is
+    C I + S Omega, with C and S the even series of cosh(mu) and
+    sinh(mu)/mu in mu^2 = -det(Omega) where |mu^2| < 1e-2.
+    """
+    (a1, b1, c1), (a2, b2, c2) = A1, A2
+    k = np.sqrt(3) / 12 * h * h
+    o1 = h / 4 * (b1 + b2) + k * (a1 * c2 - a2 * c1)
+    o2 = h / 2 * (a1 + a2) + k * (a1 * b2 - a2 * b1)
+    o3 = k * (b2 * c1 - b1 * c2) - h / 2 * (c1 + c2)
+    mu2 = o1 * o1 + o2 * o3
+    r = np.sqrt(np.abs(mu2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        C = np.where(mu2 > 0, np.cosh(r), np.cos(r))
+        S = np.where(mu2 > 0, np.sinh(r), np.sin(r)) / r
+    small = np.abs(mu2) < 1e-2
+    C = np.where(small, 1 + mu2 * (1 / 2 + mu2 * (1 / 24 + mu2 * (1 / 720 + mu2 * (1 / 40320 + mu2 / 3628800)))), C)
+    S = np.where(small, 1 + mu2 * (1 / 6 + mu2 * (1 / 120 + mu2 * (1 / 5040 + mu2 * (1 / 362880 + mu2 / 39916800)))), S)
+    return C + S * o1, S * o2, S * o3, C - S * o1
+
+
+def _reference_sweep(axis, k0, u0, coeffs, periodic):
+    """Cell-by-cell Magnus march of v = p/q, v' = a + b v + c v^2, (a, b, c) = coeffs(t).
+
+    v = tan(u/2) if periodic, else tanh(u/2); every cell evaluates coeffs
+    at its own two Gauss points, and a cell below k0 is crossed backwards
+    by the inverse of its matrix.  A point is valid while |u| <= W_CAP at
+    it and at every point between it and k0.
+    """
+    n, m = len(axis), len(u0)
+    p, q = np.zeros((n, m)), np.zeros((n, m))
+    p[k0], q[k0] = (np.sin(u0 / 2), np.cos(u0 / 2)) if periodic else (np.tanh(u0 / 2), 1.0)
+    u = np.zeros((n, m))
+    valid = np.zeros((n, m), dtype=bool)
+    u[k0], valid[k0] = u0, np.abs(u0) <= W_CAP
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in (1, -1):
+            for k in range(k0 + step, n if step == 1 else -1, step):
+                lo = min(k, k - step)  # the cell between k - step and k
+                t, h = axis[lo], axis[lo + 1] - axis[lo]
+                e11, e12, e21, e22 = _reference_cell(h, coeffs(t + h * GAUSS[0]), coeffs(t + h * GAUSS[1]))
+                pk, qk = p[k - step], q[k - step]
+                if step == 1:
+                    pn, qn = e11 * pk + e12 * qk, e21 * pk + e22 * qk
+                else:
+                    pn, qn = e22 * pk - e12 * qk, e11 * qk - e21 * pk
+                s = np.abs(pn) + np.abs(qn)
+                p[k], q[k] = pn / s, qn / s
+                u[k] = 2 * np.arctan2(p[k], q[k]) if periodic else 2 * np.arctanh(p[k] / q[k])
+            side = np.s_[k0:] if step == 1 else np.s_[k0::-1]
+            if periodic:  # the change of 2 atan2(p, q), made continuous from k0
+                turn = np.unwrap(u[side], axis=0)
+                u[side] = u0 + (turn - turn[0])
+            for k in range(k0 + step, n if step == 1 else -1, step):
+                valid[k] = valid[k - step] & (np.abs(u[k]) <= W_CAP)
+    return np.where(valid, u, 0.0), valid
 
 
 def reference_march(f, u00, direction, analytic=None):
-    """(values, mask) of theta_to_w ("t2w") or w_to_theta ("w2t"), stage by stage.
+    """(values, mask) of theta_to_w ("t2w") or w_to_theta ("w2t"), cell by cell.
 
-    Each stage evaluates the callable, or the cubic splines of f and of its
-    cross derivative (from splines across the lines), at its own time; the
-    seed line is evaluated at its grid coordinate, like every other line.
+    Each Gauss point evaluates the callable, or the cubic splines of f and
+    of its cross derivative (from splines across the lines), at its own
+    time; the seed line is evaluated at its grid coordinate, like every
+    other line.
     """
     g = f.grid
     x, y = g.x(), g.y()
@@ -197,38 +263,41 @@ def reference_march(f, u00, direction, analytic=None):
         along_y = lambda xs, t: (analytic(xs, t), (analytic(xs + d, t) - analytic(xs - d, t)) / (2 * d))
         along_x = lambda t, ys: (analytic(t, ys), (analytic(t, ys + d) - analytic(t, ys - d)) / (2 * d))
         col, row = (lambda t: along_y(x, t)), (lambda t: along_x(t, y))
-        col0, row0 = (lambda t: along_y(x[i0], t)), (lambda t: along_x(t, y[j0]))
+        col0, row0 = (lambda t: along_y(x[i0:i0 + 1], t)), (lambda t: along_x(t, y[j0:j0 + 1]))
     else:
         v = f.values
         dx, dy = CubicSpline(x, v, axis=0).derivative()(x), CubicSpline(y, v, axis=1).derivative()(y)
         sy, sy_dx = CubicSpline(y, v, axis=1), CubicSpline(y, dx, axis=1)
         sx, sx_dy = CubicSpline(x, v, axis=0), CubicSpline(x, dy, axis=0)
         col, row = (lambda t: (sy(t), sy_dx(t))), (lambda t: (sx(t), sx_dy(t)))
-        col0, row0 = (lambda t: (sy(t)[i0], sy_dx(t)[i0])), (lambda t: (sx(t)[j0], sx_dy(t)[j0]))
+        col0, row0 = (lambda t: (sy(t)[i0:i0 + 1], sy_dx(t)[i0:i0 + 1])), (lambda t: (sx(t)[j0:j0 + 1], sx_dy(t)[j0:j0 + 1]))
 
+    u00 = np.array([u00], dtype=float)
     if direction == "t2w":
-        def seed_rhs(t, u):
+        def seed_coeffs(t):
             th, th_y = row0(t)
-            return th_y - 2 * np.sinh(u) * np.sin(th)
+            return th_y / 2, -2 * np.sin(th), -th_y / 2
 
-        def line_rhs(t, u):
+        def line_coeffs(t):
             th, th_x = col(t)
-            return -th_x - 2 * np.cosh(u) * np.cos(th)
+            return -th_x / 2 - np.cos(th), 0.0, th_x / 2 - np.cos(th)
 
-        seed, seed_ok = _reference_sweep(x, i0, np.float64(u00), seed_rhs)
-        vals, ok = _reference_sweep(y, j0, seed, line_rhs)
+        seed, seed_ok = _reference_sweep(x, i0, u00, seed_coeffs, periodic=False)
+        seed, seed_ok = seed[:, 0], seed_ok[:, 0]
+        vals, ok = _reference_sweep(y, j0, seed, line_coeffs, periodic=False)
         vals, ok, seed_ok = vals.T, ok.T, seed_ok[:, None]
     else:
-        def seed_rhs(t, u):
+        def seed_coeffs(t):
             wv, w_x = col0(t)
-            return w_x + 2 * np.sinh(wv) * np.sin(u)
+            return w_x / 2, 2 * np.sinh(wv), w_x / 2
 
-        def line_rhs(t, u):
+        def line_coeffs(t):
             wv, w_y = row(t)
-            return -w_y - 2 * np.cosh(wv) * np.cos(u)
+            return -w_y / 2 - np.cosh(wv), 0.0, np.cosh(wv) - w_y / 2
 
-        seed, seed_ok = _reference_sweep(y, j0, np.float64(u00), seed_rhs)
-        vals, ok = _reference_sweep(x, i0, seed, line_rhs)
+        seed, seed_ok = _reference_sweep(y, j0, u00, seed_coeffs, periodic=True)
+        seed, seed_ok = seed[:, 0], seed_ok[:, 0]
+        vals, ok = _reference_sweep(x, i0, seed, line_coeffs, periodic=True)
         seed_ok = seed_ok[None, :]
     ok = ok & seed_ok & f.mask
     return np.where(ok, vals, 0.0), ok
@@ -244,12 +313,12 @@ MARCH_CASES = [
     ("w2t", "W_SQRT2", (0.0, 0.6, -0.3, 0.3), 1.3),
     ("t2w", "THETA_EX2", (-0.16, 0.16, -0.16, 0.16), 0.2),
     ("w2t", "W_EX2", (-0.16, 0.16, -0.16, 0.16), np.pi),
-    # w = 2 artanh(e^{2x}/2) passes W_CAP inside the grid: the march freezes
+    # w = 2 artanh(e^{2x}/2) passes W_CAP inside the grid: the rest of each row is masked
     ("t2w", -np.pi / 2, (-0.3, 0.6, -0.2, 0.2), np.log(3.0)),
     # linspace puts the seed line y = 0 at 2.8e-17, and THETA_EX2 is odd in y
     ("t2w", "THETA_EX2", (-0.16, 0.16, -0.16, 0.14), 0.2),
-    # origin off-centre on the line-sweep axis (y for t2w, x for w2t): the
-    # two sides march paired, then the longer side's tail alone
+    # origin off-centre on the line-sweep axis (y for t2w, x for w2t): one
+    # side of the seed line is longer than the other
     ("t2w", "THETA_SQRT2", (-0.1, 0.5, -0.3, 0.1), 0.0),
     ("t2w", "THETA_SQRT2", (-0.1, 0.5, -0.1, 0.3), 0.0),
     ("w2t", "W_SQRT2", (-0.4, 0.1, -0.1, 0.3), 1.3),
@@ -293,7 +362,34 @@ class TestTabulatedMarch:
             assert np.array_equal(got.values, vals)
         assert multiprocessing.active_children() == []
         if not isinstance(src, str):
-            assert not ok.all() and ok[0].all()  # the freeze case really froze
+            assert not ok.all() and ok[0].all()  # the freeze case really masked points
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    def test_constant_coefficients_are_exact(self, sampled):
+        # theta = -pi/2 makes every cell's Riccati coefficients constant, where
+        # a Magnus cell is the exact exponential: w = 2 artanh(e^{2x}/2) up to
+        # rounding, until the mask cuts each row short of e^{2x}/2 = 1
+        got, _, _ = _march_case(MARCH_CASES[4], sampled)
+        X, _ = got.grid.mesh()
+        want = 2 * np.arctanh(np.exp(2 * X[got.mask]) / 2)
+        assert got.mask[X < 0.3].all() and not got.mask[X > np.log(2) / 2].any()
+        assert (np.abs(got.values[got.mask] - want) / np.abs(want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("direction,fid,oracle", [("t2w", "THETA_SQRT2", "W_SQRT2"),
+                                                      ("w2t", "W_SQRT2", "THETA_SQRT2")])
+    def test_fourth_order(self, direction, fid, oracle):
+        # analytic marches against the printed partner; below h = 1/40 the
+        # _FD_STEP derivative's error floor takes over
+        march = theta_to_w if direction == "t2w" else w_to_theta
+        u00 = float(scalar_callable(oracle)(0.0, 0.0))
+        errs = []
+        for h in (1 / 10, 1 / 20, 1 / 40):
+            g = grid(0.0, 0.6, -0.3, 0.3, h)
+            got = march(eval_family(fid, g), u00, analytic=scalar_callable(fid))
+            want = eval_family(oracle, g)
+            assert got.mask.all()
+            errs.append(np.abs(got.values - want.values)[want.mask].max())
+        assert 12 <= errs[0] / errs[1] <= 20 and 12 <= errs[1] / errs[2] <= 20
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
     @pytest.mark.parametrize("case", MARCH_CASES[-4:], ids=_case_id)  # the off-centre cases
@@ -308,8 +404,8 @@ class TestTabulatedMarch:
 
     @pytest.mark.parametrize("direction,fid", [("t2w", "THETA_SQRT2"), ("w2t", "W_SQRT2")])
     def test_callable_calls_linear_in_cells(self, direction, fid, tmp_path, monkeypatch):
-        # tabulation calls the callable a fixed number of times per cell,
-        # never once per RK4 substep; the calls are logged to a file, so the
+        # tabulation calls the callable a fixed number of times per block of
+        # cells, never once per cell; the calls are logged to a file, so the
         # count covers the parent (the seed line) and both line-chunk workers
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         monkeypatch.setattr(backlund, "FORK_POINTS", 1)
