@@ -14,12 +14,15 @@ t = p/q (the Lax-pair form), marched one fourth-order Magnus cell at a time:
 the given field and its cross derivative are tabulated at the two Gauss
 points of every cell in vectorized blocks of at most MARCH_BLOCK entries,
 all transfer matrices are formed in one pass, and the march multiplies 2x2
-matrices.  A point is valid while the partner stays within W_CAP from the
-seed to it.  The seed line is a chunk of one line; the other lines are swept
-in chunks of at least FORK_POINTS grid points, one per worker, through
-pool.fork_map, with the bits of a cell-by-cell march.  The closed-form w
-printed for the tanh theta family is evaluated verbatim and *checked
-against* the quadrature construction, never trusted.
+matrices.  Sampled data is read through not-a-knot cubic splines, each
+held as its node slopes from one banded solve and evaluated cell by cell,
+with the bits of scipy's cubic spline.  A point is valid while the partner
+stays within W_CAP from the seed to it.  The seed line is a chunk of one
+line; the other lines are swept in chunks of at least FORK_POINTS grid
+points, one per worker, through pool.fork_map, with the bits of a
+cell-by-cell march.  The closed-form w printed for the tanh theta family is
+evaluated verbatim and *checked against* the quadrature construction, never
+trusted.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .families import w_from_tanh_half
 from .grid import (
@@ -48,9 +51,10 @@ _FD_STEP = 1e-5  # small-step derivative for analytic callables
 MARCH_BLOCK = 1 << 16  # table entries per coefficient call: at most 0.5 MB a table
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # Gauss points of a unit cell
 # Grid points per line chunk, at least.  A fork costs about 20 ms: on two
-# vCPUs two forked chunks took 1.6x the inline time of a sampled t2w +
-# analytic w2t pair at 67,721 points, 1.3x at 132,441 and 0.96-1.09x at
-# 269,841, where they also keep 10 MB of tables out of the caller's peak RSS.
+# vCPUs two forked chunks took 1.43x the inline time of a sampled t2w +
+# analytic w2t pair at 67,721 points, 1.21x at 132,441 and 0.92-1.04x at
+# 269,841, where they also keep 12 MB out of the caller's peak RSS (83
+# against 96 MB).
 FORK_POINTS = 1 << 17
 
 
@@ -81,40 +85,119 @@ def backlund_residuals(pair: BacklundPair):
     return field(pair.grid, r1, m1), field(pair.grid, r2, m2)
 
 
-def _tabulator(f: ScalarField, analytic, along: int):
-    """Gauss-point tables for marches along axis `along` (0: x, 1: y).
+def _spline_slopes(x, y):
+    """Node slopes of the not-a-knot cubic spline of y along its first axis.
 
-    Returns tables(lines) -> tab, and tab(T) -> (value, cross derivative)
-    of f at the march coordinates T: arrays of shape (len(T), n) over the n
-    lines of the slice `lines`.  The analytic path makes one vectorized call
-    per quantity, the derivative by _FD_STEP central differences.  The
-    sampled path takes the cross derivative here, once, from cubic splines
-    across all lines, and tables(lines) fits cubic splines along the march
-    axis to those lines of f and of its cross derivative.
+    x holds the n >= 4 nodes, y the values, shape (n, ...); every column is
+    one spline.  The bands and right-hand side are those of scipy's cubic
+    spline for n > 3, so the slopes carry its bits, and a non-finite entry
+    raises its ValueError.
+    """
+    if not np.isfinite(y).all():
+        raise ValueError("`y` must contain only finite values.")
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    A = np.zeros((3, len(x)))  # banded: upper diagonal, diagonal, lower diagonal
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]  # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+    A[1, 0], A[0, 1] = dx[1], d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1], A[-1, -2] = dx[-2], d
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b.reshape(len(x), -1), overwrite_ab=True, overwrite_b=True, check_finite=False)
+    return s.reshape(y.shape)
+
+
+def _node_derivative(x, y, s):
+    """The derivative at the nodes of the cubic with values y and slopes s.
+
+    Evaluated as scipy's PPoly evaluates its derivative: the slope, as a sum
+    started at 0.0 (so -0.0 reads 0.0), except at the last node, which is
+    the last cell's derivative at its right end.
+    """
+    out = s + 0.0
+    h = x[-1] - x[-2]
+    slope = (y[-1] - y[-2]) / h
+    t = (s[-2] + s[-1] - 2 * slope) / h
+    out[-1] = 0.0 + s[-2] + ((slope - s[-2]) / h - t) * 2.0 * h + t / h * 3.0 * (h * h)
+    return out
+
+
+def _cubic_cells(x, y, s, lo, d):
+    """The cubic with values y and slopes s at nodes x, on cells lo, lo + 1, ...
+
+    d[i] holds offsets into cell lo + i from its left node; the result has
+    shape d.shape + y.shape[1:].  The cell coefficients are those of scipy's
+    cubic Hermite spline and the sum runs in its PPoly's order, so the values
+    carry the bits of scipy's spline evaluated at x[lo + i] + d[i].  (PPoly
+    starts the sum at 0.0; that turns a -0.0 sum into 0.0 only when every
+    term is -0.0, which takes a product that underflows.)
+    """
+    hi = lo + len(d)
+    h = np.diff(x[lo:hi + 1])[:, None]
+    y0, s0, s1 = y[lo:hi], s[lo:hi], s[lo + 1:hi + 1]
+    slope = (y[lo + 1:hi + 1] - y0) / h
+    t = (s0 + s1 - 2 * slope) / h
+    c0, c1 = t / h, (slope - s0) / h - t
+    d = d[..., None]
+    return y0[:, None] + s0[:, None] * d + c1[:, None] * (d * d) + c0[:, None] * (d * d * d)
+
+
+def _tabulator(f: ScalarField, analytic):
+    """Gauss-point tables of f for marches along either axis.
+
+    Returns tables(along, lines) -> tab for the lines of the slice `lines`
+    marched along axis `along` (0: x, 1: y), and tab(lo, T) -> (value, cross
+    derivative) of f at T, the Gauss points of cells lo, lo + 1, ... of the
+    march axis: arrays of shape T.shape + (n,) over the n lines.  The
+    analytic path makes one vectorized call per quantity, the derivative by
+    _FD_STEP central differences.  The sampled path solves here, once, for
+    the node slopes of f's not-a-knot cubic splines along x and along y:
+    they give the cross derivative at the nodes and the cubic of f along
+    either axis.  tables() solves for the slopes of the cross derivative
+    along the march axis, on its own lines only, and tab() evaluates both
+    cubics on its cells.  The tables carry the bits of scipy's cubic spline.
     """
     g = f.grid
-    cross = 1 - along
-    t_axis, c_axis = (g.x(), g.y())[along], (g.x(), g.y())[cross]
+    axes = (g.x(), g.y())
     if analytic is not None:
-        def tables(lines):
-            c = c_axis[lines]  # cross coordinates of the lines
+        def tables(along, lines):
+            c = axes[1 - along][lines]  # cross coordinates of the lines
 
             def at(T, cc):
                 return analytic(T[:, None], cc) if along == 0 else analytic(cc, T[:, None])
 
-            return lambda T: (at(T, c), (at(T, c + _FD_STEP) - at(T, c - _FD_STEP)) / (2 * _FD_STEP))
+            def tab(lo, T):
+                t = T.ravel()
+                tabs = at(t, c), (at(t, c + _FD_STEP) - at(t, c - _FD_STEP)) / (2 * _FD_STEP)
+                return tuple(v.reshape(T.shape + (len(c),)) for v in tabs)
+
+            return tab
 
         return tables
 
-    # a first-order edge stencil here would leave the march first order
-    values = (f.values, CubicSpline(c_axis, f.values, axis=cross).derivative()(c_axis))
+    # node axis first; a first-order edge stencil here would leave the march first order
+    values = [np.moveaxis(f.values, a, 0) for a in (0, 1)]
+    slopes = [_spline_slopes(axes[a], values[a]) for a in (0, 1)]
+    cross_derivative = [_node_derivative(axes[a], values[a], slopes[a]) for a in (0, 1)]
 
-    def tables(lines):
-        pick = (slice(None),) * cross + (lines,)
-        splines = [CubicSpline(t_axis, v[pick], axis=along) for v in values]
-        if along == 1:
-            return lambda T: tuple(np.ascontiguousarray(s(T).T) for s in splines)
-        return lambda T: tuple(s(T) for s in splines)
+    def tables(along, lines):
+        x = axes[along]
+        v, sv = values[along][:, lines], slopes[along][:, lines]
+        dv = cross_derivative[1 - along][lines].T
+        sd = _spline_slopes(x, dv)
+
+        def tab(lo, T):
+            d = T - x[lo:lo + len(T), None]
+            return _cubic_cells(x, v, sv, lo, d), _cubic_cells(x, dv, sd, lo, d)
+
+        return tab
 
     return tables
 
@@ -158,8 +241,9 @@ def _sweep(axis, k0, u0, tab, coeffs, periodic):
 
     u0 holds u at k0, one entry per line.  The state (p, q) has p/q = tan(u/2)
     if periodic, else tanh(u/2), so that v = p/q obeys v' = a + b v + c v^2
-    with (a, b, c) = coeffs(*tab(T)), tab giving the given field and its
-    cross derivative at the march coordinates T.  Cells below k0 are crossed
+    with (a, b, c) = coeffs(*tab(lo, T)), tab giving the given field and its
+    cross derivative at the Gauss points T of the cells from lo on (see
+    _tabulator).  Cells below k0 are crossed
     by the adjugate (the inverse, det 1).  u is 2 artanh(p/q), or u0 plus
     the change of 2 atan2(p, q) made continuous from k0.  A point is valid
     while |u| <= W_CAP (so not nan) from k0 to it; invalid points read 0.
@@ -171,8 +255,7 @@ def _sweep(axis, k0, u0, tab, coeffs, periodic):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, n - 1, block):
             hc = h[lo:lo + block, None]
-            T = axis[lo:lo + len(hc), None] + hc * _GAUSS
-            f, df = (v.reshape(T.shape + (m,)) for v in tab(T.ravel()))
+            f, df = tab(lo, axis[lo:lo + len(hc), None] + hc * _GAUSS)
             E[:, lo:lo + block] = _magnus(hc, coeffs(f[:, 0], df[:, 0]), coeffs(f[:, 1], df[:, 1]))
         p, q = np.empty((n, m)), np.empty((n, m))
         p[k0], q[k0] = (np.sin(u0 / 2), np.cos(u0 / 2)) if periodic else (np.tanh(u0 / 2), 1.0)
@@ -210,13 +293,13 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
     if not f.mask[k0]:
         raise ValueError("the given field is invalid at the seed point (0, 0)")
     line_axis = 1 - seed_axis
-    seed_tab = _tabulator(f, analytic, seed_axis)(slice(k0[line_axis], k0[line_axis] + 1))
+    tables = _tabulator(f, analytic)
+    seed_tab = tables(seed_axis, slice(k0[line_axis], k0[line_axis] + 1))
     seed, seed_ok = (v[:, 0] for v in _sweep(axes[seed_axis], k0[seed_axis], np.array([u00], dtype=float),
                                              seed_tab, seed_coeffs, periodic))
-    line_tables = _tabulator(f, analytic, line_axis)
 
     def sweep(lines):
-        return _sweep(axes[line_axis], k0[line_axis], seed[lines], line_tables(lines), line_coeffs, periodic)
+        return _sweep(axes[line_axis], k0[line_axis], seed[lines], tables(line_axis, lines), line_coeffs, periodic)
 
     n = len(seed)
     chunks = max(1, min(workers(), n, g.nx * g.ny // FORK_POINTS))

@@ -114,7 +114,10 @@ def cmd_families_eval(args) -> int:
         print(f"wrote {args.out}.{{E,Fc,G}}.csv")
     elif fam.kind == "harmonic_map":
         dump_complex_csv(out, args.out)
-        dump_grid_sidecar(g, args.out + ".grid.json")
+        sidecar = g.to_json()
+        if fam.weight is not None:  # harmonic verify --u takes its Hopf weight from the record
+            sidecar["family"] = fam.id
+        dump_json(sidecar, args.out + ".grid.json")
         print(f"wrote {args.out}")
     else:
         dump_scalar_csv(out, args.out)
@@ -196,10 +199,15 @@ def _resolve_pair(spec: str, args):
     return BacklundPair(w, th, provenance="loaded from CSV")
 
 
-def _map_checks(u, w, tol) -> list:
-    """Half-plane Hopf condition of a map u and, given a partner w, the correspondence."""
-    checks = [acceptance.sup_check("harmonic.hopf", "half-plane Hopf condition",
-                                   hopf_residual(u), tol)]
+def _map_checks(u, w, tol, family=None) -> list:
+    """Hopf condition of a map u and, given a partner w, the correspondence.
+
+    The Hopf condition is the half-plane one, or, given a catalog family
+    whose record has a weight, that of the family's target metric.
+    """
+    wgt = None if family is None else families.hopf_weight(family, u.grid)
+    anchor = "half-plane Hopf condition" if wgt is None else f"Hopf condition of {family}'s target metric"
+    checks = [acceptance.sup_check("harmonic.hopf", anchor, hopf_residual(u, wgt), tol)]
     if w is not None:
         conv, res = correspondence_check(u, w)
         checks.append(acceptance.sup_check(
@@ -228,7 +236,13 @@ def cmd_harmonic_build(args) -> int:
 def cmd_harmonic_verify(args) -> int:
     u = load_complex_csv(args.u)
     tol = acceptance.base_tolerance(args.tol)
-    checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol)
+    sidecar, family = args.u + ".grid.json", None
+    if os.path.exists(sidecar):
+        with open(sidecar) as fh:
+            family = json.load(fh).get("family")  # families eval writes it for a weighted map
+    if family is not None and get_family(family).weight is None:
+        raise ValueError(f"{sidecar}: family {family} has no target-metric weight")
+    checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol, family)
     return _emit(VerificationReport(checks, {"u": args.u}), args)
 
 

@@ -22,7 +22,7 @@ from gordon.families import (
     scalar_callable,
     sign_probe,
 )
-from gordon.grid import NumericalError, cumulative_integral_x, field, make_grid
+from gordon.grid import NumericalError, ScalarField, cumulative_integral_x, field, make_grid
 from gordon.pool import fork_map
 
 SQRT2 = np.sqrt(2.0)
@@ -121,6 +121,16 @@ class TestThetaToW:
             theta_to_w(field(g, np.full((g.nx, g.ny), 0.5), mask), 0.0)
 
 
+@pytest.mark.parametrize("march", [theta_to_w, w_to_theta])
+def test_non_finite_value_at_a_masked_point_rejected(march):
+    # the sampled march's splines read every grid value, masked ones too
+    g = grid(-0.3, 0.3, -0.3, 0.3)
+    values, mask = np.full((g.nx, g.ny), 0.5), np.ones((g.nx, g.ny), dtype=bool)
+    values[1, 2], mask[1, 2] = np.nan, False
+    with pytest.raises(ValueError, match="`y` must contain only finite values."):
+        march(ScalarField(g, values, mask), 0.0)
+
+
 class TestWToTheta:
     def test_zero_w(self):
         g = grid(-0.5, 0.5, -0.5, 0.5)
@@ -178,6 +188,44 @@ class TestWToTheta:
         w2 = theta_to_w(th, 0.0)  # sampled-field path: splines, no analytics
         ok = w.mask & w2.mask
         assert np.abs(w.values - w2.values)[ok].max() < 5e-4
+
+
+# ---------------------------------------------------------------------------
+# the sampled march's spline arithmetic against scipy's CubicSpline
+
+
+def _bits(a):
+    return a.shape, np.ascontiguousarray(a).tobytes()  # tells -0.0 from 0.0
+
+
+SPLINE_NODES = {
+    "5": np.array([-0.2, -0.1, 0.0, 0.1, 0.2]),
+    "linspace481": np.linspace(-0.3, 0.3, 481),
+    "nonuniform": np.cumsum(np.random.default_rng(5).uniform(0.01, 0.05, 40)),
+}
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("nodes", SPLINE_NODES.values(), ids=SPLINE_NODES.keys())
+def test_spline_arithmetic_is_cubic_splines(nodes, axis):
+    n = len(nodes)
+    y = np.random.default_rng(n + axis).standard_normal((n, 9))
+    y[:, 0], y[:, 1] = 0.0, -0.0  # signed zeros take PPoly's sum order to reproduce
+    y = y if axis == 0 else np.ascontiguousarray(y.T)
+    spline = CubicSpline(nodes, y, axis=axis)
+    v = np.moveaxis(y, axis, 0)  # node axis first, as the march reads it
+    s = backlund._spline_slopes(nodes, v)
+    # the cross derivative at every node, the last one included
+    assert _bits(backlund._node_derivative(nodes, v, s)) == _bits(np.moveaxis(spline.derivative()(nodes), axis, 0))
+    # the Gauss-point values, three cells at a time
+    T = nodes[:-1, None] + np.diff(nodes)[:, None] * backlund._GAUSS
+    d = T - nodes[:-1, None]
+    got = np.concatenate([backlund._cubic_cells(nodes, v, s, lo, d[lo:lo + 3]) for lo in range(0, n - 1, 3)])
+    want = spline(T)
+    assert _bits(got) == _bits(want if axis == 0 else np.moveaxis(want, 0, -1))
+    # a column slice solves to the same columns of the full solve
+    for cols in (slice(3, 4), slice(2, 7)):
+        assert _bits(backlund._spline_slopes(nodes, v[:, cols])) == _bits(s[:, cols])
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,32 @@ class TestHarmonic:
         text = capsys.readouterr().out
         assert "PASS  METRIC_SECTION3.curvature: sup=0.00658313 tol=0.1 n=484" in text
 
+    @pytest.mark.parametrize("fid,h,line", [
+        # the target-metric weight of the record, as `verify --family` at the same h
+        ("U_EX2", 0.0025, "PASS  harmonic.hopf: sup=0.000117149 tol=0.001 n=3081"),
+        ("U_EX_SECTION3", 0.0025, "PASS  harmonic.hopf: sup=0.000219644 tol=0.001 n=25281"),
+        # no weight in the record: the half-plane check, as before
+        ("U_SQRT2", 0.01, "PASS  harmonic.hopf: sup=0.000580935 tol=0.001 n=5451"),
+    ], ids=["U_EX2", "U_EX_SECTION3", "U_SQRT2"])
+    def test_verify_takes_the_weight_of_the_dumped_family(self, fid, h, line, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GORDON_TOL", raising=False)
+        out = str(tmp_path / "u.csv")
+        assert main(["families", "eval", "--family", fid, "--out", out, "--h", str(h)]) == 0
+        sidecar = json.loads(pathlib.Path(out + ".grid.json").read_text())
+        assert sidecar.get("family") == (None if fid == "U_SQRT2" else fid)
+        capsys.readouterr()
+        assert main(["harmonic", "verify", "--u", out]) == 0
+        assert capsys.readouterr().out.splitlines() == [line]
+
+    @pytest.mark.parametrize("family", ["U_SQRT2", "NOPE"])
+    def test_verify_rejects_a_sidecar_family_without_a_weight(self, family, tmp_path, capsys):
+        out = str(tmp_path / "u.csv")
+        assert main(["families", "eval", "--family", "U_SQRT2", "--out", out, "--h", "0.05"]) == 0
+        sidecar = pathlib.Path(out + ".grid.json")
+        sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"family": family}))
+        assert main(["harmonic", "verify", "--u", out]) == 2
+        assert family in capsys.readouterr().err
+
     def test_missing_file_is_config_error(self, capsys):
         assert main(["harmonic", "verify", "--u", "/nonexistent/u.csv"]) == 2
 
