@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,10 +299,6 @@ def cumulative_integral_y(f: ScalarField, y_start: float) -> ScalarField:
 # CSV / JSON wire formats
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 @contextlib.contextmanager
 def atomic_open(path: str):
     """Text handle on `<path>.<pid>.tmp`, renamed to `path` on success, else removed."""
@@ -317,15 +314,18 @@ def atomic_open(path: str):
 
 
 def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray) -> None:
-    """Write `x,y,<names>,valid` rows, looping y in the outer loop."""
-    xs = [_fmt(v) for v in grid.x()]
-    ys = [_fmt(v) for v in grid.y()]
-    cols = [map(_fmt, a.T.ravel().tolist()) for a in columns]
-    valid = map(str, mask.T.ravel().astype(int).tolist())
-    rows = zip(xs * grid.ny, (y for y in ys for _ in xs), *cols, valid)
+    """Write `x,y,<names>,valid` rows, y in the outer loop, numbers as `%.17g`.
+
+    C formats a grid line in one call, from a `%` template built once: every x
+    formatted, a NUL where y goes. Each line is written on its own, since one
+    whole-file string would add several times the file's size to peak RSS.
+    """
+    row = "".join(f"{x:.17g},\0" + ",%.17g" * len(columns) + ",%d\n" for x in grid.x())
+    vals = np.stack([a.T for a in columns] + [mask.T], axis=-1)  # (ny, nx, k + 1)
     with atomic_open(path) as fh:
         fh.write(",".join(("x", "y", *names, "valid")) + "\n")
-        fh.writelines(",".join(r) + "\n" for r in rows)
+        for y, line in zip(grid.y(), vals):
+            fh.write(row.replace("\0", f"{y:.17g}") % tuple(line.ravel().tolist()))
 
 
 def dump_scalar_csv(f: ScalarField, path: str) -> None:
@@ -347,48 +347,48 @@ def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
     dump_json(grid.to_json(), path)
 
 
-def _load_csv(path: str, ncols: int):
-    """(grid, value columns as (nx, ny) arrays) of a dump with ncols columns.
+def _load_csv(path: str, ncols: int, build):
+    """build(grid, value columns as (nx, ny) arrays, mask) of a dump with ncols columns.
 
-    Raises ValueError unless the x and y columns are the grid coordinates in
-    y-major order, within the tolerance of Grid2D.index_of_x, and, where the
-    dump's sidecar `<path>.grid.json` exists, unless that grid is the sidecar's
-    (a file cut at a whole grid row would otherwise load as a smaller grid),
-    and unless every entry of the last (valid) column is 0 or 1.
+    Raises ValueError, naming the path, unless the x and y columns are the grid
+    coordinates in y-major order (to Grid2D.index_of_x's tolerance), the grid is
+    that of the dump's sidecar `<path>.grid.json` where one exists (a file cut at
+    a whole grid row would otherwise load as a smaller grid), every entry of the
+    last (valid) column is 0 or 1, and numpy's parser and build accept the data.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != ncols:
-        raise ValueError(f"{path}: expected {ncols} columns")
-    xs, ys = np.unique(data[:, 0]), np.unique(data[:, 1])
-    g = make_grid(xs[0], xs[-1], ys[0], ys[-1], len(xs), len(ys))
-    if not (
-        len(data) == g.nx * g.ny
-        and np.all(np.abs(data[:, 0] - np.tile(g.x(), g.ny)) <= 1e-9 * max(1.0, g.hx))
-        and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))
-    ):
-        raise ValueError(f"{path}: rows are not the y-major points of a {g.nx} x {g.ny} grid")
-    if not np.all((data[:, -1] == 0) | (data[:, -1] == 1)):
-        raise ValueError(f"{path}: the valid column holds a value other than 0 and 1")
-    sidecar = path + ".grid.json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            want = Grid2D.from_json(json.load(fh))
-        if g != want:
-            raise ValueError(f"{path}: rows hold the grid {g.to_json()}, "
-                             f"its sidecar {sidecar} the grid {want.to_json()}")
-    return g, [np.ascontiguousarray(data[:, k].reshape(g.ny, g.nx).T) for k in range(2, ncols)]
+    try:
+        with warnings.catch_warnings():  # an empty file: rejected by its column count
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != ncols:
+            raise ValueError(f"expected {ncols} columns")
+        xs, ys = np.unique(data[:, 0]), np.unique(data[:, 1])
+        g = make_grid(xs[0], xs[-1], ys[0], ys[-1], len(xs), len(ys))
+        if not (
+            len(data) == g.nx * g.ny
+            and np.all(np.abs(data[:, 0] - np.tile(g.x(), g.ny)) <= 1e-9 * max(1.0, g.hx))
+            and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))
+        ):
+            raise ValueError(f"rows are not the y-major points of a {g.nx} x {g.ny} grid")
+        if not np.all((data[:, -1] == 0) | (data[:, -1] == 1)):
+            raise ValueError("the valid column holds a value other than 0 and 1")
+        sidecar = path + ".grid.json"
+        if os.path.exists(sidecar):
+            with open(sidecar) as fh:
+                want = Grid2D.from_json(json.load(fh))
+            if g != want:
+                raise ValueError(f"rows hold the grid {g.to_json()}, its sidecar {sidecar} the grid {want.to_json()}")
+        cols = [np.ascontiguousarray(data[:, k].reshape(g.ny, g.nx).T) for k in range(2, ncols)]
+        return build(g, *cols[:-1], cols[-1].astype(bool))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def load_scalar_csv(path: str) -> ScalarField:
-    """The dumped field bit for bit: values and mask as written.
-
-    A non-finite value at a valid point raises ValueError.
-    """
-    g, (vals, valid) = _load_csv(path, 4)
-    return ScalarField(g, vals, valid.astype(bool))
+    """The dumped field bit for bit; a non-finite value at a valid point raises ValueError."""
+    return _load_csv(path, 4, ScalarField)
 
 
 def load_complex_csv(path: str) -> ComplexField:
     """The dumped map bit for bit, as load_scalar_csv."""
-    g, (re, im, valid) = _load_csv(path, 5)
-    return ComplexField(g, re, im, valid.astype(bool))
+    return _load_csv(path, 5, ComplexField)

@@ -358,6 +358,36 @@ class TestRejectedInput:
         assert rc == 2
         assert "sidecar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        ("one row", "grid bounds must be ordered"),
+        ("blank valid", "could not convert string ''"),
+        ("header only", "columns"),
+        ("empty", "columns"),
+        ("nan at a valid point", "non-finite values at valid points"),
+    ])
+    @pytest.mark.parametrize("command", ["verify --u", "build --pair"])
+    def test_csv_rejection_names_the_file(self, command, edit, message, tmp_path, capsys, recwarn):
+        g = make_grid(0.1, 0.4, 0.2, 0.5, 7, 6)
+        X, Y = g.mesh()
+        p = tmp_path / "f.csv"
+        if command == "verify --u":
+            dump_complex_csv(complex_field(g, X, Y), str(p))
+            argv = ["harmonic", "verify", "--u", str(p)]
+        else:
+            dump_scalar_csv(field(g, X + Y), str(p))
+            argv = ["harmonic", "build", "--pair", f"{p},{p}", "--out", str(tmp_path / "map")]
+        lines = p.read_text().splitlines(True)
+        row = lines[3].split(",")
+        lines = {"one row": lines[:2], "header only": lines[:1], "empty": [],
+                 "blank valid": lines[:3] + [",".join(row[:-1]) + ",\n"] + lines[4:],
+                 "nan at a valid point": lines[:3] + [",".join(row[:2] + ["nan"] + row[3:])] + lines[4:],
+                 }[edit]
+        p.write_text("".join(lines))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and message in err
+        assert not recwarn.list  # numpy's warning on a file with no data rows is silenced
+
     def test_declared_params_listed(self, capsys):
         assert main(["families", "list", "--json"]) == 0
         rows = {r["id"]: r for r in json.loads(capsys.readouterr().out)}

@@ -1,3 +1,4 @@
+import contextlib
 import tempfile
 
 import numpy as np
@@ -30,6 +31,16 @@ from gordon.grid import (
     rect_grid,
     wirtinger,
 )
+
+
+def csv_oracle(g, names, columns, mask):
+    """The documented format, point by point: header, y-major rows, `%.17g`, valid as 0/1."""
+    x, y = g.x(), g.y()
+    return ",".join(("x", "y", *names, "valid")) + "\n" + "".join(
+        ",".join([f"{x[i]:.17g}", f"{y[j]:.17g}", *(f"{c[i, j]:.17g}" for c in columns),
+                  str(int(mask[i, j]))]) + "\n"
+        for j in range(g.ny) for i in range(g.nx)
+    )
 
 
 def sampled(g, fn):
@@ -252,24 +263,37 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.re, u.re) and np.array_equal(back.im, u.im)
 
     def test_bytes(self, tmp_path):
-        # the documented format, written point by point: header, y-major rows,
-        # 17 significant digits, valid as 0/1
         g = make_grid(-0.3, 0.7, -1, 0, 5, 6)
         X, Y = g.mesh()
         u = complex_field(g, np.exp(X) * np.cos(Y), Y**3 / 3 - X, np.abs(X + Y) > 0.4)
         f = field(g, u.re, u.mask)
-        x, y = g.x(), g.y()
-        pts = [(i, j) for j in range(g.ny) for i in range(g.nx)]
         p = tmp_path / "u.csv"
         dump_complex_csv(u, str(p))
-        assert p.read_text() == "x,y,re,im,valid\n" + "".join(
-            f"{x[i]:.17g},{y[j]:.17g},{u.re[i, j]:.17g},{u.im[i, j]:.17g},{int(u.mask[i, j])}\n"
-            for i, j in pts
-        )
+        assert p.read_text() == csv_oracle(g, ("re", "im"), (u.re, u.im), u.mask)
         dump_scalar_csv(f, str(p))
-        assert p.read_text() == "x,y,value,valid\n" + "".join(
-            f"{x[i]:.17g},{y[j]:.17g},{f.values[i, j]:.17g},{int(f.mask[i, j])}\n" for i, j in pts
-        )
+        assert p.read_text() == csv_oracle(g, ("value",), (f.values,), f.mask)
+
+    def test_special_values(self, tmp_path):
+        # signed zero, the least subnormal and magnitudes beyond the cap at
+        # valid points, nan and infinities where the mask is False; nx != ny
+        g = make_grid(-1.5, 2.25, 1e-3, 0.5, 7, 5)
+        mask = np.ones((7, 5), dtype=bool)
+        mask[[1, 3, 6], [4, 0, 2]] = False
+        re = np.linspace(-3, 3, 35).reshape(7, 5) ** 3
+        im = re[::-1].copy()
+        re[0, :4], im[2, 1:] = [-0.0, 5e-324, 1e300, -1e300], [-1e300, -0.0, 5e-324, 1e300]
+        re[~mask], im[~mask] = [np.nan, np.inf, -np.inf], [-np.inf, np.nan, np.inf]
+        p = tmp_path / "u.csv"
+        for fld, names, cols, dump, load in [
+            (ScalarField(g, re, mask), ("value",), (re,), dump_scalar_csv, load_scalar_csv),
+            (ComplexField(g, re, im, mask), ("re", "im"), (re, im), dump_complex_csv, load_complex_csv),
+        ]:
+            dump(fld, str(p))
+            assert p.read_text() == csv_oracle(g, names, cols, mask)
+            back = load(str(p))
+            assert back.grid == g and np.array_equal(back.mask, mask)
+            for a, b in zip(cols, (back.values,) if len(cols) == 1 else (back.re, back.im)):
+                assert np.array_equal(_bits(a), _bits(b))
 
     @pytest.mark.parametrize("edit", ["swap", "drop", "shift"])
     def test_rows_off_the_grid_rejected(self, edit, tmp_path):
@@ -330,18 +354,30 @@ class TestCsvRoundTrip:
         p = tmp_path / "f.csv"
         dump_scalar_csv(field(g, X + Y), str(p))
         old = p.read_bytes()
-        calls = []
+        written = []
+        real_open = grid.atomic_open
 
-        def failing_fmt(v):
-            calls.append(v)
-            if len(calls) > 40:
-                raise RuntimeError("interrupted")
-            return f"{v:.17g}"
+        class Interrupted:
+            """The real handle, whose writes fail once the header and one grid line are in."""
 
-        monkeypatch.setattr(grid, "_fmt", failing_fmt)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, s):
+                if len(written) == 2:
+                    raise RuntimeError("interrupted")
+                written.append(s)
+                return self.fh.write(s)
+
+        @contextlib.contextmanager
+        def interrupted_open(path):
+            with real_open(path) as fh:
+                yield Interrupted(fh)
+
+        monkeypatch.setattr(grid, "atomic_open", interrupted_open)
         with pytest.raises(RuntimeError, match="interrupted"):
             dump_scalar_csv(field(g, X - Y), str(p))
-        assert len(calls) == 41  # failed partway, after some rows were formatted
+        assert "".join(written).count("\n") == 1 + g.nx  # failed partway: header and one grid line
         assert p.read_bytes() == old
         assert sorted(f.name for f in tmp_path.iterdir()) == ["f.csv"]
 
