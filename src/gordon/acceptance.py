@@ -17,9 +17,8 @@ The suite is organized into nine criteria (check names are prefixed c1..c9):
   9. wall-clock budget for the whole suite
 
 Criteria 1-8 are independent, so run_acceptance runs them through
-pool.fork_map, on forked worker processes, one per usable CPU (at most
-eight), and assembles their checks in criterion order.  A march inside a
-criterion runs inline in its worker, since workers never nest.
+pool.fork_map, on min(usable CPUs, 8) forked worker processes, and
+assembles their checks in criterion order.
 
 All grids, summation orders, and probe choices are fixed, so the emitted
 report is bit-identical across runs with the same configuration.  Each check

@@ -17,10 +17,9 @@ all transfer matrices are formed in one pass, and the march multiplies 2x2
 matrices.  Sampled data is read through not-a-knot cubic splines, each
 held as its node slopes from one banded solve and evaluated cell by cell,
 with the bits of scipy's cubic spline.  A point is valid while the partner
-stays within W_CAP from the seed to it.  The seed line is a chunk of one
-line; the other lines are swept in chunks of at least FORK_POINTS grid
-points, one per worker, through pool.fork_map, with the bits of a
-cell-by-cell march.  The closed-form w printed for the tanh theta family is
+stays within W_CAP from the seed to it.  The seed line is tabulated as one
+line, then every other line is swept at once, in process, with the bits of
+a cell-by-cell march.  The closed-form w printed for the tanh theta family is
 evaluated verbatim and *checked against* the quadrature construction, never
 trusted.
 """
@@ -43,19 +42,12 @@ from .grid import (
     partial_x,
     partial_y,
 )
-from .pool import fork_map, workers
 
 MARCH_SUBSTEPS = 1  # Magnus steps per cell; perfbench counts backlund.rk4_substeps from it
 W_CAP = 30.0  # |w| beyond this overflows cosh/sinh scales; treat as blow-up
 _FD_STEP = 1e-5  # small-step derivative for analytic callables
 MARCH_BLOCK = 1 << 16  # table entries per coefficient call: at most 0.5 MB a table
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # Gauss points of a unit cell
-# Grid points per line chunk, at least.  A fork costs about 20 ms: on two
-# vCPUs two forked chunks took 1.43x the inline time of a sampled t2w +
-# analytic w2t pair at 67,721 points, 1.21x at 132,441 and 0.92-1.04x at
-# 269,841, where they also keep 12 MB out of the caller's peak RSS (83
-# against 96 MB).
-FORK_POINTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -161,8 +153,9 @@ def _tabulator(f: ScalarField, analytic):
     the node slopes of f's not-a-knot cubic splines along x and along y:
     they give the cross derivative at the nodes and the cubic of f along
     either axis.  tables() solves for the slopes of the cross derivative
-    along the march axis, on its own lines only, and tab() evaluates both
-    cubics on its cells.  The tables carry the bits of scipy's cubic spline.
+    along the march axis, on its own lines only (one solve per sweep), and
+    tab() evaluates both cubics on its cells.  The tables carry the bits of
+    scipy's cubic spline.
     """
     g = f.grid
     axes = (g.x(), g.y())
@@ -281,11 +274,9 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
 
     Seeds the partner along the axis line of `seed_axis` (0: y = 0, 1: x = 0)
     by seed_coeffs, then marches every line of the other axis by line_coeffs
-    (see _sweep).  The seed line is tabulated as a one-line chunk.  The other
-    lines are swept in contiguous chunks, one per worker but at least
-    FORK_POINTS grid points each, by pool.fork_map, and joined: every line's
-    values are those of a sweep over all lines at once.  Raises ValueError
-    if f is invalid at (0, 0), where every march starts.
+    (see _sweep).  The seed line is tabulated as a slice of one line; the
+    other lines are tabulated and swept together, in one _sweep.  Raises
+    ValueError if f is invalid at (0, 0), where every march starts.
     """
     g = f.grid
     axes = (g.x(), g.y())
@@ -297,15 +288,7 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
     seed_tab = tables(seed_axis, slice(k0[line_axis], k0[line_axis] + 1))
     seed, seed_ok = (v[:, 0] for v in _sweep(axes[seed_axis], k0[seed_axis], np.array([u00], dtype=float),
                                              seed_tab, seed_coeffs, periodic))
-
-    def sweep(lines):
-        return _sweep(axes[line_axis], k0[line_axis], seed[lines], tables(line_axis, lines), line_coeffs, periodic)
-
-    n = len(seed)
-    chunks = max(1, min(workers(), n, g.nx * g.ny // FORK_POINTS))
-    cuts = [n * c // chunks for c in range(chunks + 1)]
-    parts = fork_map([(sweep, slice(a, b)) for a, b in zip(cuts, cuts[1:])])
-    vals, ok = (np.concatenate(p, axis=1) for p in zip(*parts))
+    vals, ok = _sweep(axes[line_axis], k0[line_axis], seed, tables(line_axis, slice(None)), line_coeffs, periodic)
     if line_axis == 1:
         # _sweep ran over y with one column per x line: transpose to (nx, ny)
         vals, ok = vals.T, ok.T

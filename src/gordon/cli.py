@@ -29,6 +29,7 @@ from .grid import (
     dump_scalar_csv,
     field,
     load_complex_csv,
+    load_grid_json,
     load_scalar_csv,
     rect_grid,
 )
@@ -45,17 +46,12 @@ def _grid_from_args(args, fam, include_axes=False) -> Grid2D:
     if getattr(args, "grid", None):
         spec = args.grid
         if os.path.exists(spec):
-            with open(spec) as fh:
-                d = json.load(fh)
-        else:
-            try:
-                d = json.loads(spec)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"--grid is neither a file nor valid JSON: {e}")
+            return load_grid_json(spec)[0]
         try:
-            return Grid2D.from_json(d)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"bad grid spec: {e}")
+            d = json.loads(spec)
+        except ValueError as e:  # json's decode error is one
+            raise ValueError(f"--grid is neither a file nor valid JSON: {e}") from None
+        return Grid2D.from_json(d)
     x0, x1, y0, y1 = fam.rectangle
     if include_axes:
         x0, x1 = min(x0, 0.0), max(x1, 0.0)
@@ -238,8 +234,7 @@ def cmd_harmonic_verify(args) -> int:
     tol = acceptance.base_tolerance(args.tol)
     sidecar, family = args.u + ".grid.json", None
     if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            family = json.load(fh).get("family")  # families eval writes it for a weighted map
+        _, family = load_grid_json(sidecar)  # families eval writes it for a weighted map
     if family is not None and get_family(family).weight is None:
         raise ValueError(f"{sidecar}: family {family} has no target-metric weight")
     checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol, family)

@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -89,7 +90,15 @@ class Grid2D:
 
     @staticmethod
     def from_json(d: dict) -> "Grid2D":
-        return Grid2D(d["x0"], d["x1"], d["y0"], d["y1"], int(d["nx"]), int(d["ny"]))
+        """The grid of a JSON object with finite x0, x1, y0, y1 and integral nx, ny; else ValueError."""
+        keys = ("x0", "x1", "y0", "y1", "nx", "ny")
+        if not isinstance(d, dict) or not all(k in d for k in keys):
+            raise ValueError(f"a grid is a JSON object with the keys {', '.join(keys)}")
+        v = [d[k] for k in keys]
+        if not (all(type(a) in (int, float) and abs(a) <= sys.float_info.max for a in v)  # not nan, inf or beyond
+                and all(type(n) is int or n.is_integer() for n in v[4:])):
+            raise ValueError(f"a grid needs finite bounds and integral counts, got {dict(zip(keys, v))}")
+        return Grid2D(*v[:4], int(v[4]), int(v[5]))
 
 
 def make_grid(x0, x1, y0, y1, nx, ny) -> Grid2D:
@@ -347,6 +356,23 @@ def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
     dump_json(grid.to_json(), path)
 
 
+def load_grid_json(path: str):
+    """(grid, "family" or None) of a grid JSON file such as a CSV dump's sidecar.
+
+    Raises ValueError, naming the path, unless the file holds a grid object
+    (see Grid2D.from_json) whose "family", where present, is a string.
+    """
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        g, family = Grid2D.from_json(d), d.get("family")
+        if not isinstance(family, (str, type(None))):
+            raise ValueError(f"family must be a string, got {family!r}")
+        return g, family
+    except ValueError as e:  # json's decode error is one
+        raise ValueError(f"{path}: {e}") from e
+
+
 def _load_csv(path: str, ncols: int, build):
     """build(grid, value columns as (nx, ny) arrays, mask) of a dump with ncols columns.
 
@@ -374,8 +400,7 @@ def _load_csv(path: str, ncols: int, build):
             raise ValueError("the valid column holds a value other than 0 and 1")
         sidecar = path + ".grid.json"
         if os.path.exists(sidecar):
-            with open(sidecar) as fh:
-                want = Grid2D.from_json(json.load(fh))
+            want, _ = load_grid_json(sidecar)
             if g != want:
                 raise ValueError(f"rows hold the grid {g.to_json()}, its sidecar {sidecar} the grid {want.to_json()}")
         cols = [np.ascontiguousarray(data[:, k].reshape(g.ny, g.nx).T) for k in range(2, ncols)]

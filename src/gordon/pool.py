@@ -1,15 +1,13 @@
 """One pool of forked workers for independent calls.
 
-fork_map runs a list of calls on min(usable CPUs, MAX_WORKERS, calls)
-worker processes and returns their results in call order.  The acceptance
-criteria and the line chunks of a transformation march both run through it.
+fork_map runs a list of calls on min(usable CPUs, calls) worker processes
+and returns their results in call order.  The acceptance criteria run
+through it; a transformation march runs in the process that calls it.
 
 Workers are forked, not spawned: a spawned worker re-imports numpy and scipy
 (about 0.7 s), while a forked one inherits the parent's modules and memory,
 so a call may be a closure over arrays the parent already holds.  Only the
 call's index goes to a worker and only its result (or exception) comes back.
-Inside a worker fork_map runs its calls inline: pools never nest, and a
-march inside an acceptance worker is serial.
 """
 
 from __future__ import annotations
@@ -20,9 +18,6 @@ import threading
 import traceback
 from multiprocessing.connection import wait
 
-MAX_WORKERS = 8
-_in_worker = False  # set in each forked worker, never in the process that forks
-
 
 def usable_cpus() -> int:
     try:
@@ -32,21 +27,18 @@ def usable_cpus() -> int:
 
 
 def workers() -> int:
-    """Workers fork_map starts for MAX_WORKERS or more calls.
+    """Workers fork_map starts for as many calls as usable CPUs or more.
 
-    1 inside a worker, and while other threads run: a fork copies only the
-    calling thread, so a lock another thread holds would stay held in the
-    worker.
+    1 while other threads run: a fork copies only the calling thread, so a
+    lock another thread holds would stay held in the worker.
     """
-    if _in_worker or threading.active_count() > 1:
+    if threading.active_count() > 1:
         return 1
-    return min(usable_cpus(), MAX_WORKERS)
+    return usable_cpus()
 
 
 def _serve(calls, conn, parent_ends):
     """Worker loop: run calls[i] for each index i received, send (ok, result or exception)."""
-    global _in_worker
-    _in_worker = True
     for c in parent_ends:  # inherited from the fork: held here, they would hide the parent's EOF
         c.close()
     while True:

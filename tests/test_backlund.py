@@ -1,12 +1,9 @@
-import multiprocessing
-import os
-
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from gordon import backlund, pool
+from gordon import backlund
 from gordon.backlund import (
     W_CAP,
     BacklundPair,
@@ -22,8 +19,7 @@ from gordon.families import (
     scalar_callable,
     sign_probe,
 )
-from gordon.grid import NumericalError, ScalarField, cumulative_integral_x, field, make_grid
-from gordon.pool import fork_map
+from gordon.grid import ScalarField, cumulative_integral_x, field, make_grid
 
 SQRT2 = np.sqrt(2.0)
 H = 1 / 100
@@ -397,18 +393,12 @@ def _march_case(case, sampled):
 class TestTabulatedMarch:
     @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
     @pytest.mark.parametrize("case", MARCH_CASES, ids=_case_id)
-    def test_bit_identical_to_stage_by_stage_rk4(self, case, sampled, monkeypatch):
-        # one line chunk inline, then two and three chunks on forked workers
-        monkeypatch.setattr(backlund, "FORK_POINTS", 1)
+    def test_bit_identical_to_stage_by_stage_rk4(self, case, sampled):
         direction, src, _, u00 = case
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-            got, f, analytic = _march_case(case, sampled)
-            if cpus == 1:
-                vals, ok = reference_march(f, u00, direction, analytic)
-            assert np.array_equal(got.mask, ok)
-            assert np.array_equal(got.values, vals)
-        assert multiprocessing.active_children() == []
+        got, f, analytic = _march_case(case, sampled)
+        vals, ok = reference_march(f, u00, direction, analytic)
+        assert np.array_equal(got.mask, ok)
+        assert np.array_equal(got.values, vals)
         if not isinstance(src, str):
             assert not ok.all() and ok[0].all()  # the freeze case really masked points
 
@@ -451,81 +441,20 @@ class TestTabulatedMarch:
             assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("direction,fid", [("t2w", "THETA_SQRT2"), ("w2t", "W_SQRT2")])
-    def test_callable_calls_linear_in_cells(self, direction, fid, tmp_path, monkeypatch):
+    def test_callable_calls_linear_in_cells(self, direction, fid):
         # tabulation calls the callable a fixed number of times per block of
-        # cells, never once per cell; the calls are logged to a file, so the
-        # count covers the parent (the seed line) and both line-chunk workers
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(backlund, "FORK_POINTS", 1)
+        # cells, never once per cell
         g = grid(0.0, 0.6, -0.3, 0.3, h=1 / 50)
         inner = scalar_callable(fid)
-        log = tmp_path / "calls"
+        calls = []
 
         def counted(x, y):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
+            calls.append(1)
             return inner(x, y)
 
         march = theta_to_w if direction == "t2w" else w_to_theta
         march(eval_family(fid, g), 0.5, analytic=counted)
-        calls = log.read_text().split()
-        assert len(set(calls)) == 3
         assert 0 < len(calls) <= 3 * ((g.nx - 1) + (g.ny - 1))
-
-    @pytest.mark.parametrize("case", MARCH_CASES[:2], ids=_case_id)
-    def test_chunk_count_follows_the_grid_size(self, case, monkeypatch):
-        # two usable CPUs: below FORK_POINTS points per chunk no worker
-        # starts, and from 2 FORK_POINTS points the lines split in two
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
-        want, _, _ = _march_case(case, False)
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        chunks = []
-        monkeypatch.setattr(backlund, "fork_map", lambda calls: chunks.append(len(calls)) or fork_map(calls))
-        points = want.grid.nx * want.grid.ny
-        assert points < backlund.FORK_POINTS
-        with monkeypatch.context() as m:
-            m.setattr(pool, "multiprocessing", None)  # a fork would raise
-            runs = [_march_case(case, False)[0]]
-        for fork_points in (points // 2 + 1, points // 2):
-            monkeypatch.setattr(backlund, "FORK_POINTS", fork_points)
-            runs.append(_march_case(case, False)[0])
-        assert chunks == [1, 1, 2]
-        for got in runs:
-            assert np.array_equal(got.mask, want.mask)
-            assert np.array_equal(got.values, want.values)
-        assert multiprocessing.active_children() == []
-
-    def test_chunk_error_keeps_its_type(self, monkeypatch):
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(backlund, "FORK_POINTS", 1)
-        inner, parent = scalar_callable("THETA_SQRT2"), os.getpid()
-
-        def breaks_in_a_worker(x, y):
-            if os.getpid() != parent:
-                raise NumericalError("injected breakdown")
-            return inner(x, y)
-
-        th = eval_family("THETA_SQRT2", grid(0.0, 0.6, -0.3, 0.3, h=1 / 50))
-        with pytest.raises(NumericalError, match="injected breakdown") as err:
-            theta_to_w(th, 0.0, analytic=breaks_in_a_worker)
-        assert err.type is NumericalError
-        assert multiprocessing.active_children() == []
-
-    def test_march_in_a_worker_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(backlund, "FORK_POINTS", 1)  # outside a worker these marches would fork
-
-        def march_without_pool(case, sampled):
-            pool.multiprocessing = None  # in this worker only: a nested pool would raise
-            got, _, _ = _march_case(case, sampled)
-            return got.values, got.mask, os.getpid()
-
-        calls = [(march_without_pool, case, sampled) for case in MARCH_CASES[:2] for sampled in (False, True)]
-        for (_, case, sampled), (vals, mask, pid) in zip(calls, fork_map(calls)):
-            want, _, _ = _march_case(case, sampled)
-            assert pid != os.getpid()
-            assert np.array_equal(mask, want.mask)
-            assert np.array_equal(vals, want.values)
 
 
 class TestClosedFormTanh:

@@ -87,9 +87,14 @@ class TestVerify:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_bad_grid_json(self, capsys):
+    def test_bad_grid_json(self, tmp_path, capsys):
         rc = main(["verify", "--family", "W_TAN_SPECIAL", "--grid", "{not json"])
         assert rc == 2
+        p = tmp_path / "grid.json"  # the same text in a file: the error names the file
+        p.write_text("{not json")
+        capsys.readouterr()
+        assert main(["verify", "--family", "W_TAN_SPECIAL", "--grid", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: ")
 
     def test_bad_tol(self, capsys):
         rc = main([
@@ -256,7 +261,7 @@ class TestAcceptanceCommand:
                      "--diagnostics", str(diag_path)]) == 0
         assert filecmp.cmp(plain, with_diag, shallow=False)
         diag = json.loads(diag_path.read_text())
-        assert diag["workers"] == pool.workers()
+        assert diag["workers"] == min(pool.workers(), 8)
         assert sorted(diag["criteria"]) == [f"c{k}" for k in range(1, 9)]
         runs = diag["criteria"].values()
         pids = {r["pid"] for r in runs}
@@ -364,6 +369,10 @@ class TestRejectedInput:
         ("header only", "columns"),
         ("empty", "columns"),
         ("nan at a valid point", "non-finite values at valid points"),
+        ("sidecar not an object", "f.csv.grid.json: a grid is a JSON object"),
+        ("sidecar missing a key", "f.csv.grid.json: a grid is a JSON object with the keys"),
+        ("sidecar nx not integral", "f.csv.grid.json: a grid needs finite bounds and integral counts"),
+        ("sidecar family not a string", "f.csv.grid.json: family must be a string"),
     ])
     @pytest.mark.parametrize("command", ["verify --u", "build --pair"])
     def test_csv_rejection_names_the_file(self, command, edit, message, tmp_path, capsys, recwarn):
@@ -378,11 +387,17 @@ class TestRejectedInput:
             argv = ["harmonic", "build", "--pair", f"{p},{p}", "--out", str(tmp_path / "map")]
         lines = p.read_text().splitlines(True)
         row = lines[3].split(",")
-        lines = {"one row": lines[:2], "header only": lines[:1], "empty": [],
-                 "blank valid": lines[:3] + [",".join(row[:-1]) + ",\n"] + lines[4:],
-                 "nan at a valid point": lines[:3] + [",".join(row[:2] + ["nan"] + row[3:])] + lines[4:],
-                 }[edit]
-        p.write_text("".join(lines))
+        sidecars = {"sidecar not an object": [1, 2], "sidecar missing a key": {"x0": 0.1},
+                    "sidecar nx not integral": g.to_json() | {"nx": 7.5},
+                    "sidecar family not a string": g.to_json() | {"family": ["U_EX2"]}}
+        if edit in sidecars:  # the rows are intact
+            pathlib.Path(f"{p}.grid.json").write_text(json.dumps(sidecars[edit]))
+        else:
+            p.write_text("".join({
+                "one row": lines[:2], "header only": lines[:1], "empty": [],
+                "blank valid": lines[:3] + [",".join(row[:-1]) + ",\n"] + lines[4:],
+                "nan at a valid point": lines[:3] + [",".join(row[:2] + ["nan"] + row[3:])] + lines[4:],
+            }[edit]))
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: ") and message in err
