@@ -49,6 +49,8 @@ class Grid2D:
             raise ValueError("need nx >= 5 and ny >= 5 for five-point stencils")
         if self.nx * self.ny > MAX_POINTS:
             raise ValueError(f"grid of {self.nx} x {self.ny} points exceeds {MAX_POINTS} points")
+        if not (0 < self.hx < np.inf and 0 < self.hy < np.inf):
+            raise ValueError(f"grid spacing must be finite and positive, got {self.hx} x {self.hy}")
 
     @property
     def hx(self) -> float:

@@ -2,9 +2,9 @@
 
 A profile p(t) obeys (p')^2 = q4*p^4 + q2*p^2 + q0.  We integrate the
 second-order reduction p'' = 2*q4*p^3 + q2*p (regular at turning points where
-p' = 0) with classical RK4 on plain Python floats at one eighth of the grid
-spacing, then assemble two-dimensional solutions of the separable ansatz
-forms:
+p' = 0), together with the antiderivative P' = p, as one classical RK4 state
+on plain Python floats at one eighth of the grid spacing, then assemble
+two-dimensional solutions of the separable ansatz forms:
 
     sinh w = tan(A(x) + B(y))        (tan family,  A' = a, B' = b)
     sin theta = tanh(C(x) + D(y))    (tanh family, C' = c, D' = d)
@@ -55,10 +55,10 @@ class QuarticProfile:
 
 @dataclass(frozen=True)
 class SampledProfile:
-    """Profile sampled on a uniform axis, with its trapezoidal antiderivative.
+    """Profile p, its slope dp and its antiderivative P on a uniform axis.
 
-    P satisfies P(0) = P0 exactly when t = 0 is a sample; consecutive valid
-    samples differ by the trapezoid rule applied to p on the axis.
+    All three come from one RK4 march of the state (p, p', P) from the
+    initial data at t = 0, where P = P0; invalid samples hold zeros.
     """
 
     t: np.ndarray
@@ -82,16 +82,15 @@ class SampledProfile:
         return float(np.max(num / den)) if len(p) else 0.0
 
 
-def _march(spec: QuarticProfile, t_from, p, dp, t_to, nsub):
-    """RK4 on plain floats from t_from to t_to in nsub substeps.
+def _march(spec: QuarticProfile, t_from, p, dp, P, t_to, nsub):
+    """RK4 on plain floats for the state (p, p', P), P' = p, from t_from to t_to.
 
-    Returns (p, dp, integral of p over the leg by the substep trapezoid rule,
+    Takes nsub substeps; P's stages are the p-stages.  Returns (p, dp, P,
     blown_up flag).
     """
     h = float((t_to - t_from) / nsub)
-    p, dp = float(p), float(dp)
+    p, dp, P = float(p), float(dp), float(P)
     f = spec.acceleration
-    acc = 0.0
     for _ in range(nsub):
         try:
             k1 = f(p)
@@ -102,21 +101,20 @@ def _march(spec: QuarticProfile, t_from, p, dp, t_to, nsub):
             p4, d4 = p + h * d3, dp + h * k3
             k4 = f(p4)
         except OverflowError:  # float p**3 raises where an array power gives inf
-            return p, dp, acc, True
-        p_old = p
+            return p, dp, P, True
+        P = P + h / 6 * (p + 2 * p2 + 2 * p3 + p4)
         p = p + h / 6 * (dp + 2 * d2 + 2 * d3 + d4)
         dp = dp + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        acc += (p_old + p) / 2 * h
         if not math.isfinite(p) or abs(p) > BLOWUP_LIMIT:
-            return p, dp, acc, True
-    return p, dp, acc, False
+            return p, dp, P, True
+    return p, dp, P, False
 
 
 def integrate_profile(spec: QuarticProfile, axis: np.ndarray, P0: float = 0.0) -> SampledProfile:
-    """Integrate the profile ODE onto a uniform sample axis.
+    """Integrate the profile ODE and its antiderivative onto a uniform sample axis.
 
-    The march starts from the initial data at t = 0 regardless of where the
-    axis sits, so profiles can be sampled on windows not containing the
+    The march starts from (p_init, dp_init, P0) at t = 0 regardless of where
+    the axis sits, so profiles can be sampled on windows not containing the
     origin.  Samples beyond a blow-up (|p| > 1e6) are marked invalid.
     """
     t = np.asarray(axis, dtype=float)
@@ -127,42 +125,29 @@ def integrate_profile(spec: QuarticProfile, axis: np.ndarray, P0: float = 0.0) -
     if not np.allclose(np.diff(t), h, rtol=0, atol=1e-9 * abs(h)):
         raise ValueError("axis must be uniform")
 
-    p = np.zeros(n)
-    dp = np.zeros(n)
+    p, dp, P = np.zeros(n), np.zeros(n), np.zeros(n)
     valid = np.zeros(n, dtype=bool)
 
     # anchor sample: the one nearest t = 0 (clipped into the axis range)
     k0 = int(np.clip(round(-t[0] / h), 0, n - 1))
     lead = abs(t[k0])  # distance from the ODE origin to the anchor sample
     nsub_lead = max(ODE_REFINEMENT, int(np.ceil(lead / h)) * ODE_REFINEMENT)
-    p0, dp0, lead_area, blown = (
-        _march(spec, 0.0, spec.p_init, spec.dp_init, t[k0], nsub_lead)
-        if lead > 0
-        else (spec.p_init, spec.dp_init, 0.0, False)
-    )
-    if blown:
-        raise NumericalError("profile blew up before reaching the sample axis")
-    p[k0], dp[k0] = p0, dp0
+    anchor = (spec.p_init, spec.dp_init, P0)
+    if lead > 0:
+        *anchor, blown = _march(spec, 0.0, *anchor, t[k0], nsub_lead)
+        if blown:
+            raise NumericalError("profile blew up before reaching the sample axis")
+    p[k0], dp[k0], P[k0] = anchor
     valid[k0] = True
 
     for step, stop in ((1, n), (-1, -1)):
-        pc, dc = p0, dp0
-        alive = True
+        state = anchor
         for k in range(k0 + step, stop, step):
-            if alive:
-                pc, dc, _, blown = _march(spec, t[k - step], pc, dc, t[k], ODE_REFINEMENT)
-                alive = not blown
-            if alive:
-                p[k], dp[k] = pc, dc
-                valid[k] = True
-
-    # axis-level trapezoid antiderivative, anchored so that P(t=0) = P0
-    seg = (p[1:] + p[:-1]) / 2 * h
-    C = np.concatenate([[0.0], np.cumsum(seg)])
-    P = P0 + lead_area + (C - C[k0])
-    P[~valid] = 0.0
-    p[~valid] = 0.0
-    dp[~valid] = 0.0
+            *state, blown = _march(spec, t[k - step], *state, t[k], ODE_REFINEMENT)
+            if blown:
+                break
+            p[k], dp[k], P[k] = state
+            valid[k] = True
     return SampledProfile(t, p, dp, P, valid)
 
 

@@ -32,7 +32,7 @@ from gordon.report import CheckResult, VerificationReport
 
 DESCRIPTIONS = {
     1: "closed-form sinh-Gordon solutions satisfy the equation",
-    2: "closed-form and assembled sine-Gordon solutions satisfy the equation",
+    2: "closed-form sine-Gordon solutions satisfy the equation; the assembled one equals its closed form",
     3: "separable profiles integrate to their closed forms with conserved first integral",
     4: "transformation pairs satisfy the first-order system; marches rebuild partners",
     5: "catalog harmonic maps satisfy the Hopf condition and derivative correspondence",

@@ -339,9 +339,12 @@ class TestRejectedInput:
         ["--h", "1e-320"],
         ["--h", "1e-7"],
         ["--grid", '{"x0": 0, "x1": 1, "y0": 0, "y1": 1, "nx": 1000000000, "ny": 5}'],
+        # spacings that overflow to inf and underflow to 0
+        ["--grid", '{"x0": -1e308, "x1": 1e308, "y0": 0, "y1": 1, "nx": 5, "ny": 5}'],
+        ["--grid", '{"x0": 0, "x1": 5e-324, "y0": 0, "y1": 1, "nx": 5, "ny": 5}'],
     ])
     def test_grid_too_large(self, grid_args, tmp_path, capsys):
-        # rejected from the point count, before any array is allocated
+        # rejected from the point count or the spacing, before any array is allocated
         out = tmp_path / "w.csv"
         rc = main(["families", "eval", "--family", "W_SQRT2", "--out", str(out), *grid_args])
         assert rc == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ellipj, ellipk
 
 from gordon import profiles
 from gordon.families import residual_sinh_gordon, residual_sine_gordon
@@ -51,7 +52,7 @@ class TestIntegrateProfile:
         sp = integrate_profile(spec, t)
         assert np.abs(sp.p - SQRT2 * np.tanh(SQRT2 * t)).max() < 1e-8
         # P(t) = ln(cosh(sqrt2 t)) anchored at the true origin
-        assert np.abs(sp.P - np.log(np.cosh(SQRT2 * t))).max() < 1e-6
+        assert np.abs(sp.P - np.log(np.cosh(SQRT2 * t))).max() < 1e-12
 
     def test_first_integral_drift(self):
         for spec in (
@@ -62,16 +63,35 @@ class TestIntegrateProfile:
             sp = integrate_profile(spec, axis(-1, 1, 1 / 100))
             assert sp.first_integral_drift(spec) < 1e-9
 
-    def test_antiderivative_is_axis_trapezoid(self):
-        spec = QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0)
-        t = axis(-1.0, 1.0, 1 / 50)
+    @pytest.mark.parametrize(
+        "spec,P",
+        [
+            (QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0), lambda t: 2 * np.arctan(np.tanh(t))),
+            (QuarticProfile(1.0, -4.0, 4.0, 0.0, 2.0), lambda t: np.log(np.cosh(SQRT2 * t))),
+        ],
+        ids=["sech", "sqrt2-tanh"],
+    )
+    def test_antiderivative_closed_form(self, spec, P):
+        t = axis(-1.0, 1.0, 1 / 400)
         sp = integrate_profile(spec, t)
-        h = t[1] - t[0]
-        steps = np.diff(sp.P)
-        trapz = (sp.p[1:] + sp.p[:-1]) / 2 * h
-        assert np.allclose(steps, trapz, atol=1e-14)
-        k0 = np.argmin(np.abs(t))
-        assert sp.P[k0] == 0.0
+        assert sp.P[np.argmin(np.abs(t))] == 0.0
+        assert np.abs(sp.P - P(t)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [201, 401, 801, 1601])
+    def test_generic_coefficients_elliptic_closed_form(self, n):
+        # the tan family's b-profile at (4, 4, 4) solves (p')^2 = -p^4 + 4p^2 + 4
+        # = (alpha^2 - p^2)(p^2 + beta^2): p = -alpha cn(lam t - K | m) (DLMF 22)
+        _, spec = tan_family_profiles(4.0, 4.0, 4.0, db_init=-2.0)
+        alpha, lam = np.sqrt(2 + 2 * SQRT2), np.sqrt(4 * SQRT2)
+        m = alpha**2 / lam**2
+        K = ellipk(m)
+        t = np.linspace(-0.5, 0.5, n)
+        sn, cn, _, _ = ellipj(lam * t - K, m)
+        sn0 = ellipj(-K, m)[0]
+        P = -alpha / (lam * np.sqrt(m)) * (np.arcsin(np.sqrt(m) * sn) - np.arcsin(np.sqrt(m) * sn0))
+        sp = integrate_profile(spec, t)
+        assert np.abs(sp.p - -alpha * cn).max() < 1e-13
+        assert np.abs(sp.P - P).max() < 1e-13
 
     def test_rk4_convergence(self):
         # halving the axis step (hence the substep) cuts the ODE error ~16x
@@ -102,27 +122,24 @@ class TestIntegrateProfile:
             integrate_profile(spec, axis(1.5, 2.0, 0.01))
 
 
-def reference_march(spec, t_from, p, dp, t_to, nsub):
-    """The profile RK4 on numpy state arrays [p, p'], in the march's operation order."""
+def reference_march(spec, t_from, p, dp, P, t_to, nsub):
+    """The profile RK4 on numpy state arrays [p, p', P], in the march's operation order."""
 
     def f(s):
-        return np.array([s[1], spec.acceleration(s[0])])
+        return np.array([s[1], spec.acceleration(s[0]), s[0]])
 
     h = (t_to - t_from) / nsub
-    acc = 0.0
     for _ in range(nsub):
-        s = np.array([p, dp])
+        s = np.array([p, dp, P])
         with np.errstate(over="ignore", invalid="ignore"):
             k1 = f(s)
             k2 = f(s + h / 2 * k1)
             k3 = f(s + h / 2 * k2)
             k4 = f(s + h * k3)
-            p_old = p
-            p, dp = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        acc += (p_old + p) / 2 * h
+            p, dp, P = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(p) or abs(p) > profiles.BLOWUP_LIMIT:
-            return p, dp, acc, True
-    return p, dp, acc, False
+            return p, dp, P, True
+    return p, dp, P, False
 
 
 class TestPlainFloatRK4:
@@ -191,8 +208,7 @@ class TestAssembly:
         expect = np.arcsinh(
             (np.sinh(2 * X) + np.sinh(2 * Y)) / (1 - np.sinh(2 * X) * np.sinh(2 * Y))
         )
-        # the antiderivative is an axis trapezoid, so accuracy is O(h^2)
-        assert np.abs(w.values - expect)[w.mask].max() < 5e-5
+        assert np.abs(w.values - expect)[w.mask].max() < 1e-12
 
     def test_tan_family_generic_coefficients_solve_pde(self):
         # alpha = beta = 1/2: a truly elliptic-function profile pair; the
@@ -222,7 +238,7 @@ class TestAssembly:
         X, Y = g.mesh()
         cx, cy = np.cosh(SQRT2 * X), np.cosh(SQRT2 * Y)
         expect = 2 * np.arctan((cx - cy) / (cx + cy))
-        assert np.abs(th.values - expect)[th.mask].max() < 1e-5
+        assert np.abs(th.values - expect)[th.mask].max() < 1e-13
 
     def test_tanh_family_solves_pde(self):
         g = make_grid(0.2, 1.0, -0.35, 0.35, 161, 141)
