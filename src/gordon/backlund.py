@@ -276,8 +276,11 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
     by seed_coeffs, then marches every line of the other axis by line_coeffs
     (see _sweep).  The seed line is tabulated as a slice of one line; the
     other lines are tabulated and swept together, in one _sweep.  Raises
-    ValueError if f is invalid at (0, 0), where every march starts.
+    ValueError if u00 is not finite or f is invalid at (0, 0), where every
+    march starts.
     """
+    if not np.isfinite(u00):
+        raise ValueError(f"the value at the seed point (0, 0) must be finite, got {u00!r}")
     g = f.grid
     axes = (g.x(), g.y())
     k0 = (g.index_of_x(0.0), g.index_of_y(0.0))

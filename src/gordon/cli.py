@@ -214,8 +214,6 @@ def _map_checks(u, w, tol, family=None) -> list:
 
 
 def cmd_harmonic_build(args) -> int:
-    if args.S0 <= 0:
-        raise ValueError("--S0 must be positive")
     pair = _resolve_pair(args.pair, args)
     result = ppfd_construct(pair, args.R0, args.S0)
     tol = acceptance.base_tolerance(args.tol)
@@ -242,8 +240,8 @@ def cmd_harmonic_verify(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    rep = acceptance.run_acceptance(h=args.h, tol=acceptance.base_tolerance(args.tol),
-                                    quick=args.quick, convergence=not args.no_convergence)
+    rep = acceptance.run_acceptance(h=args.h, tol=args.tol, quick=args.quick,
+                                    convergence=not args.no_convergence)
     if args.diagnostics:
         dump_json(rep.diagnostics, args.diagnostics)
         print(f"diagnostics written to {args.diagnostics}")

@@ -346,8 +346,6 @@ _register(SolutionFamily(
     evaluate=metric_ex2,
 ))
 
-FAMILY_IDS = tuple(CATALOG.keys())
-
 
 def get_family(fid: str) -> SolutionFamily:
     try:

@@ -249,13 +249,16 @@ def partial_y(f: ScalarField) -> ScalarField:
     return field(g, out, m)
 
 
+def partials(u: ComplexField):
+    """(R_x, R_y, S_x, S_y) of u = R + iS by central differences."""
+    R, S = ScalarField(u.grid, u.re, u.mask), ScalarField(u.grid, u.im, u.mask)
+    return partial_x(R), partial_y(R), partial_x(S), partial_y(S)
+
+
 def wirtinger(u: ComplexField):
     """(d/dz u, d/dzbar u) with dz = (dx - i dy)/2, dzbar = (dx + i dy)/2."""
     g = u.grid
-    rx = partial_x(ScalarField(g, u.re, u.mask))
-    ry = partial_y(ScalarField(g, u.re, u.mask))
-    ix = partial_x(ScalarField(g, u.im, u.mask))
-    iy = partial_y(ScalarField(g, u.im, u.mask))
+    rx, ry, ix, iy = partials(u)
     mask = rx.mask & ry.mask & ix.mask & iy.mask
     ux = rx.values + 1j * ix.values
     uy = ry.values + 1j * iy.values

@@ -36,6 +36,7 @@ from .grid import (
     field,
     partial_x,
     partial_y,
+    partials,
     wirtinger,
 )
 
@@ -56,8 +57,8 @@ class HarmonicMapResult:
 
 def ppfd_construct(pair: BacklundPair, R0: float, S0: float) -> HarmonicMapResult:
     """Build u = R + iS from a transformation pair by the four quadratures."""
-    if S0 <= 0:
-        raise ValueError("S0 must be positive (half-plane coordinate)")
+    if not (np.isfinite(R0) and np.isfinite(S0) and S0 > 0):
+        raise ValueError(f"need a finite R0 and a finite, positive S0 (half-plane coordinate), got {R0!r}, {S0!r}")
     g = pair.grid
     j0 = g.index_of_y(0.0)
     g.index_of_x(0.0)  # raises early if the x = 0 line is missing
@@ -177,10 +178,7 @@ def gaussian_curvature(m: MetricSample) -> ScalarField:
 def pullback_metric(u: ComplexField, weight: ScalarField | None = None) -> MetricSample:
     """First fundamental form induced by u; conformal weight as in hopf_residual."""
     g = u.grid
-    Rx = partial_x(ScalarField(g, u.re, u.mask))
-    Ry = partial_y(ScalarField(g, u.re, u.mask))
-    Sx = partial_x(ScalarField(g, u.im, u.mask))
-    Sy = partial_y(ScalarField(g, u.im, u.mask))
+    Rx, Ry, Sx, Sy = partials(u)
     ok = Rx.mask & Ry.mask & Sx.mask & Sy.mask
     if weight is None:
         ok = ok & (u.im >= SINGULARITY_EPS)

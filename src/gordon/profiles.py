@@ -58,7 +58,7 @@ class SampledProfile:
     """Profile p, its slope dp and its antiderivative P on a uniform axis.
 
     All three come from one RK4 march of the state (p, p', P) from the
-    initial data at t = 0, where P = P0; invalid samples hold zeros.
+    initial data at t = 0, where P = 0; invalid samples hold zeros.
     """
 
     t: np.ndarray
@@ -110,10 +110,10 @@ def _march(spec: QuarticProfile, t_from, p, dp, P, t_to, nsub):
     return p, dp, P, False
 
 
-def integrate_profile(spec: QuarticProfile, axis: np.ndarray, P0: float = 0.0) -> SampledProfile:
+def integrate_profile(spec: QuarticProfile, axis: np.ndarray) -> SampledProfile:
     """Integrate the profile ODE and its antiderivative onto a uniform sample axis.
 
-    The march starts from (p_init, dp_init, P0) at t = 0 regardless of where
+    The march starts from (p_init, dp_init, 0) at t = 0 regardless of where
     the axis sits, so profiles can be sampled on windows not containing the
     origin.  Samples beyond a blow-up (|p| > 1e6) are marked invalid.
     """
@@ -132,7 +132,7 @@ def integrate_profile(spec: QuarticProfile, axis: np.ndarray, P0: float = 0.0) -
     k0 = int(np.clip(round(-t[0] / h), 0, n - 1))
     lead = abs(t[k0])  # distance from the ODE origin to the anchor sample
     nsub_lead = max(ODE_REFINEMENT, int(np.ceil(lead / h)) * ODE_REFINEMENT)
-    anchor = (spec.p_init, spec.dp_init, P0)
+    anchor = (spec.p_init, spec.dp_init, 0.0)
     if lead > 0:
         *anchor, blown = _march(spec, 0.0, *anchor, t[k0], nsub_lead)
         if blown:

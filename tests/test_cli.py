@@ -322,6 +322,19 @@ class TestRejectedInput:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,start", [
+        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--S0", "nan"]),
+        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--S0=inf"]),
+        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--R0=-inf"]),
+        (["backlund", "run", "--direction", "t2w", "--family", "THETA_SQRT2"], ["--w00", "nan"]),
+        (["backlund", "run", "--direction", "w2t", "--family", "W_SQRT2"], ["--theta00", "inf"]),
+    ], ids=["S0-nan", "S0-inf", "R0-minus-inf", "w00-nan", "theta00-inf"])
+    def test_non_finite_start_value(self, command, start, tmp_path, capsys):
+        rc = main(command + start + ["--out", str(tmp_path / "out"), "--h", "0.05"])
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "finite" in capsys.readouterr().err
+
     def test_swapped_csv_rows(self, tmp_path, capsys):
         out = tmp_path / "u.csv"
         assert main([

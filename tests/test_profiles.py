@@ -156,9 +156,9 @@ class TestPlainFloatRK4:
     )
     def test_bit_identical_to_array_rk4(self, spec, ends, monkeypatch):
         t = axis(*ends, 0.01)
-        got = integrate_profile(spec, t, P0=0.25)
+        got = integrate_profile(spec, t)
         monkeypatch.setattr(profiles, "_march", reference_march)
-        want = integrate_profile(spec, t, P0=0.25)
+        want = integrate_profile(spec, t)
         for name in ("p", "dp", "P", "valid"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
