@@ -149,7 +149,10 @@ def residual_check(name, fid, g, tol, convergence):
         residual = residual_sinh_gordon
     else:
         flags["sigma"] = fam.sign
-        flags["probed_sigma"] = sign_probe(f)
+        try:
+            flags["probed_sigma"] = sign_probe(f)
+        except ValueError as e:
+            raise ValueError(f"{fid}: {e}") from None
         ok = flags["probed_sigma"] == fam.sign
         residual = lambda th: residual_sine_gordon(th, fam.sign or 1)
     refined = (lambda: residual(eval_family(fid, g.refined()))) if convergence else None

@@ -283,9 +283,7 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
         raise ValueError(f"the value at the seed point (0, 0) must be finite, got {u00!r}")
     g = f.grid
     axes = (g.x(), g.y())
-    k0 = (g.index_of_x(0.0), g.index_of_y(0.0))
-    if not f.mask[k0]:
-        raise ValueError("the given field is invalid at the seed point (0, 0)")
+    k0 = g.origin(f)
     line_axis = 1 - seed_axis
     tables = _tabulator(f, analytic)
     seed_tab = tables(seed_axis, slice(k0[line_axis], k0[line_axis] + 1))
@@ -349,7 +347,7 @@ def closed_form_w_tanh(theta: ScalarField, c: np.ndarray, w00: float) -> ScalarF
     c = np.asarray(c, dtype=float)
     if c.shape != (g.nx,):
         raise ValueError("c must be sampled on the grid x-axis")
-    j0 = g.index_of_y(0.0)
+    _, j0 = g.origin(theta)
     sin_th = field(g, np.sin(theta.values), theta.mask)
     cos_th = field(g, np.cos(theta.values), theta.mask)
     Xf = cumulative_integral_x(sin_th, 0.0)

@@ -398,14 +398,9 @@ def eval_family(fid: str, grid: Grid2D, params: dict | None = None):
     does not declare.
     """
     fam = get_family(fid)
-    X, Y = grid.mesh()
-    if fam.kind in SCALAR_KINDS:
-        v = scalar_callable(fid, params)(X, Y)
-        return field(grid, np.nan_to_num(v, nan=0.0), np.isfinite(v))
-    out = fam.evaluate(X, Y, **_params(fam, params))
-    if fam.kind == "harmonic_map":
-        return complex_field(grid, *out)
-    return make_metric(grid, *out)
+    out = fam.evaluate(*grid.mesh(), **_params(fam, params))
+    build = {"harmonic_map": complex_field, "target_metric": make_metric}.get(fam.kind, field)
+    return build(grid, *out)
 
 
 def hopf_weight(fid: str, grid: Grid2D) -> ScalarField | None:
@@ -416,10 +411,7 @@ def hopf_weight(fid: str, grid: Grid2D) -> ScalarField | None:
     is evaluated and masked.
     """
     fam = get_family(fid)
-    if fam.weight is None:
-        return None
-    wgt, ok = fam.weight(*grid.mesh())
-    return field(grid, np.where(ok, wgt, 0.0), ok)
+    return None if fam.weight is None else field(grid, *fam.weight(*grid.mesh()))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +441,8 @@ def sign_probe(theta: ScalarField) -> int:
     sup_p, n_p = residual_sine_gordon(theta, +1).sup_norm()
     sup_m, n_m = residual_sine_gordon(theta, -1).sup_norm()
     if min(n_p, n_m) < 100:
-        raise ValueError("too few valid interior points for a sign probe")
+        raise ValueError(f"too few valid interior points for a sign probe: {min(n_p, n_m)} of the 100 "
+                         f"it needs on a {theta.grid.nx} x {theta.grid.ny} grid")
     if sup_p < 0.1 * sup_m:
         return 1
     if sup_m < 0.1 * sup_p:

@@ -83,6 +83,13 @@ class Grid2D:
             raise ValueError(f"y = {y} does not coincide with a grid line")
         return j
 
+    def origin(self, *fields) -> tuple:
+        """Index (i0, j0) of the seed point (0, 0); ValueError unless every field is valid there."""
+        k0 = (self.index_of_x(0.0), self.index_of_y(0.0))
+        if not all(f.mask[k0] for f in fields):
+            raise ValueError("a given field is invalid at the seed point (0, 0)")
+        return k0
+
     def refined(self) -> "Grid2D":
         """The same rectangle at half the spacing: 2n - 1 points per axis."""
         return Grid2D(self.x0, self.x1, self.y0, self.y1, 2 * self.nx - 1, 2 * self.ny - 1)
@@ -205,17 +212,12 @@ def complex_field(grid: Grid2D, re, im, mask: np.ndarray | None = None) -> Compl
     return ComplexField(grid, np.where(ok, re, 0.0), np.where(ok, im, 0.0), ok)
 
 
-def _shrink_mask(mask: np.ndarray) -> np.ndarray:
-    """Valid iff the point and its four axis neighbours are valid (interior only)."""
-    out = np.zeros_like(mask)
-    out[1:-1, 1:-1] = (
-        mask[1:-1, 1:-1]
-        & mask[2:, 1:-1]
-        & mask[:-2, 1:-1]
-        & mask[1:-1, 2:]
-        & mask[1:-1, :-2]
-    )
-    return out
+def _frame(mask: np.ndarray, axis: int) -> np.ndarray:
+    """Valid iff the point and both its neighbours along `axis` are valid; never at either end."""
+    m = np.moveaxis(mask, axis, 0)
+    out = np.zeros_like(m)
+    out[1:-1] = m[1:-1] & m[2:] & m[:-2]
+    return np.moveaxis(out, 0, axis)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -226,7 +228,7 @@ def laplacian(f: ScalarField) -> ScalarField:
     out[1:-1, 1:-1] = (v[2:, 1:-1] + v[:-2, 1:-1] - 2 * v[1:-1, 1:-1]) / g.hx**2 + (
         v[1:-1, 2:] + v[1:-1, :-2] - 2 * v[1:-1, 1:-1]
     ) / g.hy**2
-    return field(g, out, _shrink_mask(f.mask))
+    return field(g, out, _frame(f.mask, 0) & _frame(f.mask, 1))
 
 
 def partial_x(f: ScalarField) -> ScalarField:
@@ -234,9 +236,7 @@ def partial_x(f: ScalarField) -> ScalarField:
     v = f.values
     out = np.zeros_like(v)
     out[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * g.hx)
-    m = np.zeros_like(f.mask)
-    m[1:-1, :] = f.mask[1:-1, :] & f.mask[2:, :] & f.mask[:-2, :]
-    return field(g, out, m)
+    return field(g, out, _frame(f.mask, 0))
 
 
 def partial_y(f: ScalarField) -> ScalarField:
@@ -244,9 +244,7 @@ def partial_y(f: ScalarField) -> ScalarField:
     v = f.values
     out = np.zeros_like(v)
     out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * g.hy)
-    m = np.zeros_like(f.mask)
-    m[:, 1:-1] = f.mask[:, 1:-1] & f.mask[:, 2:] & f.mask[:, :-2]
-    return field(g, out, m)
+    return field(g, out, _frame(f.mask, 1))
 
 
 def partials(u: ComplexField):
@@ -270,43 +268,31 @@ def wirtinger(u: ComplexField):
     )
 
 
-def _cumtrapz_anchored(values: np.ndarray, t: np.ndarray, k0: int, axis: int) -> np.ndarray:
-    """Cumulative trapezoid along `axis`, zero at index k0.
+def _cumulative(f: ScalarField, k0: int, axis: int) -> ScalarField:
+    """Cumulative trapezoid of f along `axis`, zero at index k0.
 
     Summation order is fixed (ascending index) so results are bit-identical
-    across runs.
+    across runs.  A point is valid iff every point from k0 to it is valid.
     """
-    v = np.moveaxis(values, axis, 0)
-    dt = np.diff(t).reshape((-1,) + (1,) * (v.ndim - 1))
+    g = f.grid
+    v, m = np.moveaxis(f.values, axis, 0), np.moveaxis(f.mask, axis, 0)
+    dt = np.diff((g.x(), g.y())[axis])[:, None]
     seg = (v[1:] + v[:-1]) / 2 * dt
     c = np.concatenate([np.zeros((1,) + v.shape[1:]), np.cumsum(seg, axis=0)], axis=0)
-    c = c - c[k0]
-    return np.moveaxis(c, 0, axis)
-
-
-def _contiguous_valid(mask: np.ndarray, k0: int, axis: int) -> np.ndarray:
-    """Valid iff every point between index k0 and here (inclusive) is valid."""
-    m = np.moveaxis(mask, axis, 0)
-    out = np.empty_like(m)
-    out[k0:] = np.logical_and.accumulate(m[k0:], axis=0)
-    out[k0::-1] = np.logical_and.accumulate(m[k0::-1], axis=0)
-    return np.moveaxis(out, 0, axis)
+    ok = np.empty_like(m)
+    ok[k0:] = np.logical_and.accumulate(m[k0:], axis=0)
+    ok[k0::-1] = np.logical_and.accumulate(m[k0::-1], axis=0)
+    return field(g, np.moveaxis(c - c[k0], 0, axis), np.moveaxis(ok, 0, axis))
 
 
 def cumulative_integral_x(f: ScalarField, x_start: float) -> ScalarField:
     """Row-wise trapezoidal cumulative integral from the grid line x = x_start."""
-    g = f.grid
-    i0 = g.index_of_x(x_start)
-    c = _cumtrapz_anchored(f.values, g.x(), i0, axis=0)
-    return field(g, c, _contiguous_valid(f.mask, i0, axis=0))
+    return _cumulative(f, f.grid.index_of_x(x_start), 0)
 
 
 def cumulative_integral_y(f: ScalarField, y_start: float) -> ScalarField:
     """Column-wise trapezoidal cumulative integral from the grid line y = y_start."""
-    g = f.grid
-    j0 = g.index_of_y(y_start)
-    c = _cumtrapz_anchored(f.values, g.y(), j0, axis=1)
-    return field(g, c, _contiguous_valid(f.mask, j0, axis=1))
+    return _cumulative(f, f.grid.index_of_y(y_start), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,6 @@ IMMERSION_EPS = 1e-10  # pullback curvature is masked below this metric determin
 class HarmonicMapResult:
     u: ComplexField
     pair: BacklundPair
-    R0: float
-    S0: float
     I1: ScalarField  # function of x, broadcast over the grid for audit dumps
     I2: ScalarField
     I3: ScalarField  # function of x, broadcast
@@ -60,8 +58,7 @@ def ppfd_construct(pair: BacklundPair, R0: float, S0: float) -> HarmonicMapResul
     if not (np.isfinite(R0) and np.isfinite(S0) and S0 > 0):
         raise ValueError(f"need a finite R0 and a finite, positive S0 (half-plane coordinate), got {R0!r}, {S0!r}")
     g = pair.grid
-    j0 = g.index_of_y(0.0)
-    g.index_of_x(0.0)  # raises early if the x = 0 line is missing
+    _, j0 = g.origin(pair.w, pair.theta)
     w, th = pair.w.values, pair.theta.values
     ok = pair.w.mask & pair.theta.mask
 
@@ -87,8 +84,6 @@ def ppfd_construct(pair: BacklundPair, R0: float, S0: float) -> HarmonicMapResul
     return HarmonicMapResult(
         u=u,
         pair=pair,
-        R0=R0,
-        S0=S0,
         I1=bcast(I1x),
         I2=field(g, I2f.values, valid),
         I3=bcast(I3x),

@@ -322,18 +322,40 @@ class TestRejectedInput:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,start", [
-        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--S0", "nan"]),
-        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--S0=inf"]),
-        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--R0=-inf"]),
-        (["backlund", "run", "--direction", "t2w", "--family", "THETA_SQRT2"], ["--w00", "nan"]),
-        (["backlund", "run", "--direction", "w2t", "--family", "W_SQRT2"], ["--theta00", "inf"]),
-    ], ids=["S0-nan", "S0-inf", "R0-minus-inf", "w00-nan", "theta00-inf"])
-    def test_non_finite_start_value(self, command, start, tmp_path, capsys):
+    @pytest.mark.parametrize("command,start,message", [
+        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--S0", "nan"], "finite"),
+        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--S0=inf"], "finite"),
+        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2"], ["--R0=-inf"], "finite"),
+        (["backlund", "run", "--direction", "t2w", "--family", "THETA_SQRT2"], ["--w00", "nan"], "finite"),
+        (["backlund", "run", "--direction", "w2t", "--family", "W_SQRT2"], ["--theta00", "inf"], "finite"),
+        # the grid is stretched to the axes, and W_ONE_SOLITON's w is infinite on x = 0
+        (["harmonic", "build", "--pair", "W_ONE_SOLITON,THETA_SQRT2"], [], "seed point (0, 0)"),
+    ], ids=["S0-nan", "S0-inf", "R0-minus-inf", "w00-nan", "theta00-inf", "pair-invalid-at-origin"])
+    def test_non_finite_start_value(self, command, start, message, tmp_path, capsys):
         rc = main(command + start + ["--out", str(tmp_path / "out"), "--h", "0.05"])
         assert rc == 2
         assert list(tmp_path.iterdir()) == []
-        assert "finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_csv_pair_invalid_at_origin(self, tmp_path, capsys):
+        spec = coarse(-0.5, 0.0, -0.5, 0.5, h=1 / 20)
+        for fid in ("W_ONE_SOLITON", "THETA_SQRT2"):
+            assert main(["families", "eval", "--family", fid, "--out", str(tmp_path / f"{fid}.csv"),
+                         "--grid", spec]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["harmonic", "build", "--pair", f"{tmp_path}/W_ONE_SOLITON.csv,{tmp_path}/THETA_SQRT2.csv",
+                   "--out", str(out / "m")])
+        assert rc == 2
+        assert list(out.iterdir()) == []
+        assert "seed point (0, 0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["acceptance"], ["verify", "--family", "THETA_EX2"]])
+    def test_sign_probe_rejection_names_family_and_grid(self, command, capsys):
+        # THETA_EX2's rectangle holds 7 x 7 points at this spacing, too few to probe its sign
+        assert main(command + ["--h", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert "sign probe" in err and "THETA_EX2" in err and "7 x 7 grid" in err
 
     def test_swapped_csv_rows(self, tmp_path, capsys):
         out = tmp_path / "u.csv"

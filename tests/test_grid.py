@@ -12,9 +12,6 @@ from gordon.grid import (
     ComplexField,
     Grid2D,
     ScalarField,
-    _contiguous_valid,
-    _cumtrapz_anchored,
-    _shrink_mask,
     cumulative_integral_x,
     cumulative_integral_y,
     dump_complex_csv,
@@ -424,7 +421,8 @@ class TestRectGrid:
 # properties of the mask propagation and the anchored quadrature
 
 FAST = settings(max_examples=40, deadline=None)
-masks = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+# a grid has at least five points per axis
+grid_masks = st.tuples(st.integers(5, 9), st.integers(5, 9)).flatmap(
     lambda shape: arrays(bool, shape)
 )
 
@@ -500,30 +498,55 @@ class TestCsvRoundTripProperty:
 
 
 class TestMaskProperties:
-    @FAST
-    @given(masks, st.integers(0, 1), st.data())
-    def test_contiguous_valid_matches_loops(self, mask, axis, data):
-        k0 = data.draw(st.integers(0, mask.shape[axis] - 1))
-        assert np.array_equal(_contiguous_valid(mask, k0, axis),
-                              contiguous_valid_oracle(mask, k0, axis))
+    """The stencil frame and the anchored quadrature, through the public operators."""
+
+    @staticmethod
+    def on_grid(values, mask):
+        nx, ny = mask.shape
+        return ScalarField(Grid2D(-1.0, 2.0, -1.0, 2.0, nx, ny), values, mask)
+
+    @staticmethod
+    def integral(f, k0, axis):
+        g = f.grid
+        return cumulative_integral_x(f, g.x()[k0]) if axis == 0 else cumulative_integral_y(f, g.y()[k0])
 
     @FAST
-    @given(masks)
-    def test_shrink_mask_per_point(self, mask):
+    @given(grid_masks, st.integers(0, 1), st.data())
+    def test_contiguous_valid_matches_loops(self, mask, axis, data):
+        k0 = data.draw(st.integers(0, mask.shape[axis] - 1))
+        c = self.integral(self.on_grid(np.zeros(mask.shape), mask), k0, axis)
+        assert np.array_equal(c.mask, contiguous_valid_oracle(mask, k0, axis))
+
+    @FAST
+    @given(grid_masks)
+    def test_stencil_masks_per_point(self, mask):
         nx, ny = mask.shape
-        expect = np.zeros_like(mask)
+        along_x, along_y, expect = (np.zeros_like(mask) for _ in range(3))
+        for i in range(nx):
+            for j in range(ny):
+                along_x[i, j] = 0 < i < nx - 1 and all(mask[i + d, j] for d in (-1, 0, 1))
+                along_y[i, j] = 0 < j < ny - 1 and all(mask[i, j + d] for d in (-1, 0, 1))
         for i in range(1, nx - 1):
             for j in range(1, ny - 1):
                 expect[i, j] = all(mask[i + di, j + dj] for di, dj in
                                    ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
-        assert np.array_equal(_shrink_mask(mask), expect)
+        f = self.on_grid(np.zeros(mask.shape), mask)
+        assert np.array_equal(partial_x(f).mask, along_x)
+        assert np.array_equal(partial_y(f).mask, along_y)
+        assert np.array_equal(laplacian(f).mask, expect)
 
     @FAST
-    @given(st.tuples(st.integers(2, 9), st.integers(1, 9)).flatmap(
-        lambda shape: arrays(float, shape, elements=st.floats(-1e6, 1e6))
-    ), st.integers(0, 1), st.data())
+    @given(grid_masks.flatmap(lambda m: arrays(float, m.shape, elements=st.floats(-1e6, 1e6))),
+           st.integers(0, 1), st.data())
     def test_cumtrapz_zero_at_anchor(self, values, axis, data):
         n = values.shape[axis]
         k0 = data.draw(st.integers(0, n - 1))
-        c = _cumtrapz_anchored(values, np.linspace(-1.0, 2.0, n), k0, axis)
-        assert np.all(np.take(c, k0, axis=axis) == 0.0)
+        f = self.on_grid(values, np.ones(values.shape, bool))
+        c = self.integral(f, k0, axis)
+        assert np.all(np.take(c.values, k0, axis=axis) == 0.0)
+        # the trapezoid summed in ascending index order from index 0, less its value at k0
+        t, v = (f.grid.x(), f.grid.y())[axis], np.moveaxis(values, axis, 0)
+        acc = [np.zeros(v.shape[1:])]
+        for k in range(n - 1):
+            acc.append(acc[-1] + (v[k + 1] + v[k]) / 2 * (t[k + 1] - t[k]))
+        assert np.array_equal(_bits(c.values), _bits(np.moveaxis(np.array(acc) - acc[k0], 0, axis)))
