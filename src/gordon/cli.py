@@ -34,6 +34,7 @@ from .grid import (
     rect_grid,
 )
 from .harmonic import correspondence_check, hopf_residual, ppfd_construct
+from .pool import fork_map
 from .report import VerificationReport
 
 
@@ -104,8 +105,8 @@ def cmd_families_eval(args) -> int:
     params = json.loads(args.params) if args.params else None
     out = eval_family(fam.id, g, params)
     if fam.kind == "target_metric":
-        for comp, arr in (("E", out.E), ("Fc", out.Fc), ("G", out.G)):
-            dump_scalar_csv(field(g, arr, out.mask), f"{args.out}.{comp}.csv")
+        fork_map([(dump_scalar_csv, field(g, arr, out.mask), f"{args.out}.{comp}.csv")
+                  for comp, arr in (("E", out.E), ("Fc", out.Fc), ("G", out.G))])
         dump_grid_sidecar(g, f"{args.out}.grid.json")
         print(f"wrote {args.out}.{{E,Fc,G}}.csv")
     elif fam.kind == "harmonic_map":
@@ -190,8 +191,7 @@ def _resolve_pair(spec: str, args):
     for p in parts:
         if not os.path.exists(p):
             raise ValueError(f"pair member {p!r} is neither a family id nor a file")
-    w = load_scalar_csv(parts[0])
-    th = load_scalar_csv(parts[1])
+    w, th = fork_map([(load_scalar_csv, p) for p in parts])
     return BacklundPair(w, th, provenance="loaded from CSV")
 
 
@@ -217,9 +217,9 @@ def cmd_harmonic_build(args) -> int:
     pair = _resolve_pair(args.pair, args)
     result = ppfd_construct(pair, args.R0, args.S0)
     tol = acceptance.base_tolerance(args.tol)
-    dump_complex_csv(result.u, args.out + ".u.csv")
-    for name, f in (("I1", result.I1), ("I2", result.I2), ("I3", result.I3), ("I4", result.I4)):
-        dump_scalar_csv(f, f"{args.out}.{name}.csv")
+    fork_map([(dump_complex_csv, result.u, args.out + ".u.csv")]  # the longest first
+             + [(dump_scalar_csv, getattr(result, name), f"{args.out}.{name}.csv")
+                for name in ("I1", "I2", "I3", "I4")])
     dump_grid_sidecar(pair.grid, args.out + ".grid.json")
     checks = _map_checks(result.u, pair.w, tol)
     print(f"wrote {args.out}.u.csv and quadrature fields I1..I4")
@@ -228,14 +228,20 @@ def cmd_harmonic_build(args) -> int:
 
 
 def cmd_harmonic_verify(args) -> int:
-    u = load_complex_csv(args.u)
-    tol = acceptance.base_tolerance(args.tol)
     sidecar, family = args.u + ".grid.json", None
-    if os.path.exists(sidecar):
-        _, family = load_grid_json(sidecar)  # families eval writes it for a weighted map
+    if os.path.exists(sidecar):  # families eval writes one with a family for a weighted map
+        try:
+            _, family = load_grid_json(sidecar)
+        except ValueError as e:  # named as when load_complex_csv reads it
+            raise ValueError(f"{args.u}: {e}") from e
     if family is not None and get_family(family).weight is None:
         raise ValueError(f"{sidecar}: family {family} has no target-metric weight")
-    checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol, family)
+    if args.w:
+        u, w = fork_map([(load_complex_csv, args.u), (load_scalar_csv, args.w)])
+    else:
+        u, w = load_complex_csv(args.u), None
+    tol = acceptance.base_tolerance(args.tol)
+    checks = _map_checks(u, w, tol, family)
     return _emit(VerificationReport(checks, {"u": args.u}), args)
 
 

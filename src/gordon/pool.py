@@ -2,7 +2,8 @@
 
 fork_map runs a list of calls on min(usable CPUs, calls) worker processes
 and returns their results in call order.  The acceptance criteria run
-through it; a transformation march runs in the process that calls it.
+through it, and so do the CLI's independent grid-CSV reads and writes; a
+transformation march runs in the process that calls it.
 
 Workers are forked, not spawned: a spawned worker re-imports numpy and scipy
 (about 0.7 s), while a forked one inherits the parent's modules and memory,
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import sys
 import threading
 import traceback
 from multiprocessing.connection import wait
@@ -37,8 +40,15 @@ def workers() -> int:
     return usable_cpus()
 
 
+def _unwind(signum, frame):
+    sys.exit(128 + signum)
+
+
 def _serve(calls, conn, parent_ends):
     """Worker loop: run calls[i] for each index i received, send (ok, result or exception)."""
+    # fork_map stops a running call with SIGTERM; exiting through SystemExit
+    # runs the call's finally and except blocks (atomic_open removes its .tmp)
+    signal.signal(signal.SIGTERM, _unwind)
     for c in parent_ends:  # inherited from the fork: held here, they would hide the parent's EOF
         c.close()
     while True:
@@ -61,9 +71,9 @@ def fork_map(calls: list) -> list:
     put the longest calls first.  With one worker (see workers) the calls
     run inline, in order.  When a call raises, no further call starts, the
     running ones are stopped and the exception is raised here with its own
-    type; no worker outlives the call of fork_map.  A call must leave
-    nothing but its result, since it may be stopped part way, and its
-    result must pickle.
+    type; no worker outlives the call of fork_map.  A stopped call unwinds
+    (SystemExit is raised in it), so its finally and except blocks run; a
+    call must leave nothing but its result, and its result must pickle.
     """
     n = min(workers(), len(calls))
     if n <= 1:

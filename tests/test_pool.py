@@ -1,7 +1,12 @@
+import multiprocessing
 import os
 import threading
+import time
+
+import pytest
 
 from gordon import pool
+from gordon.grid import atomic_open
 from gordon.pool import fork_map
 
 
@@ -23,3 +28,28 @@ def test_inline_while_another_thread_runs(monkeypatch):
         release.set()
         other.join(30)
     assert not other.is_alive()
+
+
+def _write_until_stopped(path):
+    with atomic_open(path) as fh:
+        fh.write("x,y,value,valid\n")
+        fh.flush()
+        time.sleep(60)
+
+
+def _raise_once_a_tmp_exists(directory):
+    deadline = time.monotonic() + 30
+    while not list(directory.glob("*.tmp")) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    raise ValueError("the other call fails")
+
+
+def test_a_stopped_call_unwinds(monkeypatch, tmp_path):
+    # the writer is stopped inside atomic_open's with block: its .tmp goes too
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the other call fails"):
+        fork_map([(_write_until_stopped, str(tmp_path / "f.csv")), (_raise_once_a_tmp_exists, tmp_path)])
+    assert time.monotonic() - start < 30
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
