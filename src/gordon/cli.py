@@ -105,8 +105,8 @@ def cmd_families_eval(args) -> int:
     params = json.loads(args.params) if args.params else None
     out = eval_family(fam.id, g, params)
     if fam.kind == "target_metric":
-        fork_map([(dump_scalar_csv, field(g, arr, out.mask), f"{args.out}.{comp}.csv")
-                  for comp, arr in (("E", out.E), ("Fc", out.Fc), ("G", out.G))])
+        for comp, arr in (("E", out.E), ("Fc", out.Fc), ("G", out.G)):
+            dump_scalar_csv(field(g, arr, out.mask), f"{args.out}.{comp}.csv")
         dump_grid_sidecar(g, f"{args.out}.grid.json")
         print(f"wrote {args.out}.{{E,Fc,G}}.csv")
     elif fam.kind == "harmonic_map":
@@ -228,20 +228,14 @@ def cmd_harmonic_build(args) -> int:
 
 
 def cmd_harmonic_verify(args) -> int:
+    u = load_complex_csv(args.u)
+    tol = acceptance.base_tolerance(args.tol)
     sidecar, family = args.u + ".grid.json", None
-    if os.path.exists(sidecar):  # families eval writes one with a family for a weighted map
-        try:
-            _, family = load_grid_json(sidecar)
-        except ValueError as e:  # named as when load_complex_csv reads it
-            raise ValueError(f"{args.u}: {e}") from e
+    if os.path.exists(sidecar):
+        _, family = load_grid_json(sidecar)  # families eval writes it for a weighted map
     if family is not None and get_family(family).weight is None:
         raise ValueError(f"{sidecar}: family {family} has no target-metric weight")
-    if args.w:
-        u, w = fork_map([(load_complex_csv, args.u), (load_scalar_csv, args.w)])
-    else:
-        u, w = load_complex_csv(args.u), None
-    tol = acceptance.base_tolerance(args.tol)
-    checks = _map_checks(u, w, tol, family)
+    checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol, family)
     return _emit(VerificationReport(checks, {"u": args.u}), args)
 
 

@@ -70,10 +70,12 @@ def fork_map(calls: list) -> list:
     Each idle worker takes the next call not yet started, in list order, so
     put the longest calls first.  With one worker (see workers) the calls
     run inline, in order.  When a call raises, no further call starts, the
-    running ones are stopped and the exception is raised here with its own
-    type; no worker outlives the call of fork_map.  A stopped call unwinds
-    (SystemExit is raised in it), so its finally and except blocks run; a
-    call must leave nothing but its result, and its result must pickle.
+    running calls after it in the list are stopped and those before it are
+    waited for; the exception of the first call in the list that raised is
+    raised here with its own type, as inline.  No worker outlives the call
+    of fork_map.  A stopped call unwinds (SystemExit is raised in it), so
+    its finally and except blocks run; a call must leave nothing but its
+    result, and its result must pickle.
     """
     n = min(workers(), len(calls))
     if n <= 1:
@@ -81,6 +83,7 @@ def fork_map(calls: list) -> list:
     ctx = multiprocessing.get_context("fork")
     results = [None] * len(calls)
     procs, busy = {}, {}  # by the parent's end of each worker's pipe: process, running call
+    first, failure = len(calls), None  # the first call in the list that raised, and its exception
     try:
         for i in range(n):
             conn, child = ctx.Pipe()
@@ -90,19 +93,21 @@ def fork_map(calls: list) -> list:
             conn.send(i)
             busy[conn] = i
         queued = iter(range(n, len(calls)))
-        while busy:
-            for conn in wait(list(busy)):
+        while before := [conn for conn, i in busy.items() if i < first]:
+            for conn in wait(before):
+                i = busy.pop(conn)
                 try:
                     ok, value = conn.recv()
                 except EOFError:  # killed, or its result did not pickle
                     procs[conn].join()
-                    raise RuntimeError(f"a worker exited (code {procs[conn].exitcode})"
-                                       " before returning its result") from None
+                    ok, value = False, (RuntimeError(f"a worker exited (code {procs[conn].exitcode})"
+                                                     " before returning its result"), None)
                 if not ok:
-                    exc, tb = value
-                    raise exc from ChildProcessError(f"in a forked worker:\n{tb}")
-                results[busy.pop(conn)] = value
-                i = next(queued, None)
+                    if i < first:
+                        first, failure = i, value
+                    continue
+                results[i] = value
+                i = next(queued, None) if failure is None else None
                 if i is not None:
                     conn.send(i)
                     busy[conn] = i
@@ -113,4 +118,7 @@ def fork_map(calls: list) -> list:
             conn.close()  # an idle worker sees EOF and exits
         for proc in procs.values():
             proc.join()
+    if failure is not None:
+        exc, tb = failure
+        raise exc from (ChildProcessError(f"in a forked worker:\n{tb}") if tb else None)
     return results

@@ -442,28 +442,26 @@ class TestRejectedInput:
         assert err.startswith(f"error: {p}: ") and message in err
         assert not recwarn.list  # numpy's warning on a file with no data rows is silenced
 
-    @pytest.mark.parametrize("command", ["build --pair", "verify --w"])
-    def test_csv_rejection_in_a_forked_load_names_the_file(self, command, tmp_path, capsys, monkeypatch):
-        # the good member loads on one worker, the bad one is rejected on the other
+    @pytest.mark.parametrize("bad", ["theta", "both"])
+    def test_csv_rejection_in_a_forked_load_names_the_file(self, bad, tmp_path, capsys, monkeypatch):
+        # the two members load on two workers; when both are bad, w is named, as
+        # inline, though its larger file is rejected later
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        g = make_grid(0.1, 0.4, 0.2, 0.5, 7, 6)
-        X, Y = g.mesh()
-        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-        for p in (good, bad):
+        w, theta = tmp_path / "w.csv", tmp_path / "theta.csv"
+        for p, n in ((w, 201), (theta, 7)):
+            g = make_grid(0.1, 0.4, 0.2, 0.5, n, n)
+            X, Y = g.mesh()
             dump_scalar_csv(field(g, X + Y), str(p))
-        lines = bad.read_text().splitlines(True)
-        row = lines[3].split(",")
-        bad.write_text("".join(lines[:3] + [",".join(row[:2] + ["nan"] + row[3:])] + lines[4:]))
-        if command == "build --pair":
-            argv = ["harmonic", "build", "--pair", f"{good},{bad}", "--out", str(tmp_path / "map")]
-        else:
-            u = tmp_path / "u.csv"
-            dump_complex_csv(complex_field(g, X, Y + 1), str(u))
-            argv = ["harmonic", "verify", "--u", str(u), "--w", str(bad)]
-        assert main(argv) == 2
+            if p == theta or bad == "both":  # nan at the last row's valid point
+                *lines, row = p.read_text().splitlines(True)
+                row = row.split(",")
+                p.write_text("".join(lines + [",".join(row[:2] + ["nan"] + row[3:])]))
+        assert main(["harmonic", "build", "--pair", f"{w},{theta}", "--out", str(tmp_path / "map")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: ") and "non-finite values at valid points" in err
+        named = w if bad == "both" else theta
+        assert err.startswith(f"error: {named}: ") and "non-finite values at valid points" in err
         assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["theta.csv", "w.csv"]
 
     def test_declared_params_listed(self, capsys):
         assert main(["families", "list", "--json"]) == 0
@@ -530,7 +528,7 @@ class TestAxisLines:
 
 
 def test_cli_io_on_one_cpu_and_on_two(tmp_path, capsys, monkeypatch):
-    """The CSV pair's build and verify, and a metric's eval, give the same bytes inline and forked."""
+    """The CSV pair's build and verify give the same bytes inline and forked."""
     grid = coarse(0.0, 0.6, -0.35, 0.35, h=0.025)
     for fid, name in (("W_SQRT2", "w.csv"), ("THETA_SQRT2", "theta.csv")):
         assert main(["families", "eval", "--family", fid, "--out", str(tmp_path / name), "--grid", grid]) == 0
@@ -553,18 +551,15 @@ def test_cli_io_on_one_cpu_and_on_two(tmp_path, capsys, monkeypatch):
              "--tol", "0.1"],
             ["harmonic", "verify", "--u", "map.u.csv", "--w", "../w.csv", "--tol", "0.1",
              "--json", "verify.report.json"],
-            ["families", "eval", "--family", "METRIC_SECTION3", "--out", "metric",
-             "--grid", coarse(0.05, 0.3, 0.05, 0.3)],
         )]
         assert multiprocessing.active_children() == []
         runs[cpus] = codes, capsys.readouterr(), sorted(p.name for p in run_dir.iterdir())
-    assert workers == [1] * 4 + [2] * 4  # pair loads, build's dumps, verify's loads, metric's dumps
+    assert workers == [1, 1, 2, 2]  # the pair's loads, build's dumps
     assert runs[1] == runs[2]
     codes, _, names = runs[1]
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0]
     assert names == sorted(["map.u.csv", "map.I1.csv", "map.I2.csv", "map.I3.csv", "map.I4.csv",
-                            "map.grid.json", "map.report.json", "verify.report.json",
-                            "metric.E.csv", "metric.Fc.csv", "metric.G.csv", "metric.grid.json"])
+                            "map.grid.json", "map.report.json", "verify.report.json"])
     for name in names:
         assert filecmp.cmp(tmp_path / "cpus1" / name, tmp_path / "cpus2" / name, shallow=False), name
 

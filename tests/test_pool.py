@@ -45,11 +45,28 @@ def _raise_once_a_tmp_exists(directory):
 
 
 def test_a_stopped_call_unwinds(monkeypatch, tmp_path):
-    # the writer is stopped inside atomic_open's with block: its .tmp goes too
+    # the writer, after the failing call in the list, is stopped inside
+    # atomic_open's with block: its .tmp goes too
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     start = time.monotonic()
     with pytest.raises(ValueError, match="the other call fails"):
-        fork_map([(_write_until_stopped, str(tmp_path / "f.csv")), (_raise_once_a_tmp_exists, tmp_path)])
+        fork_map([(_raise_once_a_tmp_exists, tmp_path), (_write_until_stopped, str(tmp_path / "f.csv"))])
     assert time.monotonic() - start < 30
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+def _raise_after(seconds, message):
+    time.sleep(seconds)
+    raise ValueError(message)
+
+
+def test_the_first_failing_call_in_the_list_is_raised(monkeypatch):
+    # the second call fails first in time; the first call's failure is raised, as inline
+    calls = [(_raise_after, 0.5, "the first call"), (_raise_after, 0, "the second call")]
+    for cpus in (1, 2):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match="the first call"):
+            fork_map(calls)
+        assert multiprocessing.active_children() == []
+
