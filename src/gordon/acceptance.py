@@ -48,7 +48,7 @@ from .families import (
     residual_sinh_gordon,
     sign_probe,
 )
-from .grid import ScalarField, field, rect_grid
+from .grid import ScalarField, field, make_metric, rect_grid
 from .harmonic import (
     correspondence_check,
     gaussian_curvature,
@@ -119,8 +119,7 @@ def sup_check(name, anchor, res, tol, ok=True, refined=None, flags=None):
 
 def _on_both(a, b, values):
     """`values` where both a and b are valid; no magnitude cap masks a large error away."""
-    ok = a.mask & b.mask
-    return ScalarField(a.grid, np.where(ok, values, 0.0), ok)
+    return ScalarField.masked(a.grid, values, ok=a.mask & b.mask)
 
 
 def _max_abs(a, b):
@@ -377,7 +376,7 @@ def criterion_7(h, tol, control_tol):
     checks.append(_curvature_check(
         "c7.poincare_control.curvature",
         "E = G = 1/y^2 has curvature exactly -1",
-        families.make_metric(g, 1 / Y**2, np.zeros_like(Y), 1 / Y**2),
+        make_metric(g, 1 / Y**2, np.zeros_like(Y), 1 / Y**2),
         control_tol,
     ))
 

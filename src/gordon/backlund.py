@@ -294,7 +294,7 @@ def _march(f: ScalarField, u00: float, analytic, seed_axis: int,
         # _sweep ran over y with one column per x line: transpose to (nx, ny)
         vals, ok = vals.T, ok.T
     ok = ok & np.expand_dims(seed_ok, line_axis) & f.mask
-    return field(g, np.where(ok, vals, 0.0), ok)
+    return field(g, vals, ok)
 
 
 def theta_to_w(theta: ScalarField, w00: float, analytic=None) -> ScalarField:

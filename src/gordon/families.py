@@ -27,6 +27,7 @@ from .grid import (
     complex_field,
     field,
     laplacian,
+    make_metric,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -47,42 +48,6 @@ class SolutionFamily:
     partner_params: dict = dc_field(default_factory=dict)
     convention: str | None = None  # recorded correspondence ratio, exp(±2w)
     weight: Callable | None = None  # conformal weight e^F; None = half-plane 1/S^2
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """First fundamental form E dx^2 + 2 Fc dx dy + G dy^2, in orthogonal coordinates if Fc = 0."""
-
-    grid: Grid2D
-    E: np.ndarray
-    Fc: np.ndarray
-    G: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.nx, self.grid.ny)
-        for a in (self.E, self.Fc, self.G, self.mask):
-            if a.shape != shape:
-                raise ValueError(f"metric arrays must have shape {shape}")
-
-
-def make_metric(grid: Grid2D, E, Fc, G, mask=None) -> MetricSample:
-    """Build a MetricSample, masking non-finite or non-positive-definite points."""
-    E = np.asarray(E, dtype=float)
-    Fc = np.asarray(Fc, dtype=float)
-    G = np.asarray(G, dtype=float)
-    ok = (
-        np.isfinite(E)
-        & np.isfinite(Fc)
-        & np.isfinite(G)
-        & (E > 0)
-        & (G > 0)
-        & (E * G - Fc**2 > 0)
-    )
-    if mask is not None:
-        ok = ok & mask
-    z = lambda a: np.where(ok, a, 0.0)
-    return MetricSample(grid, z(E), z(Fc), z(G), ok)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backlund import BacklundPair
-from .families import MetricSample, make_metric
 from .grid import (
     ComplexField,
+    MetricSample,
     NumericalError,
     ScalarField,
     SINGULARITY_EPS,
@@ -34,6 +34,7 @@ from .grid import (
     cumulative_integral_x,
     cumulative_integral_y,
     field,
+    make_metric,
     partial_x,
     partial_y,
     partials,
@@ -46,7 +47,6 @@ IMMERSION_EPS = 1e-10  # pullback curvature is masked below this metric determin
 @dataclass(frozen=True)
 class HarmonicMapResult:
     u: ComplexField
-    pair: BacklundPair
     I1: ScalarField  # function of x, broadcast over the grid for audit dumps
     I2: ScalarField
     I3: ScalarField  # function of x, broadcast
@@ -80,10 +80,9 @@ def ppfd_construct(pair: BacklundPair, R0: float, S0: float) -> HarmonicMapResul
     S = S0 * np.exp(2 * (I1x[:, None] + I2f.values))
     R = R0 + 2 * S0 * (I3x[:, None] - I4)
     u = complex_field(g, R, S, valid)
-    bcast = lambda a: field(g, np.broadcast_to(a[:, None], (g.nx, g.ny)).copy(), valid)
+    bcast = lambda a: field(g, np.broadcast_to(a[:, None], (g.nx, g.ny)), valid)
     return HarmonicMapResult(
         u=u,
-        pair=pair,
         I1=bcast(I1x),
         I2=field(g, I2f.values, valid),
         I3=bcast(I3x),
@@ -107,7 +106,7 @@ def hopf_residual(u: ComplexField, weight: ScalarField | None = None) -> ScalarF
     else:
         ok = dz_u.mask & weight.mask
         r = np.abs(weight.values * prod - 1)
-    return field(g, np.where(ok, r, 0.0), ok)
+    return field(g, r, ok)
 
 
 def correspondence_check(u: ComplexField, w: ScalarField):
@@ -126,7 +125,7 @@ def correspondence_check(u: ComplexField, w: ScalarField):
     if np.count_nonzero(ok) < 9:
         raise NumericalError("dz_u degenerate on almost all of the grid")
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(ok, dzb_u.complex_values() / np.where(ok, dz_u.complex_values(), 1.0), 0.0)
+        rho = dzb_u.complex_values() / np.where(ok, dz_u.complex_values(), 1.0)
     res_m = field(g, np.abs(rho - np.exp(-2 * w.values)), ok)
     res_p = field(g, np.abs(rho - np.exp(+2 * w.values)), ok)
     sup_m, _ = res_m.sup_norm()
@@ -162,12 +161,12 @@ def gaussian_curvature(m: MetricSample) -> ScalarField:
     g = m.grid
     ok, sq = _immersive(m)
     Gx, Ey = partial_x(field(g, m.G, ok)), partial_y(field(g, m.E, ok))
-    t1 = partial_x(field(g, np.where(Gx.mask, Gx.values / sq, 0.0), Gx.mask))
-    t2 = partial_y(field(g, np.where(Ey.mask, Ey.values / sq, 0.0), Ey.mask))
+    t1 = partial_x(field(g, Gx.values / sq, Gx.mask))
+    t2 = partial_y(field(g, Ey.values / sq, Ey.mask))
     mask = t1.mask & t2.mask
     with np.errstate(divide="ignore", invalid="ignore"):
         K = -(t1.values + t2.values) / (2 * sq)
-    return field(g, np.where(mask, K, 0.0), mask)
+    return field(g, K, mask)
 
 
 def pullback_metric(u: ComplexField, weight: ScalarField | None = None) -> MetricSample:

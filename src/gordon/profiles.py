@@ -189,10 +189,9 @@ def _slope(given, q4, q2, q0, p0):
 
 
 def _check_axes(sp_x: SampledProfile, sp_y: SampledProfile, grid: Grid2D):
-    if not np.allclose(sp_x.t, grid.x(), rtol=0, atol=1e-9 * max(1.0, grid.hx)):
-        raise ValueError("x-profile samples do not match the grid x-axis")
-    if not np.allclose(sp_y.t, grid.y(), rtol=0, atol=1e-9 * max(1.0, grid.hy)):
-        raise ValueError("y-profile samples do not match the grid y-axis")
+    for name, t, axis, h in (("x", sp_x.t, grid.x(), grid.hx), ("y", sp_y.t, grid.y(), grid.hy)):
+        if t.shape != axis.shape or not np.allclose(t, axis, rtol=0, atol=1e-9 * max(1.0, h)):
+            raise ValueError(f"{name}-profile samples do not match the grid {name}-axis")
 
 
 def assemble_tan_family(Ax: SampledProfile, By: SampledProfile, grid: Grid2D) -> ScalarField:
@@ -202,7 +201,7 @@ def assemble_tan_family(Ax: SampledProfile, By: SampledProfile, grid: Grid2D) ->
     ok = (np.abs(np.cos(s)) >= 1e-8) & Ax.valid[:, None] & By.valid[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.arcsinh(np.tan(s))
-    return field(grid, np.where(ok, w, 0.0), ok)
+    return field(grid, w, ok)
 
 
 def assemble_tanh_family(Cx: SampledProfile, Dy: SampledProfile, grid: Grid2D) -> ScalarField:

@@ -16,13 +16,13 @@ from gordon import acceptance, pool
 from gordon.acceptance import run_acceptance, sup_check
 from gordon.backlund import BacklundPair, backlund_residuals
 from gordon.cli import main
-from gordon.families import make_metric
 from gordon.grid import (
     NumericalError,
     complex_field,
     field,
     laplacian,
     make_grid,
+    make_metric,
     partial_x,
     partial_y,
     wirtinger,
@@ -205,7 +205,10 @@ def test_worker_error_keeps_its_type(error, code, monkeypatch, capsys):
 
 def test_failure_starts_no_queued_criterion(tmp_path, monkeypatch):
     # two workers take the first two of LONGEST_FIRST; the second fails at
-    # once while the first is held, so every other criterion is still queued
+    # once while the first is held, so every other criterion is still queued.
+    # The held one returns a grace after the failure: fork_map waits for it
+    # (it comes first in the list), and a pool that still handed out queued
+    # criteria would have started one on the free worker by then
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     held, fails = acceptance.LONGEST_FIRST[:2]
 
@@ -215,7 +218,10 @@ def test_failure_starts_no_queued_criterion(tmp_path, monkeypatch):
             if k == fails:
                 raise NumericalError("injected breakdown")
             if k == held:
-                time.sleep(30)  # still running when the other one fails
+                deadline = time.monotonic() + 30
+                while not (tmp_path / f"c{fails}").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.5)
             return []
         return criterion
 

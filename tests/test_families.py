@@ -3,7 +3,6 @@ import pytest
 
 from gordon.families import (
     CATALOG,
-    MetricSample,
     eval_family,
     get_family,
     hopf_weight,
@@ -14,7 +13,7 @@ from gordon.families import (
     u_ex_section3,
     w_one_soliton,
 )
-from gordon.grid import ComplexField, ScalarField, field, make_grid
+from gordon.grid import ComplexField, MetricSample, ScalarField, field, make_grid
 
 H = 1 / 100  # unit tests run coarse; acceptance re-checks at 1/400
 TOL = 16 * 1e-3  # second-order scaling of the 1e-3 floor from h = 1/400

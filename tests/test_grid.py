@@ -11,6 +11,7 @@ from gordon.grid import (
     MAX_POINTS,
     ComplexField,
     Grid2D,
+    MetricSample,
     ScalarField,
     cumulative_integral_x,
     cumulative_integral_y,
@@ -23,6 +24,7 @@ from gordon.grid import (
     load_complex_csv,
     load_scalar_csv,
     make_grid,
+    make_metric,
     partial_x,
     partial_y,
     rect_grid,
@@ -226,15 +228,27 @@ class TestFieldNorms:
         g = make_grid(0, 1, 0, 1, 5, 5)
         v = np.ones((5, 5))
         v[1, 1] = bad
+        one = np.ones((5, 5))
+        builds = (lambda v, m: ScalarField(g, v, m), lambda v, m: ComplexField(g, one, v, m),
+                  lambda v, m: MetricSample(g, one, v, one, m))
         mask = np.ones((5, 5), dtype=bool)
-        with pytest.raises(ValueError, match="non-finite"):
-            grid.ScalarField(g, v.copy(), mask.copy())
-        with pytest.raises(ValueError, match="non-finite"):
-            grid.ComplexField(g, np.ones((5, 5)), v.copy(), mask.copy())
+        for build in builds:
+            with pytest.raises(ValueError, match="field has non-finite values at valid points"):
+                build(v.copy(), mask.copy())
         mask[1, 1] = False
+        for build in builds:
+            assert not build(v.copy(), mask.copy()).mask[1, 1]
         assert grid.ScalarField(g, v.copy(), mask.copy()).sup_norm() == (1.0, 24)
-        c = grid.ComplexField(g, v.copy(), v.copy(), mask.copy())
-        assert not c.mask[1, 1]
+
+    def test_built_arrays_are_read_only(self):
+        g = make_grid(0, 1, 0, 1, 5, 5)
+        X, Y = g.mesh()
+        f, u, m = field(g, X), complex_field(g, X, Y), make_metric(g, 1 + X, Y / 10, 1 + Y**2)
+        one = np.ones((5, 5))
+        d = MetricSample(g, one.copy(), 0 * one, one.copy(), one > 0)
+        for a in (f.values, f.mask, u.re, u.im, u.mask, m.E, m.Fc, m.G, m.mask, d.E, d.Fc, d.G, d.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 2.0
 
 
 class TestCsvRoundTrip:
@@ -518,21 +532,30 @@ class TestMaskProperties:
         assert np.array_equal(c.mask, contiguous_valid_oracle(mask, k0, axis))
 
     @FAST
-    @given(grid_masks)
-    def test_stencil_masks_per_point(self, mask):
+    @given(grid_masks.flatmap(
+        lambda m: st.tuples(st.just(m), arrays(float, m.shape, elements=st.floats(-1e6, 1e6)))))
+    def test_stencil_masks_per_point(self, drawn):
+        mask, values = drawn
         nx, ny = mask.shape
         along_x, along_y, expect = (np.zeros_like(mask) for _ in range(3))
+        dx, dy = np.zeros(mask.shape), np.zeros(mask.shape)
+        f = self.on_grid(values, mask)
+        hx, hy = f.grid.hx, f.grid.hy  # unequal whenever nx != ny
         for i in range(nx):
             for j in range(ny):
                 along_x[i, j] = 0 < i < nx - 1 and all(mask[i + d, j] for d in (-1, 0, 1))
                 along_y[i, j] = 0 < j < ny - 1 and all(mask[i, j + d] for d in (-1, 0, 1))
+                if along_x[i, j]:
+                    dx[i, j] = (values[i + 1, j] - values[i - 1, j]) / (2 * hx)
+                if along_y[i, j]:
+                    dy[i, j] = (values[i, j + 1] - values[i, j - 1]) / (2 * hy)
         for i in range(1, nx - 1):
             for j in range(1, ny - 1):
                 expect[i, j] = all(mask[i + di, j + dj] for di, dj in
                                    ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
-        f = self.on_grid(np.zeros(mask.shape), mask)
-        assert np.array_equal(partial_x(f).mask, along_x)
-        assert np.array_equal(partial_y(f).mask, along_y)
+        px, py = partial_x(f), partial_y(f)
+        assert np.array_equal(px.mask, along_x) and np.array_equal(_bits(px.values), _bits(dx))
+        assert np.array_equal(py.mask, along_y) and np.array_equal(_bits(py.values), _bits(dy))
         assert np.array_equal(laplacian(f).mask, expect)
 
     @FAST

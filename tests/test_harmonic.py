@@ -3,8 +3,8 @@ import pytest
 
 from gordon import acceptance
 from gordon.backlund import BacklundPair
-from gordon.families import eval_family, get_family, hopf_weight, make_metric
-from gordon.grid import complex_field, field, make_grid, rect_grid
+from gordon.families import eval_family, get_family, hopf_weight
+from gordon.grid import complex_field, field, make_grid, make_metric, rect_grid
 from gordon.harmonic import (
     correspondence_check,
     gaussian_curvature,
@@ -77,9 +77,10 @@ class TestConstruction:
             ppfd_construct(pair, R0=0.0, S0=0.5)
 
     def test_result_is_harmonic(self):
-        res = ppfd_construct(sqrt2_pair(), R0=0.0, S0=0.5)
+        pair = sqrt2_pair()
+        res = ppfd_construct(pair, R0=0.0, S0=0.5)
         assert hopf_residual(res.u).sup_norm()[0] < TOL
-        conv, r = correspondence_check(res.u, res.pair.w)
+        conv, r = correspondence_check(res.u, pair.w)
         assert conv == "exp(-2w)" and r.sup_norm()[0] < 0.1
 
 

@@ -251,7 +251,8 @@ class TestAssembly:
 
     def test_axis_mismatch_rejected(self):
         g = make_grid(-0.5, 0.5, -0.5, 0.5, 11, 11)
-        wrong = integrate_profile(QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0), np.linspace(0, 1, 11))
         b = integrate_profile(QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0), g.y())
-        with pytest.raises(ValueError):
-            assemble_tan_family(wrong, b, g)
+        for t in (np.linspace(0, 1, 11), np.linspace(-0.5, 0.5, 9)):  # other values, other length
+            wrong = integrate_profile(QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0), t)
+            with pytest.raises(ValueError, match="x-profile samples do not match the grid x-axis"):
+                assemble_tan_family(wrong, b, g)
