@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 import time
 
 import numpy as np
@@ -73,8 +74,9 @@ MARCH_RECT_SQRT2 = (0.0, 0.6, -0.35, 0.35)  # contains both axis lines
 ROUNDTRIP_RECT = (-0.25, 0.25, -0.25, 0.25)
 POINCARE_RECT = (0.0, 1.0, 8.0, 12.0)  # far from y = 0 so 1/y^2 is mild
 SQRT2 = np.sqrt(2.0)
-# long criteria first, so short ones fill in behind: c2, c7, then c4 (0.26 s,
-# the longest) gave two workers a shorter wall at h = 1/400 than c4 first
+# long criteria first, so short ones fill in behind: c7 and c4 (about 0.13 s
+# each at h = 1/400) are the longest, c2 and c1 next (0.08-0.1 s); two workers
+# measured the same wall with c7 or c4 first as with c2 first
 LONGEST_FIRST = (2, 7, 4, 1, 5, 3, 6, 8)
 
 
@@ -432,10 +434,17 @@ def criterion_8(h, ode_tol):
 
 
 def _timed(criterion, *args):
-    """Run one criterion in a worker: (its checks, its seconds, the worker's pid)."""
-    t0 = time.perf_counter()
+    """Run one criterion: (its checks, its diagnostics).
+
+    The diagnostics are its seconds, and its CPU seconds and minor page
+    faults in the process that ran it, whose pid they also hold.
+    """
+    t0, use0 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
     checks = criterion(*args)
-    return checks, time.perf_counter() - t0, os.getpid()
+    t1, use1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+    return checks, {"seconds": t1 - t0,
+                    "cpu_s": use1.ru_utime + use1.ru_stime - use0.ru_utime - use0.ru_stime,
+                    "minor_faults": use1.ru_minflt - use0.ru_minflt, "pid": os.getpid()}
 
 
 def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool = False,
@@ -444,7 +453,8 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
 
     A worker's exception is raised here with its own type, and no criterion
     starts after it.  The report's `diagnostics` (never serialized) hold the
-    worker count, the wall time and each criterion's seconds and worker pid.
+    worker count, the wall time and each criterion's seconds, CPU seconds,
+    minor page faults and worker pid.
     """
     t_start = time.monotonic()
     if quick:
@@ -479,7 +489,7 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
     done = fork_map([(_timed, *calls[k]) for k in LONGEST_FIRST])
     results = {k: done[LONGEST_FIRST.index(k)] for k in calls}  # criterion order
 
-    checks = [c for part, _, _ in results.values() for c in part]
+    checks = [c for part, _ in results.values() for c in part]
     elapsed = time.monotonic() - t_start
     # wall-clock time is kept out of the serialized report so that identical
     # configurations produce bit-identical JSON
@@ -494,7 +504,6 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None, quick: bool =
         diagnostics={
             "workers": min(workers(), len(calls)),
             "wall_s": elapsed,
-            "criteria": {f"c{k}": {"seconds": s, "pid": pid}
-                         for k, (_, s, pid) in results.items()},
+            "criteria": {f"c{k}": cost for k, (_, cost) in results.items()},
         },
     )

@@ -324,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     acc.add_argument("--no-convergence", action="store_true")
     acc.add_argument("--json", help="write the report JSON here")
     acc.add_argument("--diagnostics",
-                     help="write per-criterion seconds and worker pids, the worker count "
-                     "and the wall time here (JSON, not part of the report)")
+                     help="write each criterion's seconds, CPU seconds, minor page faults "
+                     "and worker pid, the worker count and the wall time here (JSON, not "
+                     "part of the report)")
     acc.set_defaults(fn=cmd_acceptance)
 
     return ap

@@ -13,6 +13,7 @@ call's index goes to a worker and only its result (or exception) comes back.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -40,6 +41,30 @@ def workers() -> int:
     return usable_cpus()
 
 
+# glibc's mallopt parameters (malloc.h) and the values a worker sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # glibc's 64-bit maximum: mallopt rejects more
+TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_freed_memory():
+    """Keep the memory this process frees in its heap, for its short life.
+
+    A grid operator's full-grid temporaries (0.5-4 MB) are above glibc's
+    default mmap threshold, or are trimmed off the heap top once freed, so
+    each next operator faults fresh zeroed pages in again.  Both thresholds
+    are set: setting either one turns off glibc's dynamic adjustment of the
+    other, and one alone faults more than the default.  Only forked workers
+    call this: the setting is process-wide, and the caller of fork_map may
+    be any program that imports gordon.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only, not macOS
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def _unwind(signum, frame):
     sys.exit(128 + signum)
 
@@ -49,6 +74,7 @@ def _serve(calls, conn, parent_ends):
     # fork_map stops a running call with SIGTERM; exiting through SystemExit
     # runs the call's finally and except blocks (atomic_open removes its .tmp)
     signal.signal(signal.SIGTERM, _unwind)
+    _keep_freed_memory()
     for c in parent_ends:  # inherited from the fork: held here, they would hide the parent's EOF
         c.close()
     while True:
@@ -88,8 +114,10 @@ def fork_map(calls: list) -> list:
         for i in range(n):
             conn, child = ctx.Pipe()
             procs[conn] = ctx.Process(target=_serve, args=(calls, child, [*procs, conn]))
-            procs[conn].start()
-            child.close()
+            try:
+                procs[conn].start()
+            finally:
+                child.close()  # the worker, if it started, holds its own copy
             conn.send(i)
             busy[conn] = i
         queued = iter(range(n, len(calls)))
@@ -117,7 +145,8 @@ def fork_map(calls: list) -> list:
                 proc.terminate()
             conn.close()  # an idle worker sees EOF and exits
         for proc in procs.values():
-            proc.join()
+            if proc.pid is not None:  # None if its start raised (no pid left)
+                proc.join()
     if failure is not None:
         exc, tb = failure
         raise exc from (ChildProcessError(f"in a forked worker:\n{tb}") if tb else None)

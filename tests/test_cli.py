@@ -266,7 +266,8 @@ class TestAcceptanceCommand:
         assert sorted(diag["criteria"]) == [f"c{k}" for k in range(1, 9)]
         runs = diag["criteria"].values()
         pids = {r["pid"] for r in runs}
-        assert all(r["seconds"] > 0 for r in runs)
+        assert all(sorted(r) == ["cpu_s", "minor_faults", "pid", "seconds"] for r in runs)
+        assert all(r["seconds"] > 0 and r["cpu_s"] >= 0 and r["minor_faults"] >= 0 for r in runs)
         assert len(pids) <= diag["workers"]
         assert (os.getpid() in pids) == (diag["workers"] == 1)  # one worker runs inline
         assert diag["wall_s"] >= max(r["seconds"] for r in runs)
