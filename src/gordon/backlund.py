@@ -15,8 +15,9 @@ the given field and its cross derivative are tabulated at the two Gauss
 points of every cell in vectorized blocks of at most MARCH_BLOCK entries,
 all transfer matrices are formed in one pass, and the march multiplies 2x2
 matrices.  Sampled data is read through not-a-knot cubic splines, each
-held as its node slopes from one banded solve and evaluated cell by cell,
-with the bits of scipy's cubic spline.  A point is valid while the partner
+held as its node slopes from one tridiagonal solve (a numpy port of
+LAPACK's gtsv, so no scipy at run time) and evaluated cell by cell, with
+the bits of scipy's cubic spline.  A point is valid while the partner
 stays within W_CAP from the seed to it.  The seed line is tabulated as one
 line, then every other line is swept at once, in process, with the bits of
 a cell-by-cell march.  The closed-form w printed for the tanh theta family is
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .families import w_from_tanh_half
 from .grid import (
@@ -77,32 +77,69 @@ def backlund_residuals(pair: BacklundPair):
     return field(pair.grid, r1, m1), field(pair.grid, r2, m2)
 
 
+def _solve_tridiagonal(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and superdiagonal dl, d, du.
+
+    b, shape (n, k) with n >= 2, holds k right-hand sides; the solutions are
+    returned, and b may be overwritten.  A port of LAPACK's gtsv, Gaussian
+    elimination with partial pivoting (Anderson et al., LAPACK Users' Guide,
+    3rd ed., SIAM 1999), operation for operation, so the solutions carry the
+    bits of scipy.linalg.solve_banded((1, 1), ...), which calls it.  The
+    diagonals are eliminated in Python floats, and each row operation on b
+    is one numpy operation over its columns; a single column is solved in
+    Python floats too, where a numpy call per row costs ten times as much.
+    A zero pivot raises LinAlgError.
+    """
+    dl, d, du = (np.asarray(a, float).tolist() for a in (dl, d, du))
+    n = len(d)
+    du2 = [0.0] * (n - 2)  # second superdiagonal, filled by row interchanges
+    r = b[:, 0].tolist() if b.shape[1] == 1 else b  # rows: floats, or b's rows in place
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            r[i + 1] -= fact * r[i]
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:
+                du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            r[i], r[i + 1] = r[i + 1], r[i] - fact * r[i + 1]
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    r[-1] /= d[-1]
+    r[-2] -= du[-1] * r[-1]
+    r[-2] /= d[-2]
+    for i in range(n - 3, -1, -1):  # (b - du b1 - du2 b2) / d, in gtsv's order
+        r[i] -= du[i] * r[i + 1]
+        r[i] -= du2[i] * r[i + 2]
+        r[i] /= d[i]
+    return np.reshape(r, b.shape)
+
+
 def _spline_slopes(x, y):
     """Node slopes of the not-a-knot cubic spline of y along its first axis.
 
     x holds the n >= 4 nodes, y the values, shape (n, ...); every column is
-    one spline.  The bands and right-hand side are those of scipy's cubic
-    spline for n > 3, so the slopes carry its bits, and a non-finite entry
-    raises its ValueError.
+    one spline.  The diagonals and right-hand side are those of scipy's
+    cubic spline for n > 3, so the slopes carry its bits, and a non-finite
+    entry raises its ValueError.
     """
     if not np.isfinite(y).all():
         raise ValueError("`y` must contain only finite values.")
     dx = np.diff(x)
     dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
-    A = np.zeros((3, len(x)))  # banded: upper diagonal, diagonal, lower diagonal
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
     b = np.empty(y.shape)
     b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    d = x[2] - x[0]  # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-    A[1, 0], A[0, 1] = dx[1], d
-    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    A[1, -1], A[-1, -2] = dx[-2], d
-    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b.reshape(len(x), -1), overwrite_ab=True, overwrite_b=True, check_finite=False)
+    d0 = x[2] - x[0]  # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+    d1 = x[-1] - x[-3]
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    s = _solve_tridiagonal(np.append(dx[1:], d1), diag, np.insert(dx[:-1], 0, d0), b.reshape(len(x), -1))
     return s.reshape(y.shape)
 
 

@@ -5,8 +5,8 @@ and returns their results in call order.  The acceptance criteria run
 through it, and so do the CLI's independent grid-CSV reads and writes; a
 transformation march runs in the process that calls it.
 
-Workers are forked, not spawned: a spawned worker re-imports numpy and scipy
-(about 0.7 s), while a forked one inherits the parent's modules and memory,
+Workers are forked, not spawned: a spawned worker re-imports numpy and gordon
+(about 0.2 s), while a forked one inherits the parent's modules and memory,
 so a call may be a closure over arrays the parent already holds.  Only the
 call's index goes to a worker and only its result (or exception) comes back.
 """

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack, solve_banded
 
 from gordon import backlund
 from gordon.backlund import (
@@ -222,6 +223,44 @@ def test_spline_arithmetic_is_cubic_splines(nodes, axis):
     # a column slice solves to the same columns of the full solve
     for cols in (slice(3, 4), slice(2, 7)):
         assert _bits(backlund._spline_slopes(nodes, v[:, cols])) == _bits(s[:, cols])
+
+
+def _banded(dl, d, du):
+    """The (1, 1)-banded storage solve_banded reads."""
+    ab = np.zeros((3, len(d)))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return ab
+
+
+@pytest.mark.parametrize("k", [1, 300])
+@pytest.mark.parametrize("n", [4, 5, 40, 481, 700])
+def test_tridiagonal_solve_is_solve_banded(n, k):
+    rng = np.random.default_rng(1000 * n + k)
+    dl, d, du = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
+    forced = [0, (n - 1) // 2, n - 2]  # the first, a middle and the last elimination row
+    dl[forced] = 1e3  # a subdiagonal far above its pivot: those rows are interchanged
+    pivots = lapack.dgttrf(dl, d, du)[4]  # LAPACK's own factorization, same pivoting rule
+    assert all(pivots[i] == i + 2 for i in forced)  # row i + 1 (1-based) swapped with i + 2
+    b = rng.standard_normal((n, k))  # one column is solved in Python floats, more in numpy rows
+    if k > 1:
+        b[:, 0], b[:, 1] = -0.0, 0.0  # signs of zero follow the order of every row operation
+    got = backlund._solve_tridiagonal(dl, d, du, b.copy())
+    assert _bits(got) == _bits(solve_banded((1, 1), _banded(dl, d, du), b))
+
+
+SINGULAR = {  # (dl, d, du) of singular 4x4 systems
+    "first pivot": ([0, 0, 0], [0, 1, 1, 1], [1, 1, 1]),  # the first column is zero
+    "last pivot": ([0, 0, 1], [1, 1, 1, 1], [0, 0, 1]),  # the last 2x2 block is [[1, 1], [1, 1]]
+}
+
+
+@pytest.mark.parametrize("diagonals", SINGULAR.values(), ids=SINGULAR.keys())
+def test_tridiagonal_solve_singular(diagonals):
+    dl, d, du = (np.array(a, float) for a in diagonals)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_banded((1, 1), _banded(dl, d, du), np.ones((4, 2)))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        backlund._solve_tridiagonal(dl, d, du, np.ones((4, 2)))
 
 
 # ---------------------------------------------------------------------------

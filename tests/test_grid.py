@@ -538,7 +538,7 @@ class TestMaskProperties:
         mask, values = drawn
         nx, ny = mask.shape
         along_x, along_y, expect = (np.zeros_like(mask) for _ in range(3))
-        dx, dy = np.zeros(mask.shape), np.zeros(mask.shape)
+        dx, dy, lap = np.zeros(mask.shape), np.zeros(mask.shape), np.zeros(mask.shape)
         f = self.on_grid(values, mask)
         hx, hy = f.grid.hx, f.grid.hy  # unequal whenever nx != ny
         for i in range(nx):
@@ -553,10 +553,14 @@ class TestMaskProperties:
             for j in range(1, ny - 1):
                 expect[i, j] = all(mask[i + di, j + dj] for di, dj in
                                    ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
-        px, py = partial_x(f), partial_y(f)
+                if expect[i, j]:  # hx with the x neighbours, hy with the y ones
+                    c = values[i, j]
+                    lap[i, j] = (values[i + 1, j] + values[i - 1, j] - 2 * c) / hx**2 + (
+                        values[i, j + 1] + values[i, j - 1] - 2 * c) / hy**2
+        px, py, lf = partial_x(f), partial_y(f), laplacian(f)
         assert np.array_equal(px.mask, along_x) and np.array_equal(_bits(px.values), _bits(dx))
         assert np.array_equal(py.mask, along_y) and np.array_equal(_bits(py.values), _bits(dy))
-        assert np.array_equal(laplacian(f).mask, expect)
+        assert np.array_equal(lf.mask, expect) and np.array_equal(_bits(lf.values), _bits(lap))
 
     @FAST
     @given(grid_masks.flatmap(lambda m: arrays(float, m.shape, elements=st.floats(-1e6, 1e6))),

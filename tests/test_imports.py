@@ -1,7 +1,10 @@
-"""Every name a gordon module imports is used in that module."""
+"""Every name a gordon module imports is used in that module, and none is scipy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +33,20 @@ def test_no_unused_imports(path):
 
 def test_guard_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom a import b, c as d\nsys.exit(d)\n") == ["b", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    """scipy is a test oracle only; an import inside a function counts too."""
+    tree = ast.parse(path.read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_gordon_loads_no_scipy():
+    names = ", ".join(f"gordon.{p.stem}" for p in MODULES if p.stem != "__init__")
+    code = f"import sys, {names}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
