@@ -192,7 +192,8 @@ def _tabulator(f: ScalarField, analytic):
     either axis.  tables() solves for the slopes of the cross derivative
     along the march axis, on its own lines only (one solve per sweep), and
     tab() evaluates both cubics on its cells.  The tables carry the bits of
-    scipy's cubic spline.
+    scipy's cubic spline.  The splines read every grid value, so the sampled
+    path raises ValueError where f has a non-finite value or a masked point.
     """
     g = f.grid
     axes = (g.x(), g.y())
@@ -214,7 +215,10 @@ def _tabulator(f: ScalarField, analytic):
 
     # node axis first; a first-order edge stencil here would leave the march first order
     values = [np.moveaxis(f.values, a, 0) for a in (0, 1)]
-    slopes = [_spline_slopes(axes[a], values[a]) for a in (0, 1)]
+    slopes = [_spline_slopes(axes[a], values[a]) for a in (0, 1)]  # non-finite data raises here
+    if not f.mask.all():  # the splines would read the 0.0 stored there as data
+        raise ValueError(f"the sampled march reads every grid value; "
+                         f"{f.mask.size - np.count_nonzero(f.mask)} of {f.mask.size} are masked")
     cross_derivative = [_node_derivative(axes[a], values[a], slopes[a]) for a in (0, 1)]
 
     def tables(along, lines):

@@ -23,11 +23,11 @@ from .families import CATALOG, eval_family, get_family, sign_probe
 from .grid import (
     Grid2D,
     NumericalError,
+    ScalarField,
     dump_complex_csv,
     dump_grid_sidecar,
     dump_json,
     dump_scalar_csv,
-    field,
     load_complex_csv,
     load_grid_json,
     load_scalar_csv,
@@ -105,20 +105,15 @@ def cmd_families_eval(args) -> int:
     params = json.loads(args.params) if args.params else None
     out = eval_family(fam.id, g, params)
     if fam.kind == "target_metric":
-        for comp, arr in (("E", out.E), ("Fc", out.Fc), ("G", out.G)):
-            dump_scalar_csv(field(g, arr, out.mask), f"{args.out}.{comp}.csv")
-        dump_grid_sidecar(g, f"{args.out}.grid.json")
+        for comp, arr in (("E", out.E), ("Fc", out.Fc), ("G", out.G)):  # all under the metric's mask
+            dump_scalar_csv(ScalarField(g, arr, out.mask), f"{args.out}.{comp}.csv")
         print(f"wrote {args.out}.{{E,Fc,G}}.csv")
     elif fam.kind == "harmonic_map":
-        dump_complex_csv(out, args.out)
-        sidecar = g.to_json()
-        if fam.weight is not None:  # harmonic verify --u takes its Hopf weight from the record
-            sidecar["family"] = fam.id
-        dump_json(sidecar, args.out + ".grid.json")
+        # harmonic verify --u takes its Hopf weight from the record the sidecar names
+        dump_complex_csv(out, args.out, None if fam.weight is None else fam.id)
         print(f"wrote {args.out}")
     else:
         dump_scalar_csv(out, args.out)
-        dump_grid_sidecar(g, args.out + ".grid.json")
         print(f"wrote {args.out}")
     return 0
 
@@ -172,7 +167,6 @@ def cmd_backlund_run(args) -> int:
                              flags={"probed_sigma": sigma}),
     ]
     dump_scalar_csv(out_field, args.out)
-    dump_grid_sidecar(g, args.out + ".grid.json")
     print(f"wrote constructed {out_name} to {args.out}")
     return _emit(VerificationReport(checks, {"direction": args.direction, "family": fam.id}), args)
 
@@ -230,9 +224,8 @@ def cmd_harmonic_build(args) -> int:
 def cmd_harmonic_verify(args) -> int:
     u = load_complex_csv(args.u)
     tol = acceptance.base_tolerance(args.tol)
-    sidecar, family = args.u + ".grid.json", None
-    if os.path.exists(sidecar):
-        _, family = load_grid_json(sidecar)  # families eval writes it for a weighted map
+    sidecar = args.u + ".grid.json"
+    _, family = load_grid_json(sidecar)  # families eval names a weighted map there
     if family is not None and get_family(family).weight is None:
         raise ValueError(f"{sidecar}: family {family} has no target-metric weight")
     checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol, family)

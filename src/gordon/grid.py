@@ -329,12 +329,15 @@ def atomic_open(path: str):
         raise
 
 
-def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray) -> None:
-    """Write `x,y,<names>,valid` rows, y in the outer loop, numbers as `%.17g`.
+def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=None) -> None:
+    """Write `x,y,<names>,valid` rows, y in the outer loop, numbers as `%.17g`, then the sidecar.
 
     C formats a grid line in one call, from a `%` template built once: every x
     formatted, a NUL where y goes. Each line is written on its own, since one
     whole-file string would add several times the file's size to peak RSS.
+    The sidecar `<path>.grid.json` holds the grid and, when given, `family`;
+    it is written after the CSV, so a dump cut short in the CSV leaves the
+    old pair in place.
     """
     row = "".join(f"{x:.17g},\0" + ",%.17g" * len(columns) + ",%d\n" for x in grid.x())
     vals = np.stack([a.T for a in columns] + [mask.T], axis=-1)  # (ny, nx, k + 1)
@@ -342,14 +345,16 @@ def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray) -> None
         fh.write(",".join(("x", "y", *names, "valid")) + "\n")
         for y, line in zip(grid.y(), vals):
             fh.write(row.replace("\0", f"{y:.17g}") % tuple(line.ravel().tolist()))
+    dump_json(grid.to_json() | ({} if family is None else {"family": family}), path + ".grid.json")
 
 
 def dump_scalar_csv(f: ScalarField, path: str) -> None:
     _dump_csv(path, f.grid, ("value",), (f.values,), f.mask)
 
 
-def dump_complex_csv(u: ComplexField, path: str) -> None:
-    _dump_csv(path, u.grid, ("re", "im"), (u.re, u.im), u.mask)
+def dump_complex_csv(u: ComplexField, path: str, family=None) -> None:
+    """Dump u; `family` names the catalog map whose Hopf weight `harmonic verify` takes."""
+    _dump_csv(path, u.grid, ("re", "im"), (u.re, u.im), u.mask, family)
 
 
 def dump_json(obj, path: str) -> None:
@@ -383,33 +388,30 @@ def load_grid_json(path: str):
 def _load_csv(path: str, ncols: int, build):
     """build(grid, value columns as (nx, ny) arrays, mask) of a dump with ncols columns.
 
-    Raises ValueError, naming the path, unless the x and y columns are the grid
-    coordinates in y-major order (to Grid2D.index_of_x's tolerance), the grid is
-    that of the dump's sidecar `<path>.grid.json` where one exists (a file cut at
-    a whole grid row would otherwise load as a smaller grid), every entry of the
-    last (valid) column is 0 or 1, and numpy's parser and build accept the data.
+    The grid is that of the dump's sidecar `<path>.grid.json`, which is
+    required, so a file cut at a whole grid row is rejected. Raises
+    ValueError, naming the path, unless the sidecar holds a grid, the rows
+    are that grid's points in y-major order (x and y to Grid2D.index_of_x's
+    tolerance) with ncols entries each, every entry of the last (valid)
+    column is 0 or 1, and numpy's parser and build accept the data.
     """
     try:
-        with warnings.catch_warnings():  # an empty file: rejected by its column count
+        with warnings.catch_warnings():  # an empty file: rejected by its shape
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != ncols:
-            raise ValueError(f"expected {ncols} columns")
-        xs, ys = np.unique(data[:, 0]), np.unique(data[:, 1])
-        g = make_grid(xs[0], xs[-1], ys[0], ys[-1], len(xs), len(ys))
-        if not (
-            len(data) == g.nx * g.ny
-            and np.all(np.abs(data[:, 0] - np.tile(g.x(), g.ny)) <= 1e-9 * max(1.0, g.hx))
-            and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))
-        ):
-            raise ValueError(f"rows are not the y-major points of a {g.nx} x {g.ny} grid")
+        try:
+            g, _ = load_grid_json(path + ".grid.json")
+        except FileNotFoundError:
+            raise ValueError(f"its grid sidecar {path}.grid.json is missing") from None
+        n = g.nx * g.ny
+        if data.shape != (n, ncols):
+            raise ValueError(f"expected {n} rows of {ncols} columns, the y-major points of its sidecar's "
+                             f"{g.nx} x {g.ny} grid, got {data.shape[0]} x {data.shape[1]}")
+        if not (np.all(np.abs(data[:, 0] - np.tile(g.x(), g.ny)) <= 1e-9 * max(1.0, g.hx))
+                and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))):
+            raise ValueError(f"rows are not the y-major points of its sidecar's {g.nx} x {g.ny} grid")
         if not np.all((data[:, -1] == 0) | (data[:, -1] == 1)):
             raise ValueError("the valid column holds a value other than 0 and 1")
-        sidecar = path + ".grid.json"
-        if os.path.exists(sidecar):
-            want, _ = load_grid_json(sidecar)
-            if g != want:
-                raise ValueError(f"rows hold the grid {g.to_json()}, its sidecar {sidecar} the grid {want.to_json()}")
         cols = [np.ascontiguousarray(data[:, k].reshape(g.ny, g.nx).T) for k in range(2, ncols)]
         return build(g, *cols[:-1], cols[-1].astype(bool))
     except ValueError as e:

@@ -128,6 +128,20 @@ def test_non_finite_value_at_a_masked_point_rejected(march):
         march(ScalarField(g, values, mask), 0.0)
 
 
+@pytest.mark.parametrize("march,fid", [(theta_to_w, "THETA_SQRT2"), (w_to_theta, "W_SQRT2")],
+                         ids=["theta_to_w", "w_to_theta"])
+def test_masked_point_in_sampled_data_rejected(march, fid):
+    # a container stores 0.0 at a masked point, and the splines would read it
+    # as data: one masked point moved 902 of the 17,060 valid w by up to 0.195
+    g = make_grid(0.0, 0.6, -0.35, 0.35, 121, 141)
+    f = eval_family(fid, g)
+    assert march(f, 0.0).mask.any()  # fully valid: accepted
+    mask = f.mask.copy()
+    mask[90, 100] = False
+    with pytest.raises(ValueError, match="1 of 17061 are masked"):
+        march(ScalarField.masked(g, f.values, ok=mask), 0.0)
+
+
 class TestWToTheta:
     def test_zero_w(self):
         g = grid(-0.5, 0.5, -0.5, 0.5)

@@ -10,7 +10,10 @@ import pytest
 
 from gordon import acceptance, cli, pool
 from gordon.cli import main
+from gordon.families import eval_family
 from gordon.grid import (
+    MAGNITUDE_CAP,
+    Grid2D,
     complex_field,
     dump_complex_csv,
     dump_scalar_csv,
@@ -62,6 +65,21 @@ class TestFamilies:
         assert rc == 0
         for comp in ("E", "Fc", "G"):
             assert (tmp_path / f"m.{comp}.csv").exists()
+
+    def test_eval_metric_components_share_its_mask(self, tmp_path, capsys):
+        # around (0.3225, 0.58275) E and G pass MAGNITUDE_CAP at a valid point
+        # of the metric, where Fc = 0: each component is written under the
+        # metric's mask, not capped on its own
+        h = 0.3 / 400
+        x, y = 0.3 + 30 * h, 0.3 + 377 * h
+        g = make_grid(x - 4 * h, x + 4 * h, y - 4 * h, y + 4 * h, 9, 9)
+        metric = eval_family("METRIC_SECTION3", g)
+        assert np.abs(metric.E[metric.mask]).max() > MAGNITUDE_CAP
+        out = str(tmp_path / "m")
+        assert main(["families", "eval", "--family", "METRIC_SECTION3", "--out", out,
+                     "--grid", json.dumps(g.to_json())]) == 0
+        for comp in ("E", "Fc", "G"):
+            assert np.array_equal(load_scalar_csv(f"{out}.{comp}.csv").mask, metric.mask), comp
 
     def test_unknown_family_is_config_error(self, capsys):
         assert main(["families", "eval", "--family", "NOPE", "--out", "/tmp/x.csv"]) == 2
@@ -403,8 +421,21 @@ class TestRejectedInput:
         assert rc == 2
         assert "sidecar" in capsys.readouterr().err
 
+    def test_map_cut_at_a_grid_row(self, tmp_path, capsys):
+        # the rows left are a smaller grid's; the sidecar the build wrote shows the cut
+        prefix = str(tmp_path / "map")
+        assert main(["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2", "--S0", "0.5", "--out", prefix,
+                     "--grid", coarse(0.0, 0.6, -0.35, 0.35, h=0.025), "--tol", "0.1"]) == 0
+        u = pathlib.Path(prefix + ".u.csv")
+        nx = load_complex_csv(str(u)).grid.nx
+        u.write_text("".join(u.read_text().splitlines(True)[:-nx]))
+        capsys.readouterr()
+        assert main(["harmonic", "verify", "--u", str(u)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {u}: ") and "sidecar" in err
+
     @pytest.mark.parametrize("edit,message", [
-        ("one row", "grid bounds must be ordered"),
+        ("one row", "expected 42 rows"),
         ("blank valid", "could not convert string ''"),
         ("header only", "columns"),
         ("empty", "columns"),
@@ -413,6 +444,7 @@ class TestRejectedInput:
         ("sidecar missing a key", "f.csv.grid.json: a grid is a JSON object with the keys"),
         ("sidecar nx not integral", "f.csv.grid.json: a grid needs finite bounds and integral counts"),
         ("sidecar family not a string", "f.csv.grid.json: family must be a string"),
+        ("no sidecar", "its grid sidecar"),
     ])
     @pytest.mark.parametrize("command", ["verify --u", "build --pair"])
     def test_csv_rejection_names_the_file(self, command, edit, message, tmp_path, capsys, recwarn):
@@ -430,7 +462,9 @@ class TestRejectedInput:
         sidecars = {"sidecar not an object": [1, 2], "sidecar missing a key": {"x0": 0.1},
                     "sidecar nx not integral": g.to_json() | {"nx": 7.5},
                     "sidecar family not a string": g.to_json() | {"family": ["U_EX2"]}}
-        if edit in sidecars:  # the rows are intact
+        if edit == "no sidecar":  # the rows are intact
+            pathlib.Path(f"{p}.grid.json").unlink()
+        elif edit in sidecars:
             pathlib.Path(f"{p}.grid.json").write_text(json.dumps(sidecars[edit]))
         else:
             p.write_text("".join({
@@ -462,7 +496,8 @@ class TestRejectedInput:
         named = w if bad == "both" else theta
         assert err.startswith(f"error: {named}: ") and "non-finite values at valid points" in err
         assert multiprocessing.active_children() == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["theta.csv", "w.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["theta.csv", "theta.csv.grid.json",
+                                                              "w.csv", "w.csv.grid.json"]
 
     def test_declared_params_listed(self, capsys):
         assert main(["families", "list", "--json"]) == 0
@@ -559,10 +594,35 @@ def test_cli_io_on_one_cpu_and_on_two(tmp_path, capsys, monkeypatch):
     assert runs[1] == runs[2]
     codes, _, names = runs[1]
     assert codes == [0, 0]
-    assert names == sorted(["map.u.csv", "map.I1.csv", "map.I2.csv", "map.I3.csv", "map.I4.csv",
-                            "map.grid.json", "map.report.json", "verify.report.json"])
+    csvs = ["map.u.csv", "map.I1.csv", "map.I2.csv", "map.I3.csv", "map.I4.csv"]
+    assert names == sorted(csvs + [c + ".grid.json" for c in csvs]
+                           + ["map.grid.json", "map.report.json", "verify.report.json"])
     for name in names:
         assert filecmp.cmp(tmp_path / "cpus1" / name, tmp_path / "cpus2" / name, shallow=False), name
+
+
+def test_every_csv_has_its_grid_sidecar(tmp_path, capsys, monkeypatch):
+    """Each CSV the CLI writes has `<csv>.grid.json`, holding its grid and, for a weighted map, its family."""
+    grid = coarse(0.0, 0.6, -0.35, 0.35, h=0.025)
+    g = Grid2D.from_json(json.loads(grid))
+    monkeypatch.chdir(tmp_path)
+    for argv in (["families", "eval", "--family", "W_SQRT2", "--out", "w.csv"],
+                 ["families", "eval", "--family", "U_SQRT2", "--out", "u.csv"],
+                 ["families", "eval", "--family", "U_EX2", "--out", "u_ex2.csv"],
+                 ["families", "eval", "--family", "METRIC_SECTION3", "--out", "m"],
+                 ["backlund", "run", "--direction", "t2w", "--family", "THETA_SQRT2", "--out", "t2w.csv",
+                  "--tol", "0.1"],
+                 ["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2", "--S0", "0.5", "--out", "map",
+                  "--tol", "0.1"]):
+        assert main(argv + ["--grid", grid]) == 0, argv
+    csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert csvs == sorted(["w.csv", "u.csv", "u_ex2.csv", "m.E.csv", "m.Fc.csv", "m.G.csv", "t2w.csv",
+                           "map.u.csv", "map.I1.csv", "map.I2.csv", "map.I3.csv", "map.I4.csv"])
+    for name in csvs:
+        sidecar = json.loads(pathlib.Path(name + ".grid.json").read_text())
+        assert sidecar == g.to_json() | ({"family": "U_EX2"} if name == "u_ex2.csv" else {}), name
+        load = load_complex_csv if name in ("u.csv", "u_ex2.csv", "map.u.csv") else load_scalar_csv
+        assert load(name).grid == g, name
 
 
 def test_harmonic_build_and_verify_agree(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import tempfile
 
 import numpy as np
@@ -340,12 +341,24 @@ class TestCsvRoundTrip:
             load(str(p))
 
     def test_sidecar(self, tmp_path):
-        import json
-
         g = make_grid(0, 2, -1, 1, 9, 11)
         p = tmp_path / "g.json"
         dump_grid_sidecar(g, str(p))
         assert Grid2D.from_json(json.loads(p.read_text())) == g
+
+    def test_dump_writes_the_sidecar_and_load_requires_it(self, tmp_path):
+        g = make_grid(0, 2, -1, 1, 9, 11)
+        X, Y = g.mesh()
+        p = tmp_path / "u.csv"
+        dump_complex_csv(complex_field(g, X, Y), str(p), "U_EX2")
+        sidecar = tmp_path / "u.csv.grid.json"
+        assert json.loads(sidecar.read_text()) == g.to_json() | {"family": "U_EX2"}
+        dump_complex_csv(complex_field(g, X, Y), str(p))  # no family: none in the sidecar
+        assert json.loads(sidecar.read_text()) == g.to_json()
+        sidecar.unlink()
+        with pytest.raises(ValueError) as e:
+            load_complex_csv(str(p))
+        assert str(e.value) == f"{p}: its grid sidecar {sidecar} is missing"
 
     def test_rows_must_be_the_sidecar_grid(self, tmp_path):
         # a file cut at a whole grid row is still a grid, just not the dumped one
@@ -353,7 +366,6 @@ class TestCsvRoundTrip:
         X, Y = g.mesh()
         p = tmp_path / "f.csv"
         dump_scalar_csv(field(g, X + Y), str(p))
-        dump_grid_sidecar(g, str(p) + ".grid.json")
         assert load_scalar_csv(str(p)).grid == g
         p.write_text("".join(p.read_text().splitlines(True)[:-g.nx]))
         with pytest.raises(ValueError, match="sidecar"):
@@ -390,7 +402,7 @@ class TestCsvRoundTrip:
             dump_scalar_csv(field(g, X - Y), str(p))
         assert "".join(written).count("\n") == 1 + g.nx  # failed partway: header and one grid line
         assert p.read_bytes() == old
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["f.csv"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["f.csv", "f.csv.grid.json"]
 
 
 class TestRectGrid:
@@ -476,7 +488,7 @@ def _bits(a):
 
 
 class TestCsvRoundTripProperty:
-    """dump, sidecar, load: grid, mask and every value come back bit for bit."""
+    """dump (CSV and sidecar), load: grid, mask and every value come back bit for bit."""
 
     @FAST
     @given(grids(), st.data())
@@ -505,7 +517,6 @@ class TestCsvRoundTripProperty:
         with tempfile.TemporaryDirectory() as d:
             p = f"{d}/f.csv"
             dump(f, p)
-            dump_grid_sidecar(g, p + ".grid.json")
             back = load(p)
         assert back.grid == g
         return back
