@@ -4,8 +4,8 @@ Subcommands: families list / families eval, verify, backlund run,
 harmonic build / harmonic verify, acceptance.  Reports are JSON, fields are
 CSV with a JSON grid sidecar.  Exit codes: 0 all checks passed, 1 a check
 failed or a computation broke down (NumericalError), 2 invalid
-configuration.  The GORDON_TOL environment variable
-overrides the default verification tolerance of 1e-3.
+configuration.  The verification tolerance is 1e-3 unless --tol gives one;
+a run's verdict depends on its arguments alone.
 """
 
 from __future__ import annotations
@@ -233,8 +233,7 @@ def cmd_harmonic_verify(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    rep = acceptance.run_acceptance(h=args.h, tol=args.tol, quick=args.quick,
-                                    convergence=not args.no_convergence)
+    rep = acceptance.run_acceptance(h=args.h, tol=args.tol, quick=args.quick)
     if args.diagnostics:
         dump_json(rep.diagnostics, args.diagnostics)
         print(f"diagnostics written to {args.diagnostics}")
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     spacing.add_argument("--quick", action="store_true", help="h = 1/100 with tolerances x16")
     spacing.add_argument("--h", type=float, default=acceptance.DEFAULT_H)
     acc.add_argument("--tol", type=float)
-    acc.add_argument("--no-convergence", action="store_true")
     acc.add_argument("--json", help="write the report JSON here")
     acc.add_argument("--diagnostics",
                      help="write each criterion's seconds, CPU seconds, minor page faults "

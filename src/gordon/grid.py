@@ -99,7 +99,10 @@ class Grid2D:
 
     @staticmethod
     def from_json(d: dict) -> "Grid2D":
-        """The grid of a JSON object with finite x0, x1, y0, y1 and integral nx, ny; else ValueError."""
+        """The grid of a JSON object with finite x0, x1, y0, y1 and integral nx, ny; else ValueError.
+
+        A "family", where present, must be a string.
+        """
         keys = ("x0", "x1", "y0", "y1", "nx", "ny")
         if not isinstance(d, dict) or not all(k in d for k in keys):
             raise ValueError(f"a grid is a JSON object with the keys {', '.join(keys)}")
@@ -107,6 +110,8 @@ class Grid2D:
         if not (all(type(a) in (int, float) and abs(a) <= sys.float_info.max for a in v)  # not nan, inf or beyond
                 and all(type(n) is int or n.is_integer() for n in v[4:])):
             raise ValueError(f"a grid needs finite bounds and integral counts, got {dict(zip(keys, v))}")
+        if not isinstance(d.get("family"), (str, type(None))):
+            raise ValueError(f"family must be a string, got {d['family']!r}")
         return Grid2D(*v[:4], int(v[4]), int(v[5]))
 
 
@@ -372,15 +377,12 @@ def load_grid_json(path: str):
     """(grid, "family" or None) of a grid JSON file such as a CSV dump's sidecar.
 
     Raises ValueError, naming the path, unless the file holds a grid object
-    (see Grid2D.from_json) whose "family", where present, is a string.
+    (see Grid2D.from_json).
     """
     try:
         with open(path) as fh:
             d = json.load(fh)
-        g, family = Grid2D.from_json(d), d.get("family")
-        if not isinstance(family, (str, type(None))):
-            raise ValueError(f"family must be a string, got {family!r}")
-        return g, family
+        return Grid2D.from_json(d), d.get("family")
     except ValueError as e:  # json's decode error is one
         raise ValueError(f"{path}: {e}") from e
 

@@ -110,6 +110,14 @@ class TestSupCheck:
                       refined=lambda: flat(self.G.refined(), 0.0))
         assert c.ratio == float("inf") and not c.passed
 
+    @pytest.mark.parametrize("floor,passed", [(1 / 32, False), (1 / 8, True)])
+    def test_band_required_only_above_the_floor(self, floor, passed):
+        # refined sup 1/16: above a floor of 1/32 a ratio of 2 fails; below
+        # one of 1/8 rounding sets the sup, and the ratio is only reported
+        c = sup_check("n", "a", flat(self.G, 2 / 16), 1.0,
+                      refined=lambda: flat(self.G.refined(), 1 / 16), floor=floor)
+        assert c.ratio == 2 and c.passed is passed
+
     def test_no_ratio_without_refined(self):
         c = sup_check("n", "a", flat(self.G, 0.1), 1.0)
         assert c.ratio is None and "convergence_ratio" not in c.to_json()
@@ -183,8 +191,7 @@ def report_bytes(rep):
 
 @pytest.mark.parametrize("kwargs,h", [({"quick": True}, 1 / 100), ({"h": 0.005}, 0.005)],
                          ids=["quick", "h0.005"])
-def test_pool_report_equals_in_process_report(kwargs, h, monkeypatch):
-    monkeypatch.delenv("GORDON_TOL", raising=False)
+def test_pool_report_equals_in_process_report(kwargs, h):
     rep = run_acceptance(**kwargs)
     assert multiprocessing.active_children() == []
     oracle = in_process_report(h, kwargs.get("quick", False))

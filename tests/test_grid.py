@@ -577,14 +577,23 @@ class TestMaskProperties:
     @given(grid_masks.flatmap(lambda m: arrays(float, m.shape, elements=st.floats(-1e6, 1e6))),
            st.integers(0, 1), st.data())
     def test_cumtrapz_zero_at_anchor(self, values, axis, data):
-        n = values.shape[axis]
-        k0 = data.draw(st.integers(0, n - 1))
+        self.check_cumtrapz(values, data.draw(st.integers(0, values.shape[axis] - 1)), axis)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("k0", [0, 2, 4])
+    def test_cumtrapz_of_negative_zeros(self, k0, axis):
+        # every segment is -0.0, and so is every sum after the first segment
+        self.check_cumtrapz(np.full((5, 6), -0.0), k0, axis)
+
+    def check_cumtrapz(self, values, k0, axis):
         f = self.on_grid(values, np.ones(values.shape, bool))
         c = self.integral(f, k0, axis)
         assert np.all(np.take(c.values, k0, axis=axis) == 0.0)
-        # the trapezoid summed in ascending index order from index 0, less its value at k0
+        # the trapezoid summed as np.cumsum does, from the first segment in
+        # ascending index order, after a 0 at index 0, less its value at k0
         t, v = (f.grid.x(), f.grid.y())[axis], np.moveaxis(values, axis, 0)
-        acc = [np.zeros(v.shape[1:])]
-        for k in range(n - 1):
-            acc.append(acc[-1] + (v[k + 1] + v[k]) / 2 * (t[k + 1] - t[k]))
+        seg = [(v[k + 1] + v[k]) / 2 * (t[k + 1] - t[k]) for k in range(len(t) - 1)]
+        acc = [np.zeros(v.shape[1:]), seg[0]]
+        for s in seg[1:]:
+            acc.append(acc[-1] + s)
         assert np.array_equal(_bits(c.values), _bits(np.moveaxis(np.array(acc) - acc[k0], 0, axis)))

@@ -1,4 +1,5 @@
-"""Every name a gordon module imports is used in that module, and none is scipy."""
+"""Every name a gordon module imports is used in that module, none is scipy, and
+no gordon module reads the environment."""
 
 import ast
 import os
@@ -42,6 +43,26 @@ def test_no_scipy_import(path):
     modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
     modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
+def environment_reads(source: str) -> list:
+    """Lines that name environ or getenv: os.environ, os.getenv, or either imported bare."""
+    names = {"environ", "getenv"}
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in names
+                  or isinstance(n, ast.Name) and n.id in names
+                  or isinstance(n, ast.ImportFrom) and any(a.name in names for a in n.names))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_read(path):
+    """A run's verdict depends on its arguments alone, never on a variable it inherits."""
+    assert environment_reads(path.read_text()) == []
+
+
+def test_guard_sees_an_environment_read():
+    source = "import os\nos.environ.get('A')\nos.getenv('B')\nfrom os import environ as e, getenv\n"
+    assert environment_reads(source) == [2, 3, 4]
 
 
 def test_gordon_loads_no_scipy():
