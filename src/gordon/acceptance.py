@@ -24,8 +24,9 @@ assembles their checks in criterion order.
 All grids, summation orders, and probe choices are fixed, so the emitted
 report is bit-identical across runs with the same configuration.  Each check
 kind on a catalog family has one builder (residual_check, harmonic_checks,
-pullback_check, metric_check); `gordon verify` runs the same builders.  Every
-check whose measure is the sup of a field over its valid points is made by
+pullback_check, metric_check); `gordon verify` runs the same builders, and
+the `harmonic` commands share map_checks with harmonic_checks.  Every check
+whose measure is the sup of a field over its valid points is made by
 sup_check, which the CLI uses too; it and every check built by hand pass
 through make_check.
 """
@@ -158,25 +159,28 @@ def residual_check(name, fid, g, tol, convergence):
     return sup_check(name, fam.formula, residual(f), tol, ok, refined, flags, floor)
 
 
-def harmonic_checks(stem, fid, g, tol):
-    """Hopf condition and partner correspondence of a catalog map on g.
+def map_checks(stem, anchor, u, tol, weight=None, w=None, convention=None, partner=None):
+    """Hopf condition of a map u and, given its partner solution w, the correspondence.
 
-    The checks are named `<stem>.hopf` and `<stem>.correspondence`.
+    `<stem>.hopf` takes `weight` as hopf_residual does; `<stem>.correspondence`
+    passes on `convention` when one is given, else on either definite convention.
     """
+    flag = "half-plane 1/S^2" if weight is None else "target-metric weight"
+    checks = [sup_check(f"{stem}.hopf", anchor, hopf_residual(u, weight), tol, flags={"weight": flag})]
+    if w is None:
+        return checks
+    conv, res = correspondence_check(u, w)
+    flags = ({} if partner is None else {"partner": partner}) | {"convention": conv}
+    return checks + [sup_check(
+        f"{stem}.correspondence", "dzbar_u / dz_u matches one of exp(-+2w) of the partner solution",
+        res, tol, conv == convention if convention else conv != "none", flags=flags)]
+
+
+def harmonic_checks(stem, fid, g, tol):
+    """map_checks of a catalog map on g, against its recorded partner and convention."""
     fam = get_family(fid)
-    u = eval_family(fid, g)
-    wgt = hopf_weight(fid, g)
-    hopf = sup_check(
-        f"{stem}.hopf", fam.formula, hopf_residual(u, wgt), tol,
-        flags={"weight": "half-plane 1/S^2" if wgt is None else "target-metric weight"},
-    )
-    conv, res = correspondence_check(u, eval_family(fam.partner, g, fam.partner_params))
-    corr = sup_check(
-        f"{stem}.correspondence",
-        "dzbar_u / dz_u matches one of exp(-+2w) of the partner solution",
-        res, tol, conv == fam.convention, flags={"partner": fam.partner, "convention": conv},
-    )
-    return [hopf, corr]
+    return map_checks(stem, fam.formula, eval_family(fid, g), tol, hopf_weight(fid, g),
+                      eval_family(fam.partner, g, fam.partner_params), fam.convention, fam.partner)
 
 
 def _curvature_check(name, anchor, metric, tol):
@@ -310,10 +314,8 @@ def criterion_4(h, tol, march_tol, convergence=True):
 
 
 def criterion_5(h, tol):
-    checks = []
-    for fid in ("U_EX_SECTION3", "U_EX1", "U_EX2", "U_SQRT2"):
-        checks += harmonic_checks(f"c5.{fid}", fid, rect_grid(get_family(fid).rectangle, h), tol)
-    return checks
+    return [c for fid in ("U_EX_SECTION3", "U_EX1", "U_EX2", "U_SQRT2")
+            for c in harmonic_checks(f"c5.{fid}", fid, rect_grid(get_family(fid).rectangle, h), tol)]
 
 
 def criterion_6(h, tol, quad_tol):

@@ -33,7 +33,7 @@ from .grid import (
     load_scalar_csv,
     rect_grid,
 )
-from .harmonic import correspondence_check, hopf_residual, ppfd_construct
+from .harmonic import ppfd_construct
 from .pool import fork_map
 from .report import VerificationReport
 
@@ -102,7 +102,10 @@ def cmd_families_list(args) -> int:
 def cmd_families_eval(args) -> int:
     fam = get_family(args.family)
     g = _grid_from_args(args, fam)
-    params = json.loads(args.params) if args.params else None
+    try:
+        params = json.loads(args.params) if args.params else None
+    except ValueError as e:  # json's decode error is one
+        raise ValueError(f"--params is not valid JSON: {e}") from None
     out = eval_family(fam.id, g, params)
     if fam.kind == "target_metric":
         for comp, arr in (("E", out.E), ("Fc", out.Fc), ("G", out.G)):  # all under the metric's mask
@@ -124,10 +127,8 @@ def _verify_family(fam, g, tol, convergence) -> list:
         name = f"{fam.id}.{fam.kind.removesuffix('_solution')}_residual"
         return [acceptance.residual_check(name, fam.id, g, tol, convergence)]
     if fam.kind == "harmonic_map":
-        gc = rect_grid(fam.curvature_rect, g.hx)
-        return acceptance.harmonic_checks(fam.id, fam.id, g, tol) + [
-            acceptance.pullback_check(f"{fam.id}.pullback_curvature", fam.id, gc, tol)
-        ]
+        return acceptance.harmonic_checks(fam.id, fam.id, g, tol) + [acceptance.pullback_check(
+            f"{fam.id}.pullback_curvature", fam.id, rect_grid(fam.curvature_rect, g.hx), tol)]
     return [acceptance.metric_check(f"{fam.id}.curvature", fam.id, g, tol)]
 
 
@@ -171,6 +172,13 @@ def cmd_backlund_run(args) -> int:
     return _emit(VerificationReport(checks, {"direction": args.direction, "family": fam.id}), args)
 
 
+def _one_grid(*loaded):
+    """Raise ValueError, naming each file and its grid, unless the (path, grid) pairs share one grid."""
+    if len({g for _, g in loaded}) > 1:
+        raise ValueError("fields must share one grid: " + "; ".join(
+            f"{p} is on a {g.nx} x {g.ny} grid over [{g.x0}, {g.x1}] x [{g.y0}, {g.y1}]" for p, g in loaded))
+
+
 def _resolve_pair(spec: str, args):
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 2:
@@ -186,25 +194,8 @@ def _resolve_pair(spec: str, args):
         if not os.path.exists(p):
             raise ValueError(f"pair member {p!r} is neither a family id nor a file")
     w, th = fork_map([(load_scalar_csv, p) for p in parts])
+    _one_grid((parts[0], w.grid), (parts[1], th.grid))
     return BacklundPair(w, th, provenance="loaded from CSV")
-
-
-def _map_checks(u, w, tol, family=None) -> list:
-    """Hopf condition of a map u and, given a partner w, the correspondence.
-
-    The Hopf condition is the half-plane one, or, given a catalog family
-    whose record has a weight, that of the family's target metric.
-    """
-    wgt = None if family is None else families.hopf_weight(family, u.grid)
-    anchor = "half-plane Hopf condition" if wgt is None else f"Hopf condition of {family}'s target metric"
-    checks = [acceptance.sup_check("harmonic.hopf", anchor, hopf_residual(u, wgt), tol)]
-    if w is not None:
-        conv, res = correspondence_check(u, w)
-        checks.append(acceptance.sup_check(
-            "harmonic.correspondence", "dzbar_u/dz_u against exp(-+2w)", res, tol,
-            conv != "none", flags={"convention": conv},
-        ))
-    return checks
 
 
 def cmd_harmonic_build(args) -> int:
@@ -215,7 +206,8 @@ def cmd_harmonic_build(args) -> int:
              + [(dump_scalar_csv, getattr(result, name), f"{args.out}.{name}.csv")
                 for name in ("I1", "I2", "I3", "I4")])
     dump_grid_sidecar(pair.grid, args.out + ".grid.json")
-    checks = _map_checks(result.u, pair.w, tol)
+    checks = acceptance.map_checks("harmonic", "half-plane Hopf condition", result.u, tol,
+                                   w=pair.w, convention="exp(-2w)")  # the construction's, as in c6
     print(f"wrote {args.out}.u.csv and quadrature fields I1..I4")
     args.json = args.json or (args.out + ".report.json")
     return _emit(VerificationReport(checks, {"R0": args.R0, "S0": args.S0}), args)
@@ -228,7 +220,12 @@ def cmd_harmonic_verify(args) -> int:
     _, family = load_grid_json(sidecar)  # families eval names a weighted map there
     if family is not None and get_family(family).weight is None:
         raise ValueError(f"{sidecar}: family {family} has no target-metric weight")
-    checks = _map_checks(u, load_scalar_csv(args.w) if args.w else None, tol, family)
+    w = load_scalar_csv(args.w) if args.w else None
+    if w is not None:
+        _one_grid((args.u, u.grid), (args.w, w.grid))
+    wgt = None if family is None else families.hopf_weight(family, u.grid)
+    anchor = "half-plane Hopf condition" if wgt is None else f"Hopf condition of {family}'s target metric"
+    checks = acceptance.map_checks("harmonic", anchor, u, tol, wgt, w)
     return _emit(VerificationReport(checks, {"u": args.u}), args)
 
 
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     acc = sub.add_parser("acceptance", help="run the full acceptance suite")
     spacing = acc.add_mutually_exclusive_group()
-    spacing.add_argument("--quick", action="store_true", help="h = 1/100 with tolerances x16")
+    spacing.add_argument("--quick", action="store_true", help="h = 1/100, tolerances x16, no h-halving ratios")
     spacing.add_argument("--h", type=float, default=acceptance.DEFAULT_H)
     acc.add_argument("--tol", type=float)
     acc.add_argument("--json", help="write the report JSON here")

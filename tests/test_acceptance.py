@@ -16,6 +16,7 @@ from gordon import acceptance, pool
 from gordon.acceptance import run_acceptance, sup_check
 from gordon.backlund import BacklundPair, backlund_residuals
 from gordon.cli import main
+from gordon.families import eval_family, get_family, hopf_weight
 from gordon.grid import (
     NumericalError,
     complex_field,
@@ -25,6 +26,7 @@ from gordon.grid import (
     make_metric,
     partial_x,
     partial_y,
+    rect_grid,
     wirtinger,
 )
 from gordon.harmonic import correspondence_check, gaussian_curvature, hopf_residual
@@ -121,6 +123,40 @@ class TestSupCheck:
     def test_no_ratio_without_refined(self):
         c = sup_check("n", "a", flat(self.G, 0.1), 1.0)
         assert c.ratio is None and "convergence_ratio" not in c.to_json()
+
+
+class TestMapChecks:
+    """The correspondence passes on a given convention, else on either definite one."""
+
+    H = 0.02
+
+    def map_and_partner(self, fid):
+        fam = get_family(fid)
+        g = rect_grid(fam.rectangle, self.H)
+        return eval_family(fid, g), eval_family(fam.partner, g, fam.partner_params), hopf_weight(fid, g)
+
+    @pytest.mark.parametrize("given", [None, "exp(-2w)", "exp(+2w)"])
+    @pytest.mark.parametrize("fid,measured", [("U_SQRT2", "exp(-2w)"), ("U_EX1", "exp(+2w)")])
+    def test_convention_rule(self, fid, measured, given):
+        u, w, wgt = self.map_and_partner(fid)
+        hopf, corr = acceptance.map_checks("m", "a", u, 0.1, wgt, w, given, partner="P")
+        assert (hopf.name, corr.name, corr.anchor) == (
+            "m.hopf", "m.correspondence", "dzbar_u / dz_u matches one of exp(-+2w) of the partner solution")
+        assert hopf.passed and corr.sup < 0.1
+        assert list(corr.flags.items()) == [("partner", "P"), ("convention", measured)]
+        assert corr.passed == (given in (None, measured))
+
+    @pytest.mark.parametrize("given", [None, "exp(-2w)"])
+    def test_no_definite_convention_fails(self, given):
+        u, w, _ = self.map_and_partner("U_SQRT2")
+        w0 = field(w.grid, np.zeros((w.grid.nx, w.grid.ny)))  # exp(-2w) = exp(+2w): the probes tie
+        _, corr = acceptance.map_checks("m", "a", u, np.inf, w=w0, convention=given)
+        assert corr.flags == {"convention": "none"} and not corr.passed
+
+    def test_hopf_alone_without_a_partner(self):
+        u, _, _ = self.map_and_partner("U_SQRT2")
+        [hopf] = acceptance.map_checks("m", "a", u, 0.1)
+        assert hopf.passed and hopf.flags == {"weight": "half-plane 1/S^2"}
 
 
 class TestStencilFrames:

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import multiprocessing
@@ -10,7 +11,7 @@ import pytest
 
 from gordon import acceptance, cli, pool
 from gordon.cli import main
-from gordon.families import eval_family
+from gordon.families import eval_family, get_family
 from gordon.grid import (
     MAGNITUDE_CAP,
     Grid2D,
@@ -22,6 +23,7 @@ from gordon.grid import (
     load_scalar_csv,
     make_grid,
 )
+from gordon.harmonic import ppfd_construct
 
 
 def coarse(x0, x1, y0, y1, h=1 / 50):
@@ -225,10 +227,12 @@ class TestHarmonic:
 
     @pytest.mark.parametrize("fid,h,line", [
         # the target-metric weight of the record, as `verify --family` at the same h
-        ("U_EX2", 0.0025, "PASS  harmonic.hopf: sup=0.000117149 tol=0.001 n=3081"),
-        ("U_EX_SECTION3", 0.0025, "PASS  harmonic.hopf: sup=0.000219644 tol=0.001 n=25281"),
+        ("U_EX2", 0.0025,
+         "PASS  harmonic.hopf: sup=0.000117149 tol=0.001 n=3081 weight=target-metric weight"),
+        ("U_EX_SECTION3", 0.0025,
+         "PASS  harmonic.hopf: sup=0.000219644 tol=0.001 n=25281 weight=target-metric weight"),
         # no weight in the record: the half-plane check, as before
-        ("U_SQRT2", 0.01, "PASS  harmonic.hopf: sup=0.000580935 tol=0.001 n=5451"),
+        ("U_SQRT2", 0.01, "PASS  harmonic.hopf: sup=0.000580935 tol=0.001 n=5451 weight=half-plane 1/S^2"),
     ], ids=["U_EX2", "U_EX_SECTION3", "U_SQRT2"])
     def test_verify_takes_the_weight_of_the_dumped_family(self, fid, h, line, tmp_path, capsys):
         out = str(tmp_path / "u.csv")
@@ -259,6 +263,42 @@ class TestHarmonic:
         dump_scalar_csv(field(g, np.zeros((11, 11))), w_path)
         assert main(["harmonic", "verify", "--u", u_path, "--w", w_path]) == 1
         assert "dz_u degenerate" in capsys.readouterr().err
+
+    def test_build_requires_the_construction_convention(self, tmp_path, capsys, monkeypatch):
+        # the reflected map -R + iS is harmonic too and passes the Hopf check,
+        # but its correspondence reads exp(+2w), not the construction's exp(-2w)
+        def reflected(pair, R0, S0):
+            res = ppfd_construct(pair, R0, S0)
+            return dataclasses.replace(res, u=complex_field(pair.grid, -res.u.re, res.u.im, res.u.mask))
+
+        monkeypatch.setattr(cli, "ppfd_construct", reflected)
+        prefix = str(tmp_path / "map")
+        assert main([
+            "harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2", "--S0", "0.5", "--out", prefix,
+            "--grid", coarse(0.0, 0.6, -0.35, 0.35, h=0.025), "--tol", "0.1",
+        ]) == 1
+        checks = {c["name"]: c for c in json.loads((tmp_path / "map.report.json").read_text())["checks"]}
+        assert checks["harmonic.hopf"]["passed"]
+        corr = checks["harmonic.correspondence"]
+        assert corr["flags"]["convention"] == "exp(+2w)" and corr["sup_norm"] < 0.1
+        assert not corr["passed"]
+
+    @pytest.mark.parametrize("fid", ["U_EX_SECTION3", "U_EX1", "U_EX2", "U_SQRT2"])
+    def test_verify_of_a_dump_equals_verify_family(self, fid, tmp_path, capsys, monkeypatch):
+        """`harmonic verify` of a map's dump and its partner measures what `verify --family` does."""
+        fam = get_family(fid)
+        monkeypatch.chdir(tmp_path)
+        assert main(["families", "eval", "--family", fid, "--out", "u.csv", "--h", "0.01"]) == 0
+        assert main(["families", "eval", "--family", fam.partner, "--out", "w.csv",
+                     "--params", json.dumps(fam.partner_params), "--grid", "u.csv.grid.json"]) == 0
+        assert main(["harmonic", "verify", "--u", "u.csv", "--w", "w.csv", "--json", "dump.json"]) in (0, 1)
+        assert main(["verify", "--family", fid, "--grid", "u.csv.grid.json", "--json", "family.json"]) in (0, 1)
+        dump, family = ({c["name"]: c for c in json.loads(pathlib.Path(f).read_text())["checks"]}
+                        for f in ("dump.json", "family.json"))
+        for check, flag in (("hopf", "weight"), ("correspondence", "convention")):
+            got, want = dump[f"harmonic.{check}"], family[f"{fid}.{check}"]
+            keys = lambda c: (c["sup_norm"], c["valid_points"], c["flags"][flag])
+            assert keys(got) == keys(want), check
 
 
 class TestAcceptanceCommand:
@@ -505,6 +545,33 @@ class TestRejectedInput:
         assert multiprocessing.active_children() == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["theta.csv", "theta.csv.grid.json",
                                                               "w.csv", "w.csv.grid.json"]
+
+    def test_params_that_are_not_json_name_the_option(self, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        rc = main(["families", "eval", "--family", "U_EX1", "--out", str(out), "--params", "{eps: 1}",
+                   "--h", "0.05"])
+        assert rc == 2
+        assert not out.exists()
+        assert "--params is not valid JSON: Expecting property name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,files", [
+        (["harmonic", "verify", "--u", "u.csv", "--w", "w.csv"], (("U_SQRT2", "u.csv"), ("W_SQRT2", "w.csv"))),
+        (["harmonic", "build", "--pair", "w.csv,theta.csv", "--out", "map"],
+         (("W_SQRT2", "w.csv"), ("THETA_SQRT2", "theta.csv"))),
+    ], ids=["verify", "build"])
+    def test_csvs_on_two_grids_are_named(self, command, files, tmp_path, capsys, monkeypatch):
+        # the same rectangle at two spacings: 13 x 15 and 25 x 29 points
+        monkeypatch.chdir(tmp_path)
+        for (fid, name), h in zip(files, (0.05, 0.025)):
+            assert main(["families", "eval", "--family", fid, "--out", name,
+                         "--grid", coarse(0.0, 0.6, -0.35, 0.35, h=h)]) == 0
+        written = sorted(os.listdir())
+        capsys.readouterr()
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        first, second = files[0][1], files[1][1]
+        assert f"{first} is on a 13 x 15 grid" in err and f"{second} is on a 25 x 29 grid" in err, err
+        assert sorted(os.listdir()) == written
 
     def test_declared_params_listed(self, capsys):
         assert main(["families", "list", "--json"]) == 0
