@@ -205,7 +205,7 @@ def metric_check(name, fid, g, tol):
 # ---------------------------------------------------------------------------
 
 
-def criterion_1(h, tol, convergence=True):
+def criterion_1(h, tol, convergence):
     return [
         residual_check(f"c1.{fid}.sinh_residual", fid, rect_grid(get_family(fid).rectangle, h),
                        tol, convergence)
@@ -213,7 +213,7 @@ def criterion_1(h, tol, convergence=True):
     ]
 
 
-def criterion_2(h, tol, convergence=True):
+def criterion_2(h, tol, convergence):
     checks = [
         residual_check(f"c2.{fid}.sine_residual", fid, rect_grid(get_family(fid).rectangle, h),
                        tol, convergence)
@@ -246,7 +246,13 @@ def criterion_2(h, tol, convergence=True):
     return checks
 
 
-def criterion_3(h, ode_tol):
+def _ode_tol(h):
+    """The profile RK4 checks' tolerance: the RK4 floor scales with h^4."""
+    return 1e-8 * max(((h / DEFAULT_H) ** 2) ** 2, 1.0)
+
+
+def criterion_3(h):
+    ode_tol = _ode_tol(h)
     axis = np.linspace(-1.0, 1.0, int(round(2.0 / h)) + 1)
     spec = QuarticProfile(-1.0, 4.0, 0.0, 2.0, 0.0)
     sp = integrate_profile(spec, axis)
@@ -276,7 +282,10 @@ def _pair(fid_w, fid_theta, g):
     )
 
 
-def criterion_4(h, tol, march_tol, convergence=True):
+def criterion_4(h, tol, convergence):
+    # the analytic march's _FD_STEP error (<= 1.2e-10) does not shrink with h,
+    # so the 0.1 floor keeps fine grids above it; its Magnus error is 1e-9 at 1/100
+    march_tol = 1e-8 * max((h / DEFAULT_H) ** 2, 0.1)
     checks = []
     for fid_w, fid_t in (("W_SQRT2", "THETA_SQRT2"), ("W_EX2", "THETA_EX2")):
         g = rect_grid(get_family(fid_w).rectangle, h)
@@ -318,7 +327,7 @@ def criterion_5(h, tol):
             for c in harmonic_checks(f"c5.{fid}", fid, rect_grid(get_family(fid).rectangle, h), tol)]
 
 
-def criterion_6(h, tol, quad_tol):
+def criterion_6(h, tol):
     g = rect_grid(MARCH_RECT_SQRT2, h)
     pair = _pair("W_SQRT2", "THETA_SQRT2", g)
     result = ppfd_construct(pair, R0=0.0, S0=0.5)
@@ -329,7 +338,7 @@ def criterion_6(h, tol, quad_tol):
     sup = float(np.max(np.abs(result.I1.values[:, j0] - printed_I1)))
     checks = [make_check(
         "c6.ppfd.I1_vs_printed", "I1(x) = x - artanh(tanh(sqrt2 x)/sqrt2)",
-        sup, g.nx, quad_tol, grid=g.to_json(),
+        sup, g.nx, 1e-6 * (h / DEFAULT_H) ** 2, grid=g.to_json(),
     )]
 
     checks.append(sup_check(
@@ -367,7 +376,7 @@ def criterion_6(h, tol, quad_tol):
     return checks
 
 
-def criterion_7(h, tol, control_tol):
+def criterion_7(h, tol):
     checks = [
         metric_check(f"c7.{fid}.curvature", fid, rect_grid(get_family(fid).rectangle, h), tol)
         for fid in ("METRIC_SECTION3", "METRIC_EX2")
@@ -379,7 +388,7 @@ def criterion_7(h, tol, control_tol):
         "c7.poincare_control.curvature",
         "E = G = 1/y^2 has curvature exactly -1",
         make_metric(g, 1 / Y**2, np.zeros_like(Y), 1 / Y**2),
-        control_tol,
+        1e-6 * (h / DEFAULT_H) ** 2,
     ))
 
     checks += [
@@ -390,7 +399,7 @@ def criterion_7(h, tol, control_tol):
     return checks
 
 
-def criterion_8(h, ode_tol):
+def criterion_8(h):
     checks = []
     rejected = 0
     for ctor, args in (
@@ -423,7 +432,7 @@ def criterion_8(h, ode_tol):
     checks.append(make_check(
         "c8.coefficient_resolution",
         "(p')^2 = p^4 - 4p^2 + 4 is the first integral of sqrt(2)*tanh(sqrt(2) x)",
-        winner, len(axis), ode_tol, loser_mid > 1e-2 and loser_const > 1e-2,
+        winner, len(axis), _ode_tol(h), loser_mid > 1e-2 and loser_const > 1e-2,
         flags={
             "winner": "q2=-4, q0=4, p'(0)=2",
             "mismatch_flipped_middle": loser_mid,
@@ -464,24 +473,18 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None,
     # worker starts: c3's and c8's profile axes of 2/h samples have no
     # point-count bound of their own
     rect_grid(ROUNDTRIP_RECT, h)
-    factor = (h / DEFAULT_H) ** 2  # second-order scaling of every FD floor
-    tol_fd = tol * factor
-    # the analytic march's _FD_STEP error (<= 1.2e-10) does not shrink with h,
-    # so the 0.1 floor keeps fine grids above it; its Magnus error is 1e-9 at 1/100
-    march_tol = 1e-8 * max(factor, 0.1)
-    quad_tol = 1e-6 * factor
-    control_tol = 1e-6 * factor
-    ode_tol = 1e-8 * max(factor**2, 1.0)  # RK4 floor scales with h^4
-
+    # second-order scaling of every FD floor; each criterion sets its fixed
+    # tolerances itself
+    tol_fd = tol * (h / DEFAULT_H) ** 2
     calls = {
         1: (criterion_1, h, tol_fd, convergence),
         2: (criterion_2, h, tol_fd, convergence),
-        3: (criterion_3, h, ode_tol),
-        4: (criterion_4, h, tol_fd, march_tol, convergence),
+        3: (criterion_3, h),
+        4: (criterion_4, h, tol_fd, convergence),
         5: (criterion_5, h, tol_fd),
-        6: (criterion_6, h, tol_fd, quad_tol),
-        7: (criterion_7, h, tol_fd, control_tol),
-        8: (criterion_8, h, ode_tol),
+        6: (criterion_6, h, tol_fd),
+        7: (criterion_7, h, tol_fd),
+        8: (criterion_8, h),
     }
     done = fork_map([(_timed, *calls[k]) for k in LONGEST_FIRST])
     results = {k: done[LONGEST_FIRST.index(k)] for k in calls}  # criterion order
@@ -497,7 +500,6 @@ def run_acceptance(h: float = DEFAULT_H, tol: float | None = None,
     return VerificationReport(
         checks=checks,
         config={"h": h, "tolerance": tol, "quick": quick, "convergence": convergence},
-        elapsed=elapsed,
         diagnostics={
             "workers": min(workers(), len(calls)),
             "wall_s": elapsed,

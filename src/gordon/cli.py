@@ -63,8 +63,8 @@ def _grid_from_args(args, fam, include_axes=False) -> Grid2D:
 def _emit(report: VerificationReport, args) -> int:
     for c in sorted(report.checks, key=lambda c: c.name):
         print(c.line())
-    if report.elapsed is not None:
-        print(f"elapsed: {report.elapsed:.1f}s")
+    if report.diagnostics is not None:
+        print(f"elapsed: {report.diagnostics['wall_s']:.1f}s")
     if getattr(args, "json", None):
         report.write(args.json)
         print(f"report written to {args.json}")
@@ -143,7 +143,7 @@ def cmd_verify(args) -> int:
 def cmd_backlund_run(args) -> int:
     fam = get_family(args.family)
     g = _grid_from_args(args, fam, include_axes=True)
-    analytic = families.scalar_callable(fam.id, fam.params)
+    analytic = families.scalar_callable(fam.id)
     tol = acceptance.base_tolerance(args.tol)
     if args.direction == "t2w":
         if fam.kind != "sine_solution":

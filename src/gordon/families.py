@@ -337,8 +337,8 @@ def _params(fam: SolutionFamily, params) -> dict:
     return {**fam.params, **params}
 
 
-def scalar_callable(fid: str, params: dict | None = None):
-    """Vectorized (x, y) -> value function for a scalar family, or None.
+def scalar_callable(fid: str):
+    """Vectorized (x, y) -> value function for a scalar family at its params, or None.
 
     Used by the transform marches, which need values between grid points.
     Invalid points come back as nan.
@@ -346,10 +346,9 @@ def scalar_callable(fid: str, params: dict | None = None):
     fam = CATALOG.get(fid)
     if fam is None or fam.kind not in SCALAR_KINDS:
         return None
-    params = _params(fam, params)
 
     def call(x, y):
-        v, ok = fam.evaluate(np.asarray(x, dtype=float), np.asarray(y, dtype=float), **params)
+        v, ok = fam.evaluate(np.asarray(x, dtype=float), np.asarray(y, dtype=float), **fam.params)
         return np.where(ok, v, np.nan)
 
     return call
@@ -397,10 +396,15 @@ def residual_sine_gordon(theta: ScalarField, sigma: int) -> ScalarField:
     return field(theta.grid, r, lap.mask)
 
 
+def definite(a: float, b: float) -> int:
+    """Which of two probes' sups is definite: +1 if a < 0.1 b, -1 if b < 0.1 a, else 0."""
+    return 1 if a < 0.1 * b else -1 if b < 0.1 * a else 0
+
+
 def sign_probe(theta: ScalarField) -> int:
     """Return the sigma in {+1, -1} minimizing the residual, or 0 if ambiguous.
 
-    Ambiguous means neither sup-norm is below a tenth of the other (as for
+    Ambiguous means neither sup-norm is definite against the other (as for
     constant theta = pi/2 where both residuals vanish).
     """
     sup_p, n_p = residual_sine_gordon(theta, +1).sup_norm()
@@ -408,8 +412,4 @@ def sign_probe(theta: ScalarField) -> int:
     if min(n_p, n_m) < 100:
         raise ValueError(f"too few valid interior points for a sign probe: {min(n_p, n_m)} of the 100 "
                          f"it needs on a {theta.grid.nx} x {theta.grid.ny} grid")
-    if sup_p < 0.1 * sup_m:
-        return 1
-    if sup_m < 0.1 * sup_p:
-        return -1
-    return 0
+    return definite(sup_p, sup_m)

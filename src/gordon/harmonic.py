@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backlund import BacklundPair
+from .families import definite
 from .grid import (
     ComplexField,
     MetricSample,
@@ -113,8 +114,8 @@ def correspondence_check(u: ComplexField, w: ScalarField):
     """Probe the first-order relation dzbar_u / dz_u against e^{-+2w}.
 
     Returns (convention, residual field) where convention is 'exp(-2w)',
-    'exp(+2w)', or 'none'; a convention is definite when its sup-residual is
-    below a tenth of the other's.
+    'exp(+2w)', or 'none' when neither sup-residual is definite against the
+    other; a tie returns the exp(-2w) residual.
     """
     if u.grid != w.grid:
         raise ValueError("fields must share one grid")
@@ -130,11 +131,8 @@ def correspondence_check(u: ComplexField, w: ScalarField):
     res_p = field(g, np.abs(rho - np.exp(+2 * w.values)), ok)
     sup_m, _ = res_m.sup_norm()
     sup_p, _ = res_p.sup_norm()
-    if sup_m < 0.1 * sup_p:
-        return "exp(-2w)", res_m
-    if sup_p < 0.1 * sup_m:
-        return "exp(+2w)", res_p
-    return "none", res_m if sup_m <= sup_p else res_p
+    return {1: ("exp(-2w)", res_m), -1: ("exp(+2w)", res_p)}.get(
+        definite(sup_m, sup_p), ("none", res_m if sup_m <= sup_p else res_p))
 
 
 def _immersive(m: MetricSample):

@@ -54,7 +54,6 @@ class CheckResult:
 class VerificationReport:
     checks: list
     config: dict = dc_field(default_factory=dict)
-    elapsed: float | None = None  # wall-clock seconds; never serialized
     diagnostics: dict | None = None  # where a run's time went; never serialized
 
     @property

@@ -201,19 +201,16 @@ class TestStencilFrames:
 def in_process_report(h, quick):
     """The report one process assembles: criteria 1-8 in order, then c9."""
     convergence = not quick
-    factor = (h / acceptance.DEFAULT_H) ** 2
-    tol_fd = 1e-3 * factor
-    march_tol = 1e-8 * max(factor, 0.1)
-    ode_tol = 1e-8 * max(factor**2, 1.0)
+    tol_fd = 1e-3 * (h / acceptance.DEFAULT_H) ** 2
     checks = (
         acceptance.criterion_1(h, tol_fd, convergence)
         + acceptance.criterion_2(h, tol_fd, convergence)
-        + acceptance.criterion_3(h, ode_tol)
-        + acceptance.criterion_4(h, tol_fd, march_tol, convergence)
+        + acceptance.criterion_3(h)
+        + acceptance.criterion_4(h, tol_fd, convergence)
         + acceptance.criterion_5(h, tol_fd)
-        + acceptance.criterion_6(h, tol_fd, 1e-6 * factor)
-        + acceptance.criterion_7(h, tol_fd, 1e-6 * factor)
-        + acceptance.criterion_8(h, ode_tol)
+        + acceptance.criterion_6(h, tol_fd)
+        + acceptance.criterion_7(h, tol_fd)
+        + acceptance.criterion_8(h)
     )
     checks.append(CheckResult("c9.runtime_budget", "full suite finishes within five minutes",
                               0.0, len(checks), 300.0, True))
@@ -225,14 +222,54 @@ def report_bytes(rep):
     return json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("kwargs,h", [({"quick": True}, 1 / 100), ({"h": 0.005}, 0.005)],
-                         ids=["quick", "h0.005"])
-def test_pool_report_equals_in_process_report(kwargs, h):
-    rep = run_acceptance(**kwargs)
+COARSE = {"quick": ({"quick": True}, 1 / 100), "h0.005": ({"h": 0.005}, 0.005)}
+
+
+@pytest.fixture(scope="module")
+def coarse_reports():
+    """run_acceptance's reports at the two COARSE spacings, built once."""
+    reports = {k: run_acceptance(**kwargs) for k, (kwargs, _) in COARSE.items()}
     assert multiprocessing.active_children() == []
+    return reports
+
+
+@pytest.mark.parametrize("spacing", COARSE)
+def test_pool_report_equals_in_process_report(spacing, coarse_reports):
+    kwargs, h = COARSE[spacing]
+    rep = coarse_reports[spacing]
     oracle = in_process_report(h, kwargs.get("quick", False))
     assert [c.name for c in rep.checks] == [c.name for c in oracle.checks]
     assert report_bytes(rep) == report_bytes(oracle)
+
+
+# each check's tolerance at h = 1/100 (quick), 0.005 and 1/400, copied from
+# the reports whose digests are 1878e85e…, ffdb2269… and 9ca24df7….  The c4
+# march tolerance's 0.1 floor only starts below h = sqrt(0.1) / 400 (about
+# 1/1265), so none of these spacings reaches it
+FIXED_TOLERANCES = {
+    "c2.THETA_CONST_HALFPI.both_signs": (1e-12, 1e-12, 1e-12),
+    "c2.assembled_tanh_family.vs_THETA_SQRT2": (1.044e-12, 8.400000000000001e-14, 2.4e-14),
+    "c3.first_integral_drift": (2.56e-07, 1.6e-08, 1e-09),
+    "c3.sech_profile.closed_form": (2.56e-06, 1.6e-07, 1e-08),
+    "c8.coefficient_resolution": (2.56e-06, 1.6e-07, 1e-08),
+    "c4.march.THETA_SQRT2_to_W_SQRT2": (1.6e-07, 4e-08, 1e-08),
+    "c4.march.THETA_EX2_to_W_EX2": (1.6e-07, 4e-08, 1e-08),
+    "c4.roundtrip.W_TAN_SPECIAL": (1.6e-07, 4e-08, 1e-08),
+    "c6.ppfd.I1_vs_printed": (1.6e-05, 4e-06, 1e-06),
+    "c7.poincare_control.curvature": (1.6e-05, 4e-06, 1e-06),
+    "c8.constraint_rejection": (0.5, 0.5, 0.5),
+    "c9.runtime_budget": (300.0, 300.0, 300.0),
+}
+FD_TOLERANCES = (0.016, 0.004, 0.001)  # the other 25 checks: 1e-3 * (h * 400)^2
+
+
+@pytest.mark.parametrize("column,spacing", enumerate(("quick", "h0.005", "full")),
+                         ids=("quick", "h0.005", "full"))
+def test_every_tolerance_is_pinned(column, spacing, report, coarse_reports):
+    rep = report if spacing == "full" else coarse_reports[spacing]
+    assert [c.tol for c in rep.checks if c.name not in FIXED_TOLERANCES] == [FD_TOLERANCES[column]] * 25
+    assert ({c.name: c.tol for c in rep.checks if c.name in FIXED_TOLERANCES}
+            == {name: tols[column] for name, tols in FIXED_TOLERANCES.items()})
 
 
 @pytest.mark.parametrize("error,code", [(NumericalError, 1), (ValueError, 2)])

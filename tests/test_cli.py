@@ -599,10 +599,10 @@ class TestVerifyParity:
         assert rc in (0, 1)
         verified = json.loads(out.read_text())["checks"]
         run = {
-            1: lambda: acceptance.criterion_1(self.H, self.TOL),
-            2: lambda: acceptance.criterion_2(self.H, self.TOL),
+            1: lambda: acceptance.criterion_1(self.H, self.TOL, True),
+            2: lambda: acceptance.criterion_2(self.H, self.TOL, True),
             5: lambda: acceptance.criterion_5(self.H, self.TOL),
-            7: lambda: acceptance.criterion_7(self.H, self.TOL, 1e-6),
+            7: lambda: acceptance.criterion_7(self.H, self.TOL),
         }
         accepted = {}
         for k in criteria:

@@ -1,5 +1,6 @@
-"""Every name a gordon module imports is used in that module, none is scipy, and
-no gordon module reads the environment."""
+"""Every name a gordon module imports is used in that module, none is scipy,
+no gordon module reads the environment, and every top-level name gordon
+defines is used by gordon or the benchmark."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gordon"
 MODULES = sorted(SRC.glob("*.py"))
+PERFBENCH = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -71,3 +73,47 @@ def test_gordon_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def unused_definitions(defining: dict, using: dict) -> list:
+    """The top-level names defined in `defining` that no other top-level
+    statement of `defining` or `using` names; both map a label to a source.
+
+    A bare name that is not assigned to names it, and so does an attribute
+    (`families.scalar_callable`); the match is by name, not by binding.
+    """
+    defined, named = [], []
+    for label, source in {**using, **defining}.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            named.append(((label, i), {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                                       and not isinstance(n.ctx, ast.Store)}
+                          | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}))
+            if label not in defining:
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((stmt.name, (label, i)))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [(t.id, (label, i)) for t in targets if isinstance(t, ast.Name)]
+    return sorted(name for name, where in defined
+                  if not any(name in names for at, names in named if at != where))
+
+
+# each name here is defined in gordon and used by no gordon module or benchmark
+UNUSED_ON_PURPOSE = {
+    "closed_form_w_tanh": "ROADMAP item 4 gates it in c4 or deletes it",
+    "assemble_tan_family": "ROADMAP item 4 gates it in c1 or deletes it",
+    "make_grid": "the tests' grid constructor",
+}
+
+
+def test_no_dead_definitions():
+    read = lambda paths: {str(p): p.read_text() for p in paths}
+    assert unused_definitions(read(MODULES), read(PERFBENCH)) == sorted(UNUSED_ON_PURPOSE)
+
+
+def test_guard_sees_a_dead_definition():
+    defining = {"a": "X = 1\nY: int = 2\nclass C:\n    pass\ndef f():\n    return f() + X\n"
+                     "def g():\n    return C()\n",
+                "b": "def h():\n    pass\n"}
+    assert unused_definitions(defining, {"use": "import a\na.g(Y)\n"}) == ["f", "h"]
