@@ -14,10 +14,9 @@ t = p/q (the Lax-pair form), marched one fourth-order Magnus cell at a time:
 the given field and its cross derivative are tabulated at the two Gauss
 points of every cell in vectorized blocks of at most MARCH_BLOCK entries,
 all transfer matrices are formed in one pass, and the march multiplies 2x2
-matrices.  Sampled data is read through not-a-knot cubic splines, each
-held as its node slopes from one tridiagonal solve (a numpy port of
-LAPACK's gtsv, so no scipy at run time) and evaluated cell by cell, with
-the bits of scipy's cubic spline.  A point is valid while the partner
+matrices.  Sampled data is read through local cubic Hermite cells, whose
+node slopes are fourth-order five-point differences (grid.node_slopes), so
+the sampled march is fourth order too.  A point is valid while the partner
 stays within W_CAP from the seed to it.  The seed line is tabulated as one
 line, then every other line is swept at once, in process, with the bits of
 a cell-by-cell march.  The closed-form w printed for the tanh theta family is
@@ -39,6 +38,7 @@ from .grid import (
     cumulative_integral_x,
     cumulative_integral_y,
     field,
+    node_slopes,
     partial_x,
     partial_y,
 )
@@ -77,94 +77,13 @@ def backlund_residuals(pair: BacklundPair):
     return field(pair.grid, r1, m1), field(pair.grid, r2, m2)
 
 
-def _solve_tridiagonal(dl, d, du, b):
-    """Solve the tridiagonal system with sub-, main and superdiagonal dl, d, du.
-
-    b, shape (n, k) with n >= 2, holds k right-hand sides; the solutions are
-    returned, and b may be overwritten.  A port of LAPACK's gtsv, Gaussian
-    elimination with partial pivoting (Anderson et al., LAPACK Users' Guide,
-    3rd ed., SIAM 1999), operation for operation, so the solutions carry the
-    bits of scipy.linalg.solve_banded((1, 1), ...), which calls it.  The
-    diagonals are eliminated in Python floats, and each row operation on b
-    is one numpy operation over its columns; a single column is solved in
-    Python floats too, where a numpy call per row costs ten times as much.
-    A zero pivot raises LinAlgError.
-    """
-    dl, d, du = (np.asarray(a, float).tolist() for a in (dl, d, du))
-    n = len(d)
-    du2 = [0.0] * (n - 2)  # second superdiagonal, filled by row interchanges
-    r = b[:, 0].tolist() if b.shape[1] == 1 else b  # rows: floats, or b's rows in place
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular matrix")
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            r[i + 1] -= fact * r[i]
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
-            if i < n - 2:
-                du2[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
-            r[i], r[i + 1] = r[i + 1], r[i] - fact * r[i + 1]
-    if d[-1] == 0.0:
-        raise np.linalg.LinAlgError("singular matrix")
-    r[-1] /= d[-1]
-    r[-2] -= du[-1] * r[-1]
-    r[-2] /= d[-2]
-    for i in range(n - 3, -1, -1):  # (b - du b1 - du2 b2) / d, in gtsv's order
-        r[i] -= du[i] * r[i + 1]
-        r[i] -= du2[i] * r[i + 2]
-        r[i] /= d[i]
-    return np.reshape(r, b.shape)
-
-
-def _spline_slopes(x, y):
-    """Node slopes of the not-a-knot cubic spline of y along its first axis.
-
-    x holds the n >= 4 nodes, y the values, shape (n, ...); every column is
-    one spline.  The diagonals and right-hand side are those of scipy's
-    cubic spline for n > 3, so the slopes carry its bits, and a non-finite
-    entry raises its ValueError.
-    """
-    if not np.isfinite(y).all():
-        raise ValueError("`y` must contain only finite values.")
-    dx = np.diff(x)
-    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
-    b = np.empty(y.shape)
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    d0 = x[2] - x[0]  # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
-    d1 = x[-1] - x[-3]
-    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-    s = _solve_tridiagonal(np.append(dx[1:], d1), diag, np.insert(dx[:-1], 0, d0), b.reshape(len(x), -1))
-    return s.reshape(y.shape)
-
-
-def _node_derivative(x, y, s):
-    """The derivative at the nodes of the cubic with values y and slopes s.
-
-    Evaluated as scipy's PPoly evaluates its derivative: the slope, as a sum
-    started at 0.0 (so -0.0 reads 0.0), except at the last node, which is
-    the last cell's derivative at its right end.
-    """
-    out = s + 0.0
-    h = x[-1] - x[-2]
-    slope = (y[-1] - y[-2]) / h
-    t = (s[-2] + s[-1] - 2 * slope) / h
-    out[-1] = 0.0 + s[-2] + ((slope - s[-2]) / h - t) * 2.0 * h + t / h * 3.0 * (h * h)
-    return out
-
-
 def _cubic_cells(x, y, s, lo, d):
     """The cubic with values y and slopes s at nodes x, on cells lo, lo + 1, ...
 
     d[i] holds offsets into cell lo + i from its left node; the result has
     shape d.shape + y.shape[1:].  The cell coefficients are those of scipy's
-    cubic Hermite spline and the sum runs in its PPoly's order, so the values
-    carry the bits of scipy's spline evaluated at x[lo + i] + d[i].  (PPoly
+    CubicHermiteSpline and the sum runs in its PPoly's order, so the values
+    carry the bits of that spline evaluated at x[lo + i] + d[i].  (PPoly
     starts the sum at 0.0; that turns a -0.0 sum into 0.0 only when every
     term is -0.0, which takes a product that underflows.)
     """
@@ -186,14 +105,14 @@ def _tabulator(f: ScalarField, analytic):
     derivative) of f at T, the Gauss points of cells lo, lo + 1, ... of the
     march axis: arrays of shape T.shape + (n,) over the n lines.  The
     analytic path makes one vectorized call per quantity, the derivative by
-    _FD_STEP central differences.  The sampled path solves here, once, for
-    the node slopes of f's not-a-knot cubic splines along x and along y:
-    they give the cross derivative at the nodes and the cubic of f along
-    either axis.  tables() solves for the slopes of the cross derivative
-    along the march axis, on its own lines only (one solve per sweep), and
-    tab() evaluates both cubics on its cells.  The tables carry the bits of
-    scipy's cubic spline.  The splines read every grid value, so the sampled
-    path raises ValueError where f has a non-finite value or a masked point.
+    _FD_STEP central differences.  The sampled path takes here, once, the
+    node slopes of f along x and along y (grid.node_slopes, fourth order):
+    the slope across the lines is the cross derivative at the nodes.
+    tables() takes the slopes of that cross derivative along the march axis,
+    on its own lines only, and tab() evaluates the cubic Hermite cells of f
+    and of the cross derivative on its cells.  Each slope reads the five
+    nearest nodes, and every cell is tabulated, so the sampled path raises
+    ValueError where f has a masked point.
     """
     g = f.grid
     axes = (g.x(), g.y())
@@ -213,19 +132,18 @@ def _tabulator(f: ScalarField, analytic):
 
         return tables
 
-    # node axis first; a first-order edge stencil here would leave the march first order
-    values = [np.moveaxis(f.values, a, 0) for a in (0, 1)]
-    slopes = [_spline_slopes(axes[a], values[a]) for a in (0, 1)]  # non-finite data raises here
-    if not f.mask.all():  # the splines would read the 0.0 stored there as data
+    if not f.mask.all():  # the slopes would read the value stored there as data
         raise ValueError(f"the sampled march reads every grid value; "
                          f"{f.mask.size - np.count_nonzero(f.mask)} of {f.mask.size} are masked")
-    cross_derivative = [_node_derivative(axes[a], values[a], slopes[a]) for a in (0, 1)]
+    spacing = (g.hx, g.hy)
+    values = [np.moveaxis(f.values, a, 0) for a in (0, 1)]  # node axis first
+    slopes = [node_slopes(values[a], spacing[a]) for a in (0, 1)]
 
     def tables(along, lines):
         x = axes[along]
         v, sv = values[along][:, lines], slopes[along][:, lines]
-        dv = cross_derivative[1 - along][lines].T
-        sd = _spline_slopes(x, dv)
+        dv = slopes[1 - along][lines].T
+        sd = node_slopes(dv, spacing[along])
 
         def tab(lo, T):
             d = T - x[lo:lo + len(T), None]
@@ -344,7 +262,8 @@ def theta_to_w(theta: ScalarField, w00: float, analytic=None) -> ScalarField:
     Seeds w along y = 0 by w_x = theta_y - 2 sinh(w) sin(theta), then marches
     every column by w_y = -theta_x - 2 cosh(w) cos(theta).  `analytic`, when
     given, is a vectorized (x, y) -> theta callable used for in-cell values
-    and derivatives; otherwise cubic splines over the sampled field are used.
+    and derivatives; otherwise the sampled field is read through cubic
+    Hermite cells with five-point node slopes.
     In t = tanh(w/2) these read t_x = th_y/2 - 2 sin(th) t - (th_y/2) t^2 and
     t_y = (-th_x/2 - cos th) + (th_x/2 - cos th) t^2.
     """

@@ -2,7 +2,8 @@
 
 Everything downstream (solution families, transforms, harmonic maps) is built
 on the three containers defined here plus a handful of second-order stencil
-and quadrature operations.  Fields are immutable after construction; every
+and quadrature operations, and the fourth-order node slopes the sampled
+march reads its data through.  Fields are immutable after construction; every
 operation returns a new field and propagates validity masks so that singular
 points never contaminate residual norms.
 """
@@ -266,6 +267,23 @@ def partial_x(f: ScalarField) -> ScalarField:
 
 def partial_y(f: ScalarField) -> ScalarField:
     return _partial(f, 1)
+
+
+def node_slopes(v: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order slopes of v along its first axis (n >= 5 nodes, spacing h).
+
+    The central five-point difference (-v[k+2] + 8 v[k+1] - 8 v[k-1] +
+    v[k-2]) / 12h inside, and the one-sided five-point rules at the two
+    nodes nearest each end (Fornberg, Math. Comp. 51, 1988); every node
+    gets a slope, and every column is differenced on its own.
+    """
+    s = np.empty(v.shape)
+    s[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+    s[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * h)
+    s[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12 * h)
+    s[-2] = (-v[-5] + 6 * v[-4] - 18 * v[-3] + 10 * v[-2] + 3 * v[-1]) / (12 * h)
+    s[-1] = (3 * v[-5] - 16 * v[-4] + 36 * v[-3] - 48 * v[-2] + 25 * v[-1]) / (12 * h)
+    return s
 
 
 def partials(u: ComplexField):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.linalg import lapack, solve_banded
+from scipy.interpolate import CubicHermiteSpline
 
 from gordon import backlund
+from gordon.acceptance import MARCH_RECT_SQRT2, RATIO_BAND
 from gordon.backlund import (
     W_CAP,
     BacklundPair,
@@ -17,10 +17,11 @@ from gordon.families import (
     eval_family,
     get_family,
     residual_sine_gordon,
+    residual_sinh_gordon,
     scalar_callable,
     sign_probe,
 )
-from gordon.grid import ScalarField, cumulative_integral_x, field, make_grid
+from gordon.grid import ScalarField, cumulative_integral_x, field, make_grid, rect_grid
 
 SQRT2 = np.sqrt(2.0)
 H = 1 / 100
@@ -118,28 +119,22 @@ class TestThetaToW:
             theta_to_w(field(g, np.full((g.nx, g.ny), 0.5), mask), 0.0)
 
 
-@pytest.mark.parametrize("march", [theta_to_w, w_to_theta])
-def test_non_finite_value_at_a_masked_point_rejected(march):
-    # the sampled march's splines read every grid value, masked ones too
-    g = grid(-0.3, 0.3, -0.3, 0.3)
-    values, mask = np.full((g.nx, g.ny), 0.5), np.ones((g.nx, g.ny), dtype=bool)
-    values[1, 2], mask[1, 2] = np.nan, False
-    with pytest.raises(ValueError, match="`y` must contain only finite values."):
-        march(ScalarField(g, values, mask), 0.0)
-
-
 @pytest.mark.parametrize("march,fid", [(theta_to_w, "THETA_SQRT2"), (w_to_theta, "W_SQRT2")],
                          ids=["theta_to_w", "w_to_theta"])
 def test_masked_point_in_sampled_data_rejected(march, fid):
-    # a container stores 0.0 at a masked point, and the splines would read it
-    # as data: one masked point moved 902 of the 17,060 valid w by up to 0.195
+    # the node slopes would read the value stored at a masked point as data:
+    # the 0.0 a masked container stores, or a nan a direct construction may
+    # leave there (a container is finite only at its valid points)
     g = make_grid(0.0, 0.6, -0.35, 0.35, 121, 141)
     f = eval_family(fid, g)
     assert march(f, 0.0).mask.any()  # fully valid: accepted
     mask = f.mask.copy()
     mask[90, 100] = False
-    with pytest.raises(ValueError, match="1 of 17061 are masked"):
-        march(ScalarField.masked(g, f.values, ok=mask), 0.0)
+    for stored in (0.0, np.nan):
+        values = f.values.copy()
+        values[90, 100] = stored
+        with pytest.raises(ValueError, match="1 of 17061 are masked"):
+            march(ScalarField(g, values, mask), 0.0)
 
 
 class TestWToTheta:
@@ -196,85 +191,9 @@ class TestWToTheta:
         g = grid(-0.25, 0.25, -0.25, 0.25)
         w = eval_family("W_TAN_SPECIAL", g)
         th = w_to_theta(w, np.pi, analytic=scalar_callable("W_TAN_SPECIAL"))
-        w2 = theta_to_w(th, 0.0)  # sampled-field path: splines, no analytics
+        w2 = theta_to_w(th, 0.0)  # sampled-field path: Hermite cells, no analytics
         ok = w.mask & w2.mask
         assert np.abs(w.values - w2.values)[ok].max() < 5e-4
-
-
-# ---------------------------------------------------------------------------
-# the sampled march's spline arithmetic against scipy's CubicSpline
-
-
-def _bits(a):
-    return a.shape, np.ascontiguousarray(a).tobytes()  # tells -0.0 from 0.0
-
-
-SPLINE_NODES = {
-    "5": np.array([-0.2, -0.1, 0.0, 0.1, 0.2]),
-    "linspace481": np.linspace(-0.3, 0.3, 481),
-    "nonuniform": np.cumsum(np.random.default_rng(5).uniform(0.01, 0.05, 40)),
-}
-
-
-@pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("nodes", SPLINE_NODES.values(), ids=SPLINE_NODES.keys())
-def test_spline_arithmetic_is_cubic_splines(nodes, axis):
-    n = len(nodes)
-    y = np.random.default_rng(n + axis).standard_normal((n, 9))
-    y[:, 0], y[:, 1] = 0.0, -0.0  # signed zeros take PPoly's sum order to reproduce
-    y = y if axis == 0 else np.ascontiguousarray(y.T)
-    spline = CubicSpline(nodes, y, axis=axis)
-    v = np.moveaxis(y, axis, 0)  # node axis first, as the march reads it
-    s = backlund._spline_slopes(nodes, v)
-    # the cross derivative at every node, the last one included
-    assert _bits(backlund._node_derivative(nodes, v, s)) == _bits(np.moveaxis(spline.derivative()(nodes), axis, 0))
-    # the Gauss-point values, three cells at a time
-    T = nodes[:-1, None] + np.diff(nodes)[:, None] * backlund._GAUSS
-    d = T - nodes[:-1, None]
-    got = np.concatenate([backlund._cubic_cells(nodes, v, s, lo, d[lo:lo + 3]) for lo in range(0, n - 1, 3)])
-    want = spline(T)
-    assert _bits(got) == _bits(want if axis == 0 else np.moveaxis(want, 0, -1))
-    # a column slice solves to the same columns of the full solve
-    for cols in (slice(3, 4), slice(2, 7)):
-        assert _bits(backlund._spline_slopes(nodes, v[:, cols])) == _bits(s[:, cols])
-
-
-def _banded(dl, d, du):
-    """The (1, 1)-banded storage solve_banded reads."""
-    ab = np.zeros((3, len(d)))
-    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-    return ab
-
-
-@pytest.mark.parametrize("k", [1, 300])
-@pytest.mark.parametrize("n", [4, 5, 40, 481, 700])
-def test_tridiagonal_solve_is_solve_banded(n, k):
-    rng = np.random.default_rng(1000 * n + k)
-    dl, d, du = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
-    forced = [0, (n - 1) // 2, n - 2]  # the first, a middle and the last elimination row
-    dl[forced] = 1e3  # a subdiagonal far above its pivot: those rows are interchanged
-    pivots = lapack.dgttrf(dl, d, du)[4]  # LAPACK's own factorization, same pivoting rule
-    assert all(pivots[i] == i + 2 for i in forced)  # row i + 1 (1-based) swapped with i + 2
-    b = rng.standard_normal((n, k))  # one column is solved in Python floats, more in numpy rows
-    if k > 1:
-        b[:, 0], b[:, 1] = -0.0, 0.0  # signs of zero follow the order of every row operation
-    got = backlund._solve_tridiagonal(dl, d, du, b.copy())
-    assert _bits(got) == _bits(solve_banded((1, 1), _banded(dl, d, du), b))
-
-
-SINGULAR = {  # (dl, d, du) of singular 4x4 systems
-    "first pivot": ([0, 0, 0], [0, 1, 1, 1], [1, 1, 1]),  # the first column is zero
-    "last pivot": ([0, 0, 1], [1, 1, 1, 1], [0, 0, 1]),  # the last 2x2 block is [[1, 1], [1, 1]]
-}
-
-
-@pytest.mark.parametrize("diagonals", SINGULAR.values(), ids=SINGULAR.keys())
-def test_tridiagonal_solve_singular(diagonals):
-    dl, d, du = (np.array(a, float) for a in diagonals)
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        solve_banded((1, 1), _banded(dl, d, du), np.ones((4, 2)))
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        backlund._solve_tridiagonal(dl, d, du, np.ones((4, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +263,31 @@ def _reference_sweep(axis, k0, u0, coeffs, periodic):
     return np.where(valid, u, 0.0), valid
 
 
+# five-point derivative weights, times 12h, by node offset (Fornberg, Math. Comp. 51, 1988)
+FIVE_POINT = {
+    "first": ((-25, 0), (48, 1), (-36, 2), (16, 3), (-3, 4)),
+    "second": ((-3, -1), (-10, 0), (18, 1), (-6, 2), (1, 3)),
+    "central": ((1, -2), (-8, -1), (8, 1), (-1, 2)),
+    "next to last": ((-1, -3), (6, -2), (-18, -1), (10, 0), (3, 1)),
+    "last": ((3, -4), (-16, -3), (36, -2), (-48, -1), (25, 0)),
+}
+
+
+def reference_slopes(v, h, axis):
+    """Node slopes of v along `axis` with spacing h, node by node from FIVE_POINT."""
+    v = np.moveaxis(v, axis, 0)
+    n = len(v)
+    rules = ["first", "second"] + ["central"] * (n - 4) + ["next to last", "last"]
+    s = [sum(w * v[k + o] for w, o in FIVE_POINT[rule]) / (12 * h) for k, rule in enumerate(rules)]
+    return np.moveaxis(np.array(s), 0, axis)
+
+
 def reference_march(f, u00, direction, analytic=None):
     """(values, mask) of theta_to_w ("t2w") or w_to_theta ("w2t"), cell by cell.
 
-    Each Gauss point evaluates the callable, or the cubic splines of f and
-    of its cross derivative (from splines across the lines), at its own
+    Each Gauss point evaluates the callable, or scipy's cubic Hermite
+    splines of f and of its cross derivative, with five-point node slopes
+    (the slopes across the lines are the cross derivative), at its own
     time; the seed line is evaluated at its grid coordinate, like every
     other line.
     """
@@ -363,9 +302,9 @@ def reference_march(f, u00, direction, analytic=None):
         col0, row0 = (lambda t: along_y(x[i0:i0 + 1], t)), (lambda t: along_x(t, y[j0:j0 + 1]))
     else:
         v = f.values
-        dx, dy = CubicSpline(x, v, axis=0).derivative()(x), CubicSpline(y, v, axis=1).derivative()(y)
-        sy, sy_dx = CubicSpline(y, v, axis=1), CubicSpline(y, dx, axis=1)
-        sx, sx_dy = CubicSpline(x, v, axis=0), CubicSpline(x, dy, axis=0)
+        dx, dy = reference_slopes(v, g.hx, 0), reference_slopes(v, g.hy, 1)
+        sy, sy_dx = CubicHermiteSpline(y, v, dy, axis=1), CubicHermiteSpline(y, dx, reference_slopes(dx, g.hy, 1), axis=1)
+        sx, sx_dy = CubicHermiteSpline(x, v, dx, axis=0), CubicHermiteSpline(x, dy, reference_slopes(dy, g.hx, 0), axis=0)
         col, row = (lambda t: (sy(t), sy_dx(t))), (lambda t: (sx(t), sx_dy(t)))
         col0, row0 = (lambda t: (sy(t)[i0:i0 + 1], sy_dx(t)[i0:i0 + 1])), (lambda t: (sx(t)[j0:j0 + 1], sx_dy(t)[j0:j0 + 1]))
 
@@ -481,6 +420,28 @@ class TestTabulatedMarch:
             assert got.mask.all()
             errs.append(np.abs(got.values - want.values)[want.mask].max())
         assert 12 <= errs[0] / errs[1] <= 20 and 12 <= errs[1] / errs[2] <= 20
+
+    @staticmethod
+    def sampled_t2w(g):
+        """(sup against the printed w, sinh-Gordon residual sup) of THETA_SQRT2's sampled t2w on g."""
+        w = theta_to_w(eval_family("THETA_SQRT2", g), 0.0)
+        wp = eval_family("W_SQRT2", g)
+        assert w.mask.all()
+        return np.abs(w.values - wp.values).max(), residual_sinh_gordon(w).sup_norm()[0]
+
+    def test_sampled_fourth_order(self):
+        # hx = 1/100 and hy = 1/140, then both halved: a march that swapped
+        # hx and hy in its node slopes would read 0.18 at both
+        errs = [self.sampled_t2w(make_grid(0.0, 0.6, -0.35, 0.35, nx, ny))[0] for nx, ny in ((61, 99), (121, 197))]
+        assert errs[0] / errs[1] >= 12  # 15.9 measured; a third-order march reads 8
+
+    def test_sampled_output_solves_sinh_gordon(self):
+        # the marched w is as smooth as the printed one: its residual is the
+        # Laplacian's second-order truncation (5.6e-4 at 1/400); a march whose
+        # residual converges at first order reads 2.2e-3 there
+        res = [self.sampled_t2w(rect_grid(MARCH_RECT_SQRT2, h))[1] for h in (1 / 200, 1 / 400)]
+        assert res[1] < 1e-3
+        assert RATIO_BAND[0] <= res[0] / res[1] <= RATIO_BAND[1]
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
     @pytest.mark.parametrize("case", MARCH_CASES[-4:], ids=_case_id)  # the off-centre cases

@@ -26,6 +26,7 @@ from gordon.grid import (
     load_scalar_csv,
     make_grid,
     make_metric,
+    node_slopes,
     partial_x,
     partial_y,
     rect_grid,
@@ -137,6 +138,20 @@ class TestPartials:
         py = partial_y(sampled(g, lambda x, y: y))
         assert not py.mask[:, 0].any() and not py.mask[:, -1].any()
         assert py.mask[0, 1]  # x-boundary rows stay valid for a y-derivative
+
+
+class TestNodeSlopes:
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_exact_on_a_quartic(self, n):
+        # every rule, the one-sided ones at the two nodes nearest each end
+        # too, differentiates a quartic exactly: only rounding is left
+        c = np.random.default_rng(n).standard_normal((5, 3))  # three quartics, one per column
+        x = np.linspace(-0.4, 0.7, n)
+        v = np.polynomial.polynomial.polyval(x, c).T
+        want = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(c)).T
+        got = node_slopes(v, 1.1 / (n - 1))
+        assert got.shape == (n, 3)
+        assert np.abs(got - want).max() < 1e-13 * n  # 2.2e-15 and 5.8e-14 measured
 
 
 class TestWirtinger:
