@@ -119,22 +119,29 @@ class TestThetaToW:
             theta_to_w(field(g, np.full((g.nx, g.ny), 0.5), mask), 0.0)
 
 
+@pytest.mark.parametrize("march", [theta_to_w, w_to_theta])
+def test_non_finite_value_at_a_masked_point_rejected(march):
+    # a direct construction may leave a nan at a masked point (a container is
+    # finite only at its valid points); the node slopes would read it as data
+    g = grid(-0.3, 0.3, -0.3, 0.3)
+    values, mask = np.full((g.nx, g.ny), 0.5), np.ones((g.nx, g.ny), dtype=bool)
+    values[1, 2], mask[1, 2] = np.nan, False
+    with pytest.raises(ValueError, match=f"1 of {mask.size} are masked"):
+        march(ScalarField(g, values, mask), 0.0)
+
+
 @pytest.mark.parametrize("march,fid", [(theta_to_w, "THETA_SQRT2"), (w_to_theta, "W_SQRT2")],
                          ids=["theta_to_w", "w_to_theta"])
 def test_masked_point_in_sampled_data_rejected(march, fid):
-    # the node slopes would read the value stored at a masked point as data:
-    # the 0.0 a masked container stores, or a nan a direct construction may
-    # leave there (a container is finite only at its valid points)
+    # a container stores 0.0 at a masked point, and the node slopes would
+    # read it as data
     g = make_grid(0.0, 0.6, -0.35, 0.35, 121, 141)
     f = eval_family(fid, g)
     assert march(f, 0.0).mask.any()  # fully valid: accepted
     mask = f.mask.copy()
     mask[90, 100] = False
-    for stored in (0.0, np.nan):
-        values = f.values.copy()
-        values[90, 100] = stored
-        with pytest.raises(ValueError, match="1 of 17061 are masked"):
-            march(ScalarField(g, values, mask), 0.0)
+    with pytest.raises(ValueError, match="1 of 17061 are masked"):
+        march(ScalarField.masked(g, f.values, ok=mask), 0.0)
 
 
 class TestWToTheta:
