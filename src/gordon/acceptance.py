@@ -50,11 +50,12 @@ from .families import (
     residual_sinh_gordon,
     sign_probe,
 )
-from .grid import ScalarField, field, make_metric, rect_grid
+from .grid import ScalarField, field, laplacian, make_metric, rect_grid, wirtinger
 from .harmonic import (
     correspondence_check,
     gaussian_curvature,
     hopf_residual,
+    immersive,
     is_orthogonal,
     ppfd_construct,
     pullback_metric,
@@ -75,9 +76,9 @@ MARCH_RECT_SQRT2 = (0.0, 0.6, -0.35, 0.35)  # contains both axis lines
 ROUNDTRIP_RECT = (-0.25, 0.25, -0.25, 0.25)
 POINCARE_RECT = (0.0, 1.0, 8.0, 12.0)  # far from y = 0 so 1/y^2 is mild
 SQRT2 = np.sqrt(2.0)
-# long criteria first, so short ones fill in behind: c7 and c4 (about 0.13 s
-# each at h = 1/400) are the longest, c2 and c1 next (0.08-0.1 s); two workers
-# measured the same wall with c7 or c4 first as with c2 first
+# long criteria first, so short ones fill in behind: c4 and c7 (about 0.11 s
+# each at h = 1/400) are the longest, c2 and c1 next (0.08 and 0.055 s); two
+# workers measured the same wall with c4 or c7 first as with c2 first
 LONGEST_FIRST = (2, 7, 4, 1, 5, 3, 6, 8)
 
 
@@ -137,11 +138,13 @@ def residual_check(name, fid, g, tol, convergence):
     """PDE residual of a catalog solution on g, optionally with its h-halving ratio.
 
     A sine family's residual uses its recorded sign (+1 when it is 0), and the
-    check also requires the sign probe on g to find the recorded sign.  The
-    ratio counts only above the Laplacian's rounding floor, 4 eps max|f| / min(hx, hy)^2.
+    check also requires the sign probe on g, run on the residual's Laplacian,
+    to find the recorded sign.  The ratio counts only above the Laplacian's
+    rounding floor, 4 eps max|f| / min(hx, hy)^2.
     """
     fam = get_family(fid)
     f = eval_family(fid, g)
+    lap = laplacian(f)
     flags = {"family": fid}
     ok = True
     if fam.kind == "sinh_solution":
@@ -149,14 +152,14 @@ def residual_check(name, fid, g, tol, convergence):
     else:
         flags["sigma"] = fam.sign
         try:
-            flags["probed_sigma"] = sign_probe(f)
+            flags["probed_sigma"] = sign_probe(f, lap)
         except ValueError as e:
             raise ValueError(f"{fid}: {e}") from None
         ok = flags["probed_sigma"] == fam.sign
-        residual = lambda th: residual_sine_gordon(th, fam.sign or 1)
+        residual = lambda th, lap=None: residual_sine_gordon(th, fam.sign or 1, lap)
     refined = (lambda: residual(eval_family(fid, g.refined()))) if convergence else None
     floor = 4 * np.finfo(float).eps * f.sup_norm()[0] / min(g.hx, g.hy) ** 2
-    return sup_check(name, fam.formula, residual(f), tol, ok, refined, flags, floor)
+    return sup_check(name, fam.formula, residual(f, lap), tol, ok, refined, flags, floor)
 
 
 def map_checks(stem, anchor, u, tol, weight=None, w=None, convention=None, partner=None):
@@ -166,10 +169,11 @@ def map_checks(stem, anchor, u, tol, weight=None, w=None, convention=None, partn
     passes on `convention` when one is given, else on either definite convention.
     """
     flag = "half-plane 1/S^2" if weight is None else "target-metric weight"
-    checks = [sup_check(f"{stem}.hopf", anchor, hopf_residual(u, weight), tol, flags={"weight": flag})]
+    wirt = wirtinger(u)  # one for both residuals
+    checks = [sup_check(f"{stem}.hopf", anchor, hopf_residual(u, weight, wirt), tol, flags={"weight": flag})]
     if w is None:
         return checks
-    conv, res = correspondence_check(u, w)
+    conv, res = correspondence_check(u, w, wirt)
     flags = ({} if partner is None else {"partner": partner}) | {"convention": conv}
     return checks + [sup_check(
         f"{stem}.correspondence", "dzbar_u / dz_u matches one of exp(-+2w) of the partner solution",
@@ -184,9 +188,10 @@ def harmonic_checks(stem, fid, g, tol):
 
 
 def _curvature_check(name, anchor, metric, tol):
-    K = gaussian_curvature(metric)
+    imm = immersive(metric)  # one for the formula and its condition
+    K = gaussian_curvature(metric, imm)
     return sup_check(name, anchor, field(metric.grid, K.values + 1.0, K.mask), tol,
-                     is_orthogonal(metric))
+                     is_orthogonal(metric, imm))
 
 
 def pullback_check(name, fid, g, tol):
@@ -237,11 +242,12 @@ def criterion_2(h, tol, convergence):
 
     # constant theta = pi/2: sin(2 theta) vanishes, so both signs hold exactly
     th = eval_family("THETA_CONST_HALFPI", rect_grid(get_family("THETA_CONST_HALFPI").rectangle, h))
+    lap = laplacian(th)
     checks.append(sup_check(
         "c2.THETA_CONST_HALFPI.both_signs",
         "theta = pi/2: residual vanishes for both sign conventions",
-        _max_abs(residual_sine_gordon(th, +1), residual_sine_gordon(th, -1)), 1e-12,
-        flags={"probed_sigma": sign_probe(th)},
+        _max_abs(residual_sine_gordon(th, +1, lap), residual_sine_gordon(th, -1, lap)), 1e-12,
+        flags={"probed_sigma": sign_probe(th, lap)},
     ))
     return checks
 
@@ -341,12 +347,13 @@ def criterion_6(h, tol):
         sup, g.nx, 1e-6 * (h / DEFAULT_H) ** 2, grid=g.to_json(),
     )]
 
+    wirt = wirtinger(result.u)
     checks.append(sup_check(
         "c6.ppfd.hopf",
         "constructed u = R + iS satisfies the half-plane Hopf condition",
-        hopf_residual(result.u), tol,
+        hopf_residual(result.u, None, wirt), tol,
     ))
-    conv, res = correspondence_check(result.u, pair.w)
+    conv, res = correspondence_check(result.u, pair.w, wirt)
     checks.append(sup_check(
         "c6.ppfd.correspondence",
         "dzbar_u / dz_u of the constructed map matches exp(-2w)",
@@ -383,11 +390,11 @@ def criterion_7(h, tol):
     ]
 
     g = rect_grid(POINCARE_RECT, h)
-    _, Y = g.mesh()
+    E = np.broadcast_to(1 / g.y() ** 2, (g.nx, g.ny))  # 1/y^2 taken once per grid line
     checks.append(_curvature_check(
         "c7.poincare_control.curvature",
         "E = G = 1/y^2 has curvature exactly -1",
-        make_metric(g, 1 / Y**2, np.zeros_like(Y), 1 / Y**2),
+        make_metric(g, E, np.zeros(E.shape), E),
         1e-6 * (h / DEFAULT_H) ** 2,
     ))
 

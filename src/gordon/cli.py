@@ -126,6 +126,8 @@ def _verify_family(fam, g, tol, convergence) -> list:
     if fam.kind in families.SCALAR_KINDS:
         name = f"{fam.id}.{fam.kind.removesuffix('_solution')}_residual"
         return [acceptance.residual_check(name, fam.id, g, tol, convergence)]
+    if convergence:  # only a PDE residual has an h-halving ratio
+        raise ValueError(f"--convergence applies to sinh- and sine-Gordon solutions; {fam.id} is a {fam.kind}")
     if fam.kind == "harmonic_map":
         return acceptance.harmonic_checks(fam.id, fam.id, g, tol) + [acceptance.pullback_check(
             f"{fam.id}.pullback_curvature", fam.id, rect_grid(fam.curvature_rect, g.hx), tol)]

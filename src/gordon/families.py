@@ -51,12 +51,13 @@ class SolutionFamily:
 
 
 # ---------------------------------------------------------------------------
-# closed-form evaluators: (x, y, **params) -> (values..., valid mask).  The
-# scalar ones are reused by the march code, which needs off-grid samples for
-# its analytic derivatives.  A weight function (X, Y) -> (e^F, valid mask)
-# gives the conformal weight of a harmonic map whose printed target metric is
-# not in half-plane coordinates, read off the printed metric as
-# e^F = E_metric / (R_x^2 + S_x^2).
+# closed-form evaluators: (x, y, **params) -> (values..., valid mask), called
+# with a column of x and a row of y and broadcasting, so a factor of one
+# coordinate is computed once per grid line (an output may keep one axis's
+# shape).  The scalar ones are reused by the march code for off-grid samples.
+# A weight function (X, Y) -> (e^F, valid mask) gives the conformal weight of
+# a harmonic map whose printed target metric is not in half-plane
+# coordinates, read off the printed metric as e^F = E_metric / (R_x^2 + S_x^2).
 
 
 def w_tan_special(x, y):
@@ -362,9 +363,8 @@ def eval_family(fid: str, grid: Grid2D, params: dict | None = None):
     does not declare.
     """
     fam = get_family(fid)
-    out = fam.evaluate(*grid.mesh(), **_params(fam, params))
     build = {"harmonic_map": complex_field, "target_metric": make_metric}.get(fam.kind, field)
-    return build(grid, *out)
+    return build(grid, *_on_grid(fam.evaluate, grid, **_params(fam, params)))
 
 
 def hopf_weight(fid: str, grid: Grid2D) -> ScalarField | None:
@@ -375,23 +375,28 @@ def hopf_weight(fid: str, grid: Grid2D) -> ScalarField | None:
     is evaluated and masked.
     """
     fam = get_family(fid)
-    return None if fam.weight is None else field(grid, *fam.weight(*grid.mesh()))
+    return None if fam.weight is None else field(grid, *_on_grid(fam.weight, grid))
+
+
+def _on_grid(fn, grid: Grid2D, **params) -> list:
+    """fn's outputs on the open grid (x[:, None], y[None, :]), each broadcast to (nx, ny)."""
+    return [np.broadcast_to(a, (grid.nx, grid.ny)) for a in fn(grid.x()[:, None], grid.y()[None, :], **params)]
 
 
 # ---------------------------------------------------------------------------
-# PDE residuals
+# PDE residuals; a caller that holds the field's Laplacian passes it as `lap`
 
 
-def residual_sinh_gordon(w: ScalarField) -> ScalarField:
-    lap = laplacian(w)
+def residual_sinh_gordon(w: ScalarField, lap: ScalarField | None = None) -> ScalarField:
+    lap = laplacian(w) if lap is None else lap
     r = lap.values - 2 * np.sinh(2 * w.values)
     return field(w.grid, r, lap.mask)
 
 
-def residual_sine_gordon(theta: ScalarField, sigma: int) -> ScalarField:
+def residual_sine_gordon(theta: ScalarField, sigma: int, lap: ScalarField | None = None) -> ScalarField:
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    lap = laplacian(theta)
+    lap = laplacian(theta) if lap is None else lap
     r = lap.values - sigma * 2 * np.sin(2 * theta.values)
     return field(theta.grid, r, lap.mask)
 
@@ -401,14 +406,15 @@ def definite(a: float, b: float) -> int:
     return 1 if a < 0.1 * b else -1 if b < 0.1 * a else 0
 
 
-def sign_probe(theta: ScalarField) -> int:
+def sign_probe(theta: ScalarField, lap: ScalarField | None = None) -> int:
     """Return the sigma in {+1, -1} minimizing the residual, or 0 if ambiguous.
 
     Ambiguous means neither sup-norm is definite against the other (as for
-    constant theta = pi/2 where both residuals vanish).
+    constant theta = pi/2 where both residuals vanish).  Both share one Laplacian.
     """
-    sup_p, n_p = residual_sine_gordon(theta, +1).sup_norm()
-    sup_m, n_m = residual_sine_gordon(theta, -1).sup_norm()
+    lap = laplacian(theta) if lap is None else lap
+    sup_p, n_p = residual_sine_gordon(theta, +1, lap).sup_norm()
+    sup_m, n_m = residual_sine_gordon(theta, -1, lap).sup_norm()
     if min(n_p, n_m) < 100:
         raise ValueError(f"too few valid interior points for a sign probe: {min(n_p, n_m)} of the 100 "
                          f"it needs on a {theta.grid.nx} x {theta.grid.ny} grid")

@@ -67,10 +67,6 @@ class Grid2D:
     def y(self) -> np.ndarray:
         return np.linspace(self.y0, self.y1, self.ny)
 
-    def mesh(self):
-        """Coordinate arrays X, Y of shape (nx, ny); entry (i, j) is (x_i, y_j)."""
-        return np.meshgrid(self.x(), self.y(), indexing="ij")
-
     def index_of_x(self, x: float) -> int:
         """Index of the grid line x = const, or raise if x is off-grid."""
         i = int(round((x - self.x0) / self.hx))
@@ -209,8 +205,8 @@ class MetricSample(_Masked):
 
 
 def _capped(a: np.ndarray) -> np.ndarray:
-    """Finite and at most MAGNITUDE_CAP in magnitude."""
-    return np.isfinite(a) & (np.abs(a) <= MAGNITUDE_CAP)
+    """Finite and at most MAGNITUDE_CAP in magnitude (nan and +-inf compare False)."""
+    return np.abs(a) <= MAGNITUDE_CAP
 
 
 def field(grid: Grid2D, values: np.ndarray, mask: np.ndarray | None = None) -> ScalarField:

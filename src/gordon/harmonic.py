@@ -91,14 +91,15 @@ def ppfd_construct(pair: BacklundPair, R0: float, S0: float) -> HarmonicMapResul
     )
 
 
-def hopf_residual(u: ComplexField, weight: ScalarField | None = None) -> ScalarField:
+def hopf_residual(u: ComplexField, weight: ScalarField | None = None, wirt=None) -> ScalarField:
     """Pointwise |e^F dz_u dz_ubar - 1|.
 
     `weight` is the conformal factor e^F of the target metric sampled on the
     source grid; None selects the half-plane weight 1/S^2 read off u itself.
+    A caller holding wirtinger(u) passes it as `wirt`.
     """
     g = u.grid
-    dz_u, dzb_u = wirtinger(u)
+    dz_u, dzb_u = wirtinger(u) if wirt is None else wirt
     prod = dz_u.complex_values() * np.conj(dzb_u.complex_values())
     if weight is None:
         ok = dz_u.mask & (u.im >= SINGULARITY_EPS)
@@ -110,17 +111,17 @@ def hopf_residual(u: ComplexField, weight: ScalarField | None = None) -> ScalarF
     return field(g, r, ok)
 
 
-def correspondence_check(u: ComplexField, w: ScalarField):
+def correspondence_check(u: ComplexField, w: ScalarField, wirt=None):
     """Probe the first-order relation dzbar_u / dz_u against e^{-+2w}.
 
     Returns (convention, residual field) where convention is 'exp(-2w)',
     'exp(+2w)', or 'none' when neither sup-residual is definite against the
-    other; a tie returns the exp(-2w) residual.
+    other; a tie returns the exp(-2w) residual.  `wirt` as in hopf_residual.
     """
     if u.grid != w.grid:
         raise ValueError("fields must share one grid")
     g = u.grid
-    dz_u, dzb_u = wirtinger(u)
+    dz_u, dzb_u = wirtinger(u) if wirt is None else wirt
     mag = np.abs(dz_u.complex_values())
     ok = dz_u.mask & w.mask & (mag >= SINGULARITY_EPS)
     if np.count_nonzero(ok) < 9:
@@ -135,29 +136,30 @@ def correspondence_check(u: ComplexField, w: ScalarField):
         definite(sup_m, sup_p), ("none", res_m if sup_m <= sup_p else res_p))
 
 
-def _immersive(m: MetricSample):
+def immersive(m: MetricSample):
     """Points whose det = E G - Fc^2 clears IMMERSION_EPS, and sqrt(det) (1 elsewhere)."""
     det = m.E * m.G - m.Fc**2
     ok = m.mask & (det >= IMMERSION_EPS)
     return ok, np.sqrt(np.where(ok, det, 1.0))
 
 
-def is_orthogonal(m: MetricSample) -> bool:
+def is_orthogonal(m: MetricSample, imm=None) -> bool:
     """The condition of gaussian_curvature's formula: |Fc| <= 1e-3 sqrt(det) wherever it reads m."""
-    ok, sq = _immersive(m)
+    ok, sq = immersive(m) if imm is None else imm
     return bool(np.all(np.abs(m.Fc[ok]) <= 1e-3 * sq[ok]))
 
 
-def gaussian_curvature(m: MetricSample) -> ScalarField:
+def gaussian_curvature(m: MetricSample, imm=None) -> ScalarField:
     """Gaussian curvature of a metric in orthogonal coordinates, by central differences:
 
         K = -(1/(2 sqrt(EG))) [d/dx(G_x / sqrt(EG)) + d/dy(E_y / sqrt(EG))]
 
     as nested first derivatives.  Degenerate points (det below the immersion
     guard) are masked.  The value is m's curvature only if is_orthogonal(m).
+    A caller holding immersive(m) passes it to both as `imm`.
     """
     g = m.grid
-    ok, sq = _immersive(m)
+    ok, sq = immersive(m) if imm is None else imm
     Gx, Ey = partial_x(field(g, m.G, ok)), partial_y(field(g, m.E, ok))
     t1 = partial_x(field(g, Gx.values / sq, Gx.mask))
     t2 = partial_y(field(g, Ey.values / sq, Ey.mask))

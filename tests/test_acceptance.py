@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from gordon import acceptance, pool
+from gordon import acceptance, families, harmonic, pool
 from gordon.acceptance import run_acceptance, sup_check
 from gordon.backlund import BacklundPair, backlund_residuals
 from gordon.cli import main
@@ -159,6 +159,46 @@ class TestMapChecks:
         assert hopf.passed and hopf.flags == {"weight": "half-plane 1/S^2"}
 
 
+class TestSharedDerivatives:
+    """Each derived field is computed once per grid (or map, or metric) and passed on."""
+
+    @staticmethod
+    def count(monkeypatch, modules, name):
+        """Patch `name` in every module that binds it; return the list of first arguments seen."""
+        seen, real = [], getattr(modules[0], name)
+
+        def counted(x, *args, **kwargs):
+            seen.append(x)
+            return real(x, *args, **kwargs)
+
+        for mod in modules:
+            monkeypatch.setattr(mod, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("fid", ["THETA_EX2", "THETA_SQRT2", "THETA_CONST_HALFPI", "W_SQRT2"])
+    def test_one_laplacian_per_grid(self, fid, monkeypatch):
+        seen = self.count(monkeypatch, [families, acceptance], "laplacian")
+        g = rect_grid(get_family(fid).rectangle, 0.02)
+        acceptance.residual_check("r", fid, g, 1.0, True)
+        assert [f.grid for f in seen] == [g, g.refined()]
+
+    def test_one_wirtinger_per_map(self, monkeypatch):
+        seen = self.count(monkeypatch, [harmonic, acceptance], "wirtinger")
+        fam = get_family("U_SQRT2")
+        g = rect_grid(fam.rectangle, 0.02)
+        u = eval_family("U_SQRT2", g)
+        checks = acceptance.map_checks("m", "a", u, 1.0, w=eval_family(fam.partner, g))
+        assert len(checks) == 2 and seen == [u]
+        seen.clear()
+        assert len(acceptance.criterion_6(1 / 100, 1.0)) == 4
+        assert len(seen) == 1  # the constructed map's, for Hopf and correspondence
+
+    def test_one_immersive_per_metric(self, monkeypatch):
+        seen = self.count(monkeypatch, [harmonic, acceptance], "immersive")
+        acceptance.metric_check("k", "METRIC_SECTION3", rect_grid(get_family("METRIC_SECTION3").rectangle, 0.02), 1.0)
+        assert len(seen) == 1
+
+
 class TestStencilFrames:
     """Every stencil output a check measures has no valid point on the grid frame.
 
@@ -174,7 +214,7 @@ class TestStencilFrames:
         return np.concatenate([mask[0, :], mask[-1, :], mask[:, 0], mask[:, -1]])
 
     def fields(self):
-        X, Y = self.G.mesh()
+        X, Y = np.meshgrid(self.G.x(), self.G.y(), indexing="ij")
         u = complex_field(self.G, X + 0.3 * Y**2, Y + 0.1 * X)
         return X, Y, u, field(self.G, 0.2 * X * Y)
 

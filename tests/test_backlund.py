@@ -68,7 +68,7 @@ class TestThetaToW:
         g = grid(-1.0, 0.2, -0.3, 0.3)
         th = const_field(g, -np.pi / 2)
         w = theta_to_w(th, np.log(3.0), analytic=lambda x, y: -np.pi / 2 * np.ones(np.shape(x * y)))
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         expect_t = 0.5 * np.exp(2 * X)  # tanh(w00/2) = 1/2
         ok = w.mask & (np.abs(expect_t) < 1 - 1e-8)
         got_t = np.tanh(w.values / 2)
@@ -84,7 +84,7 @@ class TestThetaToW:
         w00 = -np.log(3.0)
         w = theta_to_w(th, w00, analytic=lambda x, y: np.pi / 2 * np.ones(np.shape(x * y)))
         assert np.abs(np.diff(w.values, axis=1)).max() < 1e-12  # independent of y
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         t0 = np.tanh(w00 / 2)
         err_decay = np.abs(np.tanh(w.values / 2) - t0 * np.exp(-2 * X))[w.mask].max()
         err_grow = np.abs(np.tanh(w.values / 2) - t0 * np.exp(+2 * X))[w.mask].max()
@@ -407,7 +407,7 @@ class TestTabulatedMarch:
         # a Magnus cell is the exact exponential: w = 2 artanh(e^{2x}/2) up to
         # rounding, until the mask cuts each row short of e^{2x}/2 = 1
         got, _, _ = _march_case(MARCH_CASES[4], sampled)
-        X, _ = got.grid.mesh()
+        X, _ = np.meshgrid(got.grid.x(), got.grid.y(), indexing="ij")
         want = 2 * np.arctanh(np.exp(2 * X[got.mask]) / 2)
         assert got.mask[X < 0.3].all() and not got.mask[X > np.log(2) / 2].any()
         assert (np.abs(got.values[got.mask] - want) / np.abs(want)).max() <= 1e-12

@@ -134,6 +134,15 @@ class TestVerify:
         (check,) = json.loads(out.read_text())["checks"]
         assert check["passed"] and check["convergence_ratio"] == 1.0
 
+    @pytest.mark.parametrize("fid,kind", [("METRIC_EX2", "target_metric"), ("U_EX1", "harmonic_map")])
+    def test_convergence_rejected_for_maps_and_metrics(self, fid, kind, tmp_path, capsys):
+        # only a PDE residual has an h-halving ratio; the flag is not dropped silently
+        out = tmp_path / "v.json"
+        assert main(["verify", "--family", fid, "--h", "0.02", "--convergence", "--json", str(out)]) == 2
+        cap = capsys.readouterr()
+        assert f"{fid} is a {kind}" in cap.err and "--convergence" in cap.err
+        assert cap.out == "" and not out.exists()
+
     def test_json_report_deterministic(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         args = [
@@ -496,7 +505,7 @@ class TestRejectedInput:
     @pytest.mark.parametrize("command", ["verify --u", "build --pair"])
     def test_csv_rejection_names_the_file(self, command, edit, message, tmp_path, capsys, recwarn):
         g = make_grid(0.1, 0.4, 0.2, 0.5, 7, 6)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         p = tmp_path / "f.csv"
         if command == "verify --u":
             dump_complex_csv(complex_field(g, X, Y), str(p))
@@ -532,7 +541,7 @@ class TestRejectedInput:
         w, theta = tmp_path / "w.csv", tmp_path / "theta.csv"
         for p, n in ((w, 201), (theta, 7)):
             g = make_grid(0.1, 0.4, 0.2, 0.5, n, n)
-            X, Y = g.mesh()
+            X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
             dump_scalar_csv(field(g, X + Y), str(p))
             if p == theta or bad == "both":  # nan at the last row's valid point
                 *lines, row = p.read_text().splitlines(True)
@@ -593,9 +602,8 @@ class TestVerifyParity:
     ])
     def test_verify_matches_criterion(self, fid, criteria, tmp_path, capsys):
         out = tmp_path / "v.json"
-        rc = main([
-            "verify", "--family", fid, "--h", str(self.H), "--convergence", "--json", str(out),
-        ])
+        ratio = ["--convergence"] if criteria in ((1,), (2,)) else []  # maps and metrics have no ratio
+        rc = main(["verify", "--family", fid, "--h", str(self.H), *ratio, "--json", str(out)])
         assert rc in (0, 1)
         verified = json.loads(out.read_text())["checks"]
         run = {

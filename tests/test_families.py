@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,21 @@ from gordon.families import (
     residual_sinh_gordon,
     scalar_callable,
     sign_probe,
+    u_ex1,
     u_ex_section3,
     w_one_soliton,
 )
-from gordon.grid import ComplexField, MetricSample, ScalarField, field, make_grid
+from gordon.grid import (
+    MAGNITUDE_CAP,
+    ComplexField,
+    MetricSample,
+    ScalarField,
+    _capped,
+    complex_field,
+    field,
+    make_grid,
+    make_metric,
+)
 
 H = 1 / 100  # unit tests run coarse; acceptance re-checks at 1/400
 TOL = 16 * 1e-3  # second-order scaling of the 1e-3 floor from h = 1/400
@@ -198,3 +211,68 @@ class TestParams:
         g = make_grid(0.2, 1.0, -0.35, 0.35, 9, 9)
         with pytest.raises(ValueError, match="JSON object"):
             eval_family("W_SQRT2", g, [1])
+
+
+OFF_CENTRE = make_grid(-0.31, 0.97, -0.43, 0.52, 97, 131)  # nx != ny, no symmetry about 0
+BUILD = {"harmonic_map": complex_field, "target_metric": make_metric}
+
+
+def arrays(container):
+    return [getattr(container, f.name) for f in dataclasses.fields(container)[1:]]
+
+
+def assert_same_bits(got, want, g):
+    assert type(got) is type(want)
+    for a, b in zip(arrays(got), arrays(want), strict=True):
+        assert a.shape == (g.nx, g.ny) and a.dtype == b.dtype
+        assert not a.flags.writeable
+        assert a.tobytes() == b.tobytes()  # bits, so -0.0 and 0.0 differ
+
+
+class TestOpenGrid:
+    """eval_family and hopf_weight call the evaluators on a column of x and a row
+    of y; the result must be that of the full mesh, bit for bit."""
+
+    @staticmethod
+    def mesh(g):
+        return np.meshgrid(g.x(), g.y(), indexing="ij")
+
+    @pytest.mark.parametrize("fid", sorted(CATALOG))
+    def test_family_equals_mesh(self, fid):
+        fam, g = CATALOG[fid], OFF_CENTRE
+        with np.errstate(all="ignore"):  # the window leaves some rectangles' smooth regions
+            got = eval_family(fid, g)
+            want = BUILD.get(fam.kind, field)(g, *fam.evaluate(*self.mesh(g), **fam.params))
+        assert_same_bits(got, want, g)
+
+    @pytest.mark.parametrize("fid", sorted(f.id for f in CATALOG.values() if f.kind == "harmonic_map"))
+    def test_weight_equals_mesh(self, fid):
+        fam, g = CATALOG[fid], OFF_CENTRE
+        if fam.weight is None:
+            assert hopf_weight(fid, g) is None
+            return
+        with np.errstate(all="ignore"):
+            got, want = hopf_weight(fid, g), field(g, *fam.weight(*self.mesh(g)))
+        assert_same_bits(got, want, g)
+
+    def test_evaluator_gets_a_column_and_a_row(self, monkeypatch):
+        # U_EX1's S = sinh(2x)/2 and its mask come back with the shape of the x axis
+        g, seen = OFF_CENTRE, []
+
+        def spy(x, y, **params):
+            out = u_ex1(x, y, **params)
+            seen.append((x.shape, y.shape) + tuple(a.shape for a in out))
+            return out
+
+        monkeypatch.setitem(CATALOG, "U_EX1", dataclasses.replace(CATALOG["U_EX1"], evaluate=spy))
+        u = eval_family("U_EX1", g)
+        assert seen == [((g.nx, 1), (1, g.ny), (g.nx, g.ny), (g.nx, 1), (g.nx, 1))]
+        assert u.im.shape == (g.nx, g.ny) and np.all(u.im == u.im[:, :1])
+
+    def test_capped_equals_finite_and_bounded(self):
+        cap = MAGNITUDE_CAP
+        a = np.array([np.nan, np.inf, -np.inf, cap, -cap, np.nextafter(cap, np.inf),
+                      np.nextafter(cap, 0), -np.nextafter(cap, np.inf), -np.nextafter(cap, 0),
+                      0.0, -0.0, 1.0, 5e-324, np.finfo(float).max])
+        assert np.array_equal(_capped(a), np.isfinite(a) & (np.abs(a) <= cap))
+        assert _capped(a).tolist()[:7] == [False, False, False, True, True, False, True]

@@ -45,7 +45,7 @@ def csv_oracle(g, names, columns, mask):
 
 
 def sampled(g, fn):
-    X, Y = g.mesh()
+    X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
     return field(g, fn(X, Y))
 
 
@@ -89,7 +89,7 @@ class TestLaplacian:
     def test_sin_accuracy(self):
         g = make_grid(0, 1, 0, 1, 101, 101)
         lap = laplacian(sampled(g, lambda x, y: np.sin(x)))
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         err = np.abs(lap.values + np.sin(X))[lap.mask]
         assert err.max() < 0.01**2 / 4  # fourth-derivative bound / 12 has margin
 
@@ -97,7 +97,7 @@ class TestLaplacian:
         def err(n):
             g = make_grid(0, 1, 0, 1, n, n)
             lap = laplacian(sampled(g, lambda x, y: np.sin(x) * np.cos(y)))
-            X, Y = g.mesh()
+            X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
             return np.abs(lap.values + 2 * np.sin(X) * np.cos(Y))[lap.mask].max()
 
         ratio = err(51) / err(101)
@@ -123,13 +123,13 @@ class TestPartials:
     def test_exact_bilinear(self):
         g = make_grid(0, 1, 0, 1, 11, 11)
         px = partial_x(sampled(g, lambda x, y: x * y))
-        _, Y = g.mesh()
+        _, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.allclose(px.values[px.mask], Y[px.mask], atol=1e-13)
 
     def test_exp_relative_accuracy(self):
         g = make_grid(0, 1, 0, 1, 101, 101)
         px = partial_x(sampled(g, lambda x, y: np.exp(x)))
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         rel = (np.abs(px.values - np.exp(X)) / np.exp(X))[px.mask]
         assert rel.max() < 2e-5
 
@@ -157,7 +157,7 @@ class TestNodeSlopes:
 class TestWirtinger:
     def test_holomorphic_z(self):
         g = make_grid(-1, 1, -1, 1, 41, 41)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, Y)
         dz, dzb = wirtinger(u)
         assert np.allclose(dz.complex_values()[dz.mask], 1.0, atol=1e-12)
@@ -165,7 +165,7 @@ class TestWirtinger:
 
     def test_antiholomorphic_zbar(self):
         g = make_grid(-1, 1, -1, 1, 41, 41)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, -Y)
         dz, dzb = wirtinger(u)
         assert np.allclose(dz.complex_values()[dz.mask], 0.0, atol=1e-12)
@@ -174,7 +174,7 @@ class TestWirtinger:
     def test_half_plane_example(self):
         # u = y + i sinh(2x)/2 has dz_u = i (cosh(2x) - 1)/2
         g = make_grid(0.1, 0.9, -0.5, 0.5, 161, 161)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, Y, np.sinh(2 * X) / 2)
         dz, _ = wirtinger(u)
         expect = 1j * (np.cosh(2 * X) - 1) / 2
@@ -186,25 +186,25 @@ class TestCumulativeIntegral:
     def test_constant_exact(self):
         g = make_grid(0, 1, 0, 1, 21, 21)
         c = cumulative_integral_x(sampled(g, lambda x, y: 1 + 0 * x), 0.0)
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.allclose(c.values, X, atol=1e-14)
 
     def test_linear_exact(self):
         g = make_grid(0, 1, 0, 1, 21, 21)
         c = cumulative_integral_x(sampled(g, lambda x, y: x), 0.0)
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.allclose(c.values, X**2 / 2, atol=1e-14)
 
     def test_cos_accuracy(self):
         g = make_grid(0, 1, 0, 1, 101, 101)
         c = cumulative_integral_x(sampled(g, lambda x, y: np.cos(x)), 0.0)
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.abs(c.values - np.sin(X)).max() < 1e-5
 
     def test_interior_anchor_and_y_direction(self):
         g = make_grid(0, 1, -1, 1, 11, 21)
         c = cumulative_integral_y(sampled(g, lambda x, y: y), 0.0)
-        _, Y = g.mesh()
+        _, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.allclose(c.values, Y**2 / 2, atol=1e-14)
 
     def test_off_grid_start_rejected(self):
@@ -258,7 +258,7 @@ class TestFieldNorms:
 
     def test_built_arrays_are_read_only(self):
         g = make_grid(0, 1, 0, 1, 5, 5)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         f, u, m = field(g, X), complex_field(g, X, Y), make_metric(g, 1 + X, Y / 10, 1 + Y**2)
         one = np.ones((5, 5))
         d = MetricSample(g, one.copy(), 0 * one, one.copy(), one > 0)
@@ -270,7 +270,7 @@ class TestFieldNorms:
 class TestCsvRoundTrip:
     def test_scalar(self, tmp_path):
         g = make_grid(0, 1, -1, 0, 7, 9)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         f = field(g, np.sin(X) + Y, np.abs(X + Y) > 0.3)
         p = tmp_path / "f.csv"
         dump_scalar_csv(f, str(p))
@@ -281,7 +281,7 @@ class TestCsvRoundTrip:
 
     def test_complex(self, tmp_path):
         g = make_grid(0, 1, 0, 1, 6, 5)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, Y + 1)
         p = tmp_path / "u.csv"
         dump_complex_csv(u, str(p))
@@ -291,7 +291,7 @@ class TestCsvRoundTrip:
 
     def test_bytes(self, tmp_path):
         g = make_grid(-0.3, 0.7, -1, 0, 5, 6)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, np.exp(X) * np.cos(Y), Y**3 / 3 - X, np.abs(X + Y) > 0.4)
         f = field(g, u.re, u.mask)
         p = tmp_path / "u.csv"
@@ -325,7 +325,7 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("edit", ["swap", "drop", "shift"])
     def test_rows_off_the_grid_rejected(self, edit, tmp_path):
         g = make_grid(0, 1, -1, 0, 7, 9)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         p = tmp_path / "f.csv"
         dump_scalar_csv(field(g, X + Y), str(p))
         lines = p.read_text().splitlines(True)
@@ -346,7 +346,7 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("bad", ["0.5", "7", "-1", "nan"])
     def test_valid_column_is_0_or_1(self, dump, load, bad, tmp_path):
         g = make_grid(0, 1, -1, 0, 7, 9)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         p = tmp_path / "f.csv"
         dump(complex_field(g, X, Y + 2) if dump is dump_complex_csv else field(g, X + Y), str(p))
         lines = p.read_text().splitlines(True)
@@ -363,7 +363,7 @@ class TestCsvRoundTrip:
 
     def test_dump_writes_the_sidecar_and_load_requires_it(self, tmp_path):
         g = make_grid(0, 2, -1, 1, 9, 11)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         p = tmp_path / "u.csv"
         dump_complex_csv(complex_field(g, X, Y), str(p), "U_EX2")
         sidecar = tmp_path / "u.csv.grid.json"
@@ -378,7 +378,7 @@ class TestCsvRoundTrip:
     def test_rows_must_be_the_sidecar_grid(self, tmp_path):
         # a file cut at a whole grid row is still a grid, just not the dumped one
         g = make_grid(0, 1, -1, 0, 7, 9)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         p = tmp_path / "f.csv"
         dump_scalar_csv(field(g, X + Y), str(p))
         assert load_scalar_csv(str(p)).grid == g
@@ -388,7 +388,7 @@ class TestCsvRoundTrip:
 
     def test_interrupted_dump_keeps_old_file(self, tmp_path, monkeypatch):
         g = make_grid(0, 1, -1, 0, 7, 9)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         p = tmp_path / "f.csv"
         dump_scalar_csv(field(g, X + Y), str(p))
         old = p.read_bytes()

@@ -88,14 +88,14 @@ class TestHopfResidual:
     def test_known_harmonic_map(self):
         # u = y + i sinh(2x)/2 satisfies the condition with the 1/S^2 weight
         g = grid(0.1, 0.9, -0.5, 0.5)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, Y, np.sinh(2 * X) / 2)
         assert hopf_residual(u).sup_norm()[0] < TOL
 
     def test_negative_control(self):
         # u = x + i: dz_u dzbar_u = 1/4 and S = 1, so the defect is 3/4
         g = grid(-0.5, 0.5, -0.5, 0.5)
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, np.ones_like(X))
         r = hopf_residual(u)
         assert r.sup_norm()[0] == pytest.approx(0.75, abs=1e-12)
@@ -103,7 +103,7 @@ class TestHopfResidual:
     def test_explicit_weight(self):
         # same defect detected through an explicit constant weight field
         g = grid(-0.5, 0.5, -0.5, 0.5)
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, np.ones_like(X))
         wgt = field(g, np.full((g.nx, g.ny), 4.0))
         assert hopf_residual(u, wgt).sup_norm()[0] < 1e-12
@@ -123,7 +123,7 @@ class TestCorrespondence:
         # e^{2w} for the decaying soliton w = 2 artanh(e^{-2x}); keep x away
         # from 0 so the ratio stays O(1)
         g = grid(0.4, 1.2, -0.5, 0.5)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, Y, np.sinh(2 * X) / 2)
         w = field(g, 2 * np.arctanh(np.exp(-2 * X)))
         conv, r = correspondence_check(u, w)
@@ -132,7 +132,7 @@ class TestCorrespondence:
 
     def test_no_convention_for_unrelated_fields(self):
         g = grid(-0.5, 0.5, -0.5, 0.5)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, Y + 2.0)  # u = z + 2i: dzbar_u = 0
         w = field(g, np.zeros_like(X))
         conv, _ = correspondence_check(u, w)
@@ -141,7 +141,7 @@ class TestCorrespondence:
     def test_grid_mismatch_rejected(self):
         g1 = grid(-0.5, 0.5, -0.5, 0.5)
         g2 = grid(-0.4, 0.4, -0.4, 0.4)
-        X, Y = g1.mesh()
+        X, Y = np.meshgrid(g1.x(), g1.y(), indexing="ij")
         with pytest.raises(ValueError):
             correspondence_check(complex_field(g1, X, Y + 2), field(g2, np.zeros((g2.nx, g2.ny))))
 
@@ -149,7 +149,7 @@ class TestCorrespondence:
 class TestGaussianCurvature:
     def poincare(self, scale=1.0, h=H):
         g = grid(0.0, 1.0, 8.0, 12.0, h)
-        _, Y = g.mesh()
+        _, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         return g, make_metric(g, scale / Y**2, np.zeros_like(Y), scale / Y**2)
 
     def test_poincare_is_minus_one(self):
@@ -179,7 +179,7 @@ class TestGaussianCurvature:
         # orthogonal coordinates does not apply and the check fails on its
         # orthogonality rule, with the sup below the tolerance
         g = grid(0.0, 1.0, 8.0, 12.0)
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         lam = 1.0 / (X + Y) ** 2  # conformal factor evaluated at v = x + y
         # pullback of lam (du^2 + dv^2) under (u, v) = (x, x + y)
         m = make_metric(g, 2 * lam, lam, lam)
@@ -190,7 +190,7 @@ class TestGaussianCurvature:
 class TestPullback:
     def test_degenerate_map_fully_masked(self):
         g = grid(-0.5, 0.5, -0.5, 0.5)
-        X, _ = g.mesh()
+        X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, np.ones_like(X))  # rank-one differential
         m = pullback_metric(u)
         assert not m.mask.any()

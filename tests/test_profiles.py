@@ -204,7 +204,7 @@ class TestAssembly:
         w = assemble_tan_family(
             integrate_profile(a_spec, g.x()), integrate_profile(b_spec, g.y()), g
         )
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         expect = np.arcsinh(
             (np.sinh(2 * X) + np.sinh(2 * Y)) / (1 - np.sinh(2 * X) * np.sinh(2 * Y))
         )
@@ -235,7 +235,7 @@ class TestAssembly:
         th = assemble_tanh_family(
             integrate_profile(c_spec, g.x()), integrate_profile(d_spec, g.y()), g
         )
-        X, Y = g.mesh()
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         cx, cy = np.cosh(SQRT2 * X), np.cosh(SQRT2 * Y)
         expect = 2 * np.arctan((cx - cy) / (cx + cy))
         assert np.abs(th.values - expect)[th.mask].max() < 1e-13
