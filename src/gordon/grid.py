@@ -336,34 +336,41 @@ def cumulative_integral_y(f: ScalarField, y_start: float) -> ScalarField:
 
 @contextlib.contextmanager
 def atomic_open(path: str):
-    """Text handle on `<path>.<pid>.tmp`, renamed to `path` on success, else removed."""
+    """Text handle on `<path>.<pid>.tmp`, renamed to `path` on success, else removed.
+
+    An OSError with an errno is raised again naming `path`, not the `.tmp`.
+    """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, path) from e
         raise
 
 
 def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=None) -> None:
     """Write `x,y,<names>,valid` rows, y in the outer loop, numbers as `%.17g`, then the sidecar.
 
-    C formats a grid line in one call, from a `%` template built once: every x
-    formatted, a NUL where y goes. Each line is written on its own, since one
-    whole-file string would add several times the file's size to peak RSS.
-    The sidecar `<path>.grid.json` holds the grid and, when given, `family`;
-    it is written after the CSV, so a dump cut short in the CSV leaves the
-    old pair in place.
+    Each x has two row pieces, `<x>,NUL,%.17g...,0` and the same ending in 1:
+    a grid line is its mask's pieces joined, a NUL where y goes, and C formats
+    its values in one `%` call, so x and the valid flag are never formatted
+    per point. Each line is written on its own, since one whole-file string
+    would add several times the file's size to peak RSS. The sidecar
+    `<path>.grid.json` holds the grid and, when given, `family`; it is written
+    after the CSV, so a dump cut short in the CSV leaves the old pair in place.
     """
-    row = "".join(f"{x:.17g},\0" + ",%.17g" * len(columns) + ",%d\n" for x in grid.x())
-    vals = np.stack([a.T for a in columns] + [mask.T], axis=-1)  # (ny, nx, k + 1)
+    row = [f"{x:.17g},\0" + ",%.17g" * len(columns) for x in grid.x()]
+    zeros, ones = (np.array([r + flag for r in row], dtype=object) for flag in (",0\n", ",1\n"))
+    vals = np.stack([a.T for a in columns], axis=-1)  # (ny, nx, k)
     with atomic_open(path) as fh:
         fh.write(",".join(("x", "y", *names, "valid")) + "\n")
-        for y, line in zip(grid.y(), vals):
-            fh.write(row.replace("\0", f"{y:.17g}") % tuple(line.ravel().tolist()))
+        for y, line, m in zip(grid.y(), vals, mask.T):
+            fh.write("".join(np.where(m, ones, zeros)).replace("\0", f"{y:.17g}") % tuple(line.ravel().tolist()))
     dump_json(grid.to_json() | ({} if family is None else {"family": family}), path + ".grid.json")
 
 
@@ -401,34 +408,77 @@ def load_grid_json(path: str):
         raise ValueError(f"{path}: {e}") from e
 
 
+def _loadtxt(path: str, **kw) -> np.ndarray:
+    """The rows of a dump, below its header line."""
+    with warnings.catch_warnings():  # an empty file: rejected by its shape
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", skiprows=1, **kw)
+
+
+def _sidecar_grid(path: str) -> Grid2D:
+    try:
+        return load_grid_json(path + ".grid.json")[0]
+    except FileNotFoundError:
+        raise ValueError(f"its grid sidecar {path}.grid.json is missing") from None
+
+
+def _read_canonical(path: str, ncols: int):
+    """(grid, value columns) if every x and y is its sidecar grid point's own `%.17g` text, else None.
+
+    x and y are read as bytes, not floats. Canonical text has at most 24
+    bytes, so the 32 kept cannot match a longer coordinate; a NUL byte, which
+    numpy drops from the end of a bytes field, sends the file to the checked
+    read, as does any parse error or a missing or malformed sidecar.
+    """
+    try:
+        data = _loadtxt(path, ndmin=1, dtype=[("x", "S32"), ("y", "S32")] + [("", "f8")] * (ncols - 2))
+        g = _sidecar_grid(path)
+        with open(path, "rb") as fh:
+            if any(b"\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), b"")):
+                return None
+    except (ValueError, OSError):
+        return None
+    if data.shape != (g.nx * g.ny,):
+        return None
+    x, y = (np.array([f"{a:.17g}" for a in v], dtype="S32") for v in (g.x(), g.y()))
+    if not (np.all(data["x"].reshape(g.ny, g.nx) == x) and np.all(data["y"].reshape(g.ny, g.nx) == y[:, None])):
+        return None
+    return g, [data[name] for name in data.dtype.names[2:]]
+
+
+def _read_checked(path: str, ncols: int):
+    """(grid, value columns) of any file: x and y parsed and held to Grid2D.index_of_x's tolerance."""
+    data = _loadtxt(path, ndmin=2)
+    g = _sidecar_grid(path)
+    n = g.nx * g.ny
+    if data.shape != (n, ncols):
+        raise ValueError(f"expected {n} rows of {ncols} columns, the y-major points of its sidecar's "
+                         f"{g.nx} x {g.ny} grid, got {data.shape[0]} x {data.shape[1]}")
+    if not (np.all(np.abs(data[:, 0] - np.tile(g.x(), g.ny)) <= 1e-9 * max(1.0, g.hx))
+            and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))):
+        raise ValueError(f"rows are not the y-major points of its sidecar's {g.nx} x {g.ny} grid")
+    return g, [data[:, k] for k in range(2, ncols)]
+
+
 def _load_csv(path: str, ncols: int, build):
     """build(grid, value columns as (nx, ny) arrays, mask) of a dump with ncols columns.
 
     The grid is that of the dump's sidecar `<path>.grid.json`, which is
     required, so a file cut at a whole grid row is rejected. Raises
     ValueError, naming the path, unless the sidecar holds a grid, the rows
-    are that grid's points in y-major order (x and y to Grid2D.index_of_x's
-    tolerance) with ncols entries each, every entry of the last (valid)
-    column is 0 or 1, and numpy's parser and build accept the data.
+    are that grid's points in y-major order with ncols entries each, every
+    entry of the last (valid) column is 0 or 1, and numpy's parser and build
+    accept the data. A coordinate matches its grid point when its text is
+    the point's `%.17g` text, as every dump writes it (read without parsing
+    x and y); otherwise the file is read again with x and y parsed and held
+    to Grid2D.index_of_x's tolerance, and that read decides and words the
+    error.
     """
     try:
-        with warnings.catch_warnings():  # an empty file: rejected by its shape
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        try:
-            g, _ = load_grid_json(path + ".grid.json")
-        except FileNotFoundError:
-            raise ValueError(f"its grid sidecar {path}.grid.json is missing") from None
-        n = g.nx * g.ny
-        if data.shape != (n, ncols):
-            raise ValueError(f"expected {n} rows of {ncols} columns, the y-major points of its sidecar's "
-                             f"{g.nx} x {g.ny} grid, got {data.shape[0]} x {data.shape[1]}")
-        if not (np.all(np.abs(data[:, 0] - np.tile(g.x(), g.ny)) <= 1e-9 * max(1.0, g.hx))
-                and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))):
-            raise ValueError(f"rows are not the y-major points of its sidecar's {g.nx} x {g.ny} grid")
-        if not np.all((data[:, -1] == 0) | (data[:, -1] == 1)):
+        g, cols = _read_canonical(path, ncols) or _read_checked(path, ncols)
+        if not np.all((cols[-1] == 0) | (cols[-1] == 1)):
             raise ValueError("the valid column holds a value other than 0 and 1")
-        cols = [np.ascontiguousarray(data[:, k].reshape(g.ny, g.nx).T) for k in range(2, ncols)]
+        cols = [np.ascontiguousarray(c.reshape(g.ny, g.nx).T) for c in cols]
         return build(g, *cols[:-1], cols[-1].astype(bool))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e

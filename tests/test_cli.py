@@ -582,6 +582,20 @@ class TestRejectedInput:
         assert f"{first} is on a 13 x 15 grid" in err and f"{second} is on a 25 x 29 grid" in err, err
         assert sorted(os.listdir()) == written
 
+    @pytest.mark.parametrize("command,path", [
+        (["families", "eval", "--family", "W_SQRT2", "--out", "missing/w.csv"], "missing/w.csv"),
+        (["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2", "--out", "missing/map", "--tol", "0.1"],
+         "missing/map.u.csv"),
+        (["verify", "--family", "W_SQRT2", "--json", "missing/r.json"], "missing/r.json"),
+    ], ids=["families-eval", "harmonic-build", "verify-json"])
+    def test_write_error_names_the_requested_path(self, command, path, tmp_path, capsys, monkeypatch):
+        # the file is written to a .tmp first; the error names the file asked for
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--grid", coarse(0.0, 0.6, -0.35, 0.35, h=0.025)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{path}'" in err and ".tmp" not in err, err
+        assert os.listdir() == []
+
     def test_declared_params_listed(self, capsys):
         assert main(["families", "list", "--json"]) == 0
         rows = {r["id"]: r for r in json.loads(capsys.readouterr().out)}

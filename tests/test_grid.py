@@ -1,6 +1,7 @@
 import contextlib
 import json
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gordon import grid
+from gordon.families import CATALOG
 from gordon.grid import (
     MAX_POINTS,
     ComplexField,
@@ -535,6 +537,129 @@ class TestCsvRoundTripProperty:
             back = load(p)
         assert back.grid == g
         return back
+
+
+class TestCsvWriterOracle:
+    """The writer's bytes against a plain loop that formats every number and flag of every row."""
+
+    @staticmethod
+    def rows(g, names, columns, mask):
+        x, y = g.x(), g.y()
+        out = [",".join(("x", "y", *names, "valid")) + "\n"]
+        for j in range(g.ny):
+            for i in range(g.nx):
+                out.append(f"{x[i]:.17g},{y[j]:.17g}," + "".join(f"{c[i, j]:.17g}," for c in columns)
+                           + f"{int(mask[i, j])}\n")
+        return "".join(out)
+
+    def test_scalar_and_complex(self, tmp_path):
+        # off-centre, nx != ny, scattered masked points, a fully masked y line
+        # and a fully masked x line, and the values the text must carry exactly
+        g = make_grid(-0.37, 1.21, 0.13, 0.9, 11, 7)
+        rng = np.random.default_rng(28)
+        re, im = rng.normal(size=(2, 11, 7)) * 10.0 ** rng.integers(-5, 6, size=(2, 11, 7))
+        re[1, :4], im[5, 2:6] = [-0.0, 5e-324, 1e12, -1e12], [1e12, -0.0, -1e12, 5e-324]
+        mask = rng.random((11, 7)) > 0.3
+        mask[1, :4] = mask[5, 2:6] = True
+        mask[:, 6] = mask[8, :] = False
+        p = tmp_path / "f.csv"
+        dump_scalar_csv(ScalarField(g, re, mask), str(p))
+        assert p.read_text() == self.rows(g, ("value",), (re,), mask)
+        dump_complex_csv(ComplexField(g, re, im, mask), str(p))
+        assert p.read_text() == self.rows(g, ("re", "im"), (re, im), mask)
+
+
+class TestCsvCanonicalRead:
+    """A dump's coordinates are read as text; anything else goes through the parsing read."""
+
+    @staticmethod
+    def dumped(tmp_path, complex_=False):
+        g = make_grid(-0.3, 0.7, -1, 0.2, 7, 9)
+        X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
+        p = tmp_path / "f.csv"
+        if complex_:
+            dump_complex_csv(complex_field(g, np.sin(X), Y + 2, np.abs(X - Y) > 0.2), str(p))
+        else:
+            dump_scalar_csv(field(g, np.sin(X) + Y, np.abs(X - Y) > 0.2), str(p))
+        return p
+
+    @staticmethod
+    def rewrite(p, fn, rows=slice(1, None)):
+        lines = p.read_text().splitlines(True)
+        for k in range(len(lines))[rows]:
+            x, y, rest = lines[k].split(",", 2)
+            lines[k] = ",".join((fn(x), fn(y), rest))
+        p.write_text("".join(lines))
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = grid._read_checked
+
+        def checked(path, ncols):
+            calls.append(path)
+            return real(path, ncols)
+
+        monkeypatch.setattr(grid, "_read_checked", checked)
+        return calls
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["scalar", "complex"])
+    @pytest.mark.parametrize("fn", [lambda t: f"{float(t):.15g}", lambda t: t if t[0] == "-" else "+" + t],
+                             ids=["15g", "plus"])
+    def test_other_coordinate_text_loads_the_same_bits(self, fn, complex_, tmp_path, monkeypatch):
+        load = load_complex_csv if complex_ else load_scalar_csv
+        p = self.dumped(tmp_path, complex_)
+        before = load(str(p))
+        calls = self.spy(monkeypatch)
+        self.rewrite(p, fn)
+        after = load(str(p))
+        assert calls == [str(p)]  # the parsing read decided
+        assert after.grid == before.grid
+        assert np.array_equal(after.mask, before.mask)
+        for name in ("re", "im") if complex_ else ("values",):
+            assert np.array_equal(_bits(getattr(after, name)), _bits(getattr(before, name)))
+
+    def test_long_coordinate_is_parsed_whole(self, tmp_path):
+        # its first 32 bytes parse to the grid value, the whole text does not
+        p = self.dumped(tmp_path)
+        lines = p.read_text().splitlines(True)
+        x, rest = lines[3].split(",", 1)
+        assert "." in x and "e" not in x and float((x + "0" * 32)[:32]) == float(x)
+        lines[3] = (x + "0" * 32)[:32] + "e5," + rest
+        p.write_text("".join(lines))
+        with pytest.raises(ValueError, match="y-major"):
+            load_scalar_csv(str(p))
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_nul_in_a_coordinate_is_rejected(self, row, tmp_path):
+        # numpy drops a bytes field's trailing NULs: the text read must not
+        # take "<x>\0" for x
+        p = self.dumped(tmp_path)
+        self.rewrite(p, lambda t: t + "\0", slice(row, row + 1))
+        with pytest.raises(ValueError, match="could not convert"):
+            load_scalar_csv(str(p))
+
+    @pytest.mark.parametrize("fid", sorted(CATALOG))
+    def test_dumps_never_take_the_parsing_read(self, fid, tmp_path, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for h in (1 / 20, 1 / 60):
+            g = rect_grid(CATALOG[fid].rectangle, h)
+            for G in (g, g.refined()):
+                X, Y = np.meshgrid(G.x(), G.y(), indexing="ij")
+                p = str(tmp_path / "f.csv")
+                dump_scalar_csv(field(G, X * Y, X > Y), p)
+                assert np.array_equal(load_scalar_csv(p).values, np.where(X > Y, X * Y, 0.0))
+                dump_complex_csv(complex_field(G, X, Y), p)
+                assert np.array_equal(load_complex_csv(p).im, Y)
+        assert calls == []
+
+    @FAST
+    @given(grids())
+    def test_dumps_of_any_grid_never_take_the_parsing_read(self, g):
+        with mock.patch.object(grid, "_read_checked", side_effect=AssertionError("parsing read")), \
+                tempfile.TemporaryDirectory() as d:
+            dump_scalar_csv(field(g, np.zeros((g.nx, g.ny))), f"{d}/f.csv")
+            assert load_scalar_csv(f"{d}/f.csv").grid == g
 
 
 class TestMaskProperties:
