@@ -195,7 +195,7 @@ def _resolve_pair(spec: str, args):
     for p in parts:
         if not os.path.exists(p):
             raise ValueError(f"pair member {p!r} is neither a family id nor a file")
-    w, th = fork_map([(load_scalar_csv, p) for p in parts])
+    w, th = (load_scalar_csv(p) for p in parts)
     _one_grid((parts[0], w.grid), (parts[1], th.grid))
     return BacklundPair(w, th, provenance="loaded from CSV")
 

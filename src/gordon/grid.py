@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
+import io
+import itertools
 import json
 import os
 import sys
@@ -335,14 +338,14 @@ def cumulative_integral_y(f: ScalarField, y_start: float) -> ScalarField:
 
 
 @contextlib.contextmanager
-def atomic_open(path: str):
-    """Text handle on `<path>.<pid>.tmp`, renamed to `path` on success, else removed.
+def atomic_open(path: str, mode: str = "w"):
+    """Handle opened in `mode` on `<path>.<pid>.tmp`, renamed to `path` on success, else removed.
 
     An OSError with an errno is raised again naming `path`, not the `.tmp`.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException as e:
@@ -353,25 +356,44 @@ def atomic_open(path: str):
         raise
 
 
+def _data_sha256(grid: Grid2D):
+    """A sha256 started on the grid's canonical JSON; a dump adds its CSV's bytes, then its companion's."""
+    return hashlib.sha256(json.dumps(grid.to_json(), sort_keys=True).encode())
+
+
 def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=None) -> None:
-    """Write `x,y,<names>,valid` rows, y in the outer loop, numbers as `%.17g`, then the sidecar.
+    """Write `x,y,<names>,valid` rows, y in the outer loop, numbers as `%.17g`, its companion, then the sidecar.
 
     Each x has two row pieces, `<x>,NUL,%.17g...,0` and the same ending in 1:
     a grid line is its mask's pieces joined, a NUL where y goes, and C formats
     its values in one `%` call, so x and the valid flag are never formatted
     per point. Each line is written on its own, since one whole-file string
-    would add several times the file's size to peak RSS. The sidecar
-    `<path>.grid.json` holds the grid and, when given, `family`; it is written
-    after the CSV, so a dump cut short in the CSV leaves the old pair in place.
+    would add several times the file's size to peak RSS. The companion
+    `<path>.npy` holds the value columns and the valid column (0.0 or 1.0) as
+    one float64 array, one row per CSV row. The sidecar `<path>.grid.json`
+    holds the grid, `family` when given, and `data_sha256`, the digest of the
+    grid, the CSV and the companion (see _read_companion). Each file is
+    written atomically, the sidecar last: a dump cut short leaves the old
+    files, or a digest that no longer matches them.
     """
     row = [f"{x:.17g},\0" + ",%.17g" * len(columns) for x in grid.x()]
     zeros, ones = (np.array([r + flag for r in row], dtype=object) for flag in (",0\n", ",1\n"))
-    vals = np.stack([a.T for a in columns], axis=-1)  # (ny, nx, k)
-    with atomic_open(path) as fh:
-        fh.write(",".join(("x", "y", *names, "valid")) + "\n")
-        for y, line, m in zip(grid.y(), vals, mask.T):
-            fh.write("".join(np.where(m, ones, zeros)).replace("\0", f"{y:.17g}") % tuple(line.ravel().tolist()))
-    dump_json(grid.to_json() | ({} if family is None else {"family": family}), path + ".grid.json")
+    table = np.stack([a.T for a in (*columns, mask)], axis=-1, dtype=float)  # (ny, nx, k + 1)
+    lines = ("".join(np.where(m, ones, zeros)).replace("\0", f"{y:.17g}") % tuple(v.ravel().tolist())
+             for y, v, m in zip(grid.y(), table[..., :-1], mask.T))
+    digest = _data_sha256(grid)
+    with atomic_open(path, "wb") as fh:
+        for text in itertools.chain([",".join(("x", "y", *names, "valid")) + "\n"], lines):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+    npy = io.BytesIO()
+    np.save(npy, table.reshape(-1, table.shape[-1]), allow_pickle=False)
+    digest.update(npy.getbuffer())
+    with atomic_open(path + ".npy", "wb") as fh:
+        fh.write(npy.getbuffer())
+    dump_json(grid.to_json() | ({} if family is None else {"family": family}) | {"data_sha256": digest.hexdigest()},
+              path + ".grid.json")
 
 
 def dump_scalar_csv(f: ScalarField, path: str) -> None:
@@ -408,48 +430,43 @@ def load_grid_json(path: str):
         raise ValueError(f"{path}: {e}") from e
 
 
-def _loadtxt(path: str, **kw) -> np.ndarray:
-    """The rows of a dump, below its header line."""
-    with warnings.catch_warnings():  # an empty file: rejected by its shape
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(path, delimiter=",", skiprows=1, **kw)
+def _read_companion(path: str, ncols: int):
+    """(grid, value columns) of the companion `<path>.npy` if the sidecar's `data_sha256` vouches for it, else None.
 
-
-def _sidecar_grid(path: str) -> Grid2D:
-    try:
-        return load_grid_json(path + ".grid.json")[0]
-    except FileNotFoundError:
-        raise ValueError(f"its grid sidecar {path}.grid.json is missing") from None
-
-
-def _read_canonical(path: str, ncols: int):
-    """(grid, value columns) if every x and y is its sidecar grid point's own `%.17g` text, else None.
-
-    x and y are read as bytes, not floats. Canonical text has at most 24
-    bytes, so the 32 kept cannot match a longer coordinate; a NUL byte, which
-    numpy drops from the end of a bytes field, sends the file to the checked
-    read, as does any parse error or a missing or malformed sidecar.
+    The digest is taken again over the sidecar's grid, the CSV's bytes and the
+    companion's, so an edit to any of the three, a dump cut short, or a
+    missing or unreadable file sends the CSV to the parsing read.
     """
     try:
-        data = _loadtxt(path, ndmin=1, dtype=[("x", "S32"), ("y", "S32")] + [("", "f8")] * (ncols - 2))
-        g = _sidecar_grid(path)
+        with open(path + ".grid.json") as fh:
+            sidecar = json.load(fh)
+        g = Grid2D.from_json(sidecar)
+        digest = _data_sha256(g)
         with open(path, "rb") as fh:
-            if any(b"\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), b"")):
-                return None
-    except (ValueError, OSError):
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        with open(path + ".npy", "rb") as fh:
+            npy = fh.read()
+        digest.update(npy)
+        if digest.hexdigest() != sidecar.get("data_sha256"):
+            return None
+        table = np.load(io.BytesIO(npy), allow_pickle=False)
+    except (OSError, ValueError, EOFError):
         return None
-    if data.shape != (g.nx * g.ny,):
+    if table.dtype != np.float64 or not table.flags.c_contiguous or table.shape != (g.nx * g.ny, ncols - 2):
         return None
-    x, y = (np.array([f"{a:.17g}" for a in v], dtype="S32") for v in (g.x(), g.y()))
-    if not (np.all(data["x"].reshape(g.ny, g.nx) == x) and np.all(data["y"].reshape(g.ny, g.nx) == y[:, None])):
-        return None
-    return g, [data[name] for name in data.dtype.names[2:]]
+    return g, list(table.T)
 
 
 def _read_checked(path: str, ncols: int):
     """(grid, value columns) of any file: x and y parsed and held to Grid2D.index_of_x's tolerance."""
-    data = _loadtxt(path, ndmin=2)
-    g = _sidecar_grid(path)
+    with warnings.catch_warnings():  # an empty file: rejected by its shape
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        g = load_grid_json(path + ".grid.json")[0]
+    except FileNotFoundError:
+        raise ValueError(f"its grid sidecar {path}.grid.json is missing") from None
     n = g.nx * g.ny
     if data.shape != (n, ncols):
         raise ValueError(f"expected {n} rows of {ncols} columns, the y-major points of its sidecar's "
@@ -468,14 +485,14 @@ def _load_csv(path: str, ncols: int, build):
     ValueError, naming the path, unless the sidecar holds a grid, the rows
     are that grid's points in y-major order with ncols entries each, every
     entry of the last (valid) column is 0 or 1, and numpy's parser and build
-    accept the data. A coordinate matches its grid point when its text is
-    the point's `%.17g` text, as every dump writes it (read without parsing
-    x and y); otherwise the file is read again with x and y parsed and held
-    to Grid2D.index_of_x's tolerance, and that read decides and words the
-    error.
+    accept the data. The columns come from the dump's companion `<path>.npy`
+    when the sidecar's digest shows that none of the three files changed
+    since the dump; otherwise the CSV is parsed, x and y held to
+    Grid2D.index_of_x's tolerance, and that read decides and words the error.
+    Either way the same checks run on the columns.
     """
     try:
-        g, cols = _read_canonical(path, ncols) or _read_checked(path, ncols)
+        g, cols = _read_companion(path, ncols) or _read_checked(path, ncols)
         if not np.all((cols[-1] == 0) | (cols[-1] == 1)):
             raise ValueError("the valid column holds a value other than 0 and 1")
         cols = [np.ascontiguousarray(c.reshape(g.ny, g.nx).T) for c in cols]

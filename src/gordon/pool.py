@@ -2,8 +2,8 @@
 
 fork_map runs a list of calls on min(usable CPUs, calls) worker processes
 and returns their results in call order.  The acceptance criteria run
-through it, and so do the CLI's independent grid-CSV reads and writes; a
-transformation march runs in the process that calls it.
+through it, and so do `harmonic build`'s five CSV dumps; a transformation
+march, and every CSV load, runs in the process that calls it.
 
 Workers are forked, not spawned: a spawned worker re-imports numpy and gordon
 (about 0.2 s), while a forked one inherits the parent's modules and memory,

@@ -4,12 +4,14 @@ import json
 import multiprocessing
 import os
 import pathlib
+import re
 import shlex
 
 import numpy as np
 import pytest
 
 from gordon import acceptance, cli, pool
+from gordon import grid as grid_module
 from gordon.cli import main
 from gordon.families import eval_family, get_family
 from gordon.grid import (
@@ -535,8 +537,8 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("bad", ["theta", "both"])
     def test_csv_rejection_in_a_forked_load_names_the_file(self, bad, tmp_path, capsys, monkeypatch):
-        # the two members load on two workers; when both are bad, w is named, as
-        # inline, though its larger file is rejected later
+        # the two members load one after the other in this process, even on two
+        # CPUs; when both are bad, w, the first, is named
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         w, theta = tmp_path / "w.csv", tmp_path / "theta.csv"
         for p, n in ((w, 201), (theta, 7)):
@@ -552,8 +554,8 @@ class TestRejectedInput:
         named = w if bad == "both" else theta
         assert err.startswith(f"error: {named}: ") and "non-finite values at valid points" in err
         assert multiprocessing.active_children() == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["theta.csv", "theta.csv.grid.json",
-                                                              "w.csv", "w.csv.grid.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["theta.csv", "theta.csv.grid.json", "theta.csv.npy",
+                                                              "w.csv", "w.csv.grid.json", "w.csv.npy"]
 
     def test_params_that_are_not_json_name_the_option(self, tmp_path, capsys):
         out = tmp_path / "u.csv"
@@ -685,19 +687,20 @@ def test_cli_io_on_one_cpu_and_on_two(tmp_path, capsys, monkeypatch):
         )]
         assert multiprocessing.active_children() == []
         runs[cpus] = codes, capsys.readouterr(), sorted(p.name for p in run_dir.iterdir())
-    assert workers == [1, 1, 2, 2]  # the pair's loads, build's dumps
+    assert workers == [1, 2]  # build's dumps; the pair loads in process
     assert runs[1] == runs[2]
     codes, _, names = runs[1]
     assert codes == [0, 0]
     csvs = ["map.u.csv", "map.I1.csv", "map.I2.csv", "map.I3.csv", "map.I4.csv"]
-    assert names == sorted(csvs + [c + ".grid.json" for c in csvs]
+    assert names == sorted(csvs + [c + ".grid.json" for c in csvs] + [c + ".npy" for c in csvs]
                            + ["map.grid.json", "map.report.json", "verify.report.json"])
     for name in names:
         assert filecmp.cmp(tmp_path / "cpus1" / name, tmp_path / "cpus2" / name, shallow=False), name
 
 
 def test_every_csv_has_its_grid_sidecar(tmp_path, capsys, monkeypatch):
-    """Each CSV the CLI writes has `<csv>.grid.json`, holding its grid and, for a weighted map, its family."""
+    """Each CSV the CLI writes has `<csv>.grid.json`, holding its grid, its data digest and, for a weighted map,
+    its family, and its companion `<csv>.npy`."""
     grid = coarse(0.0, 0.6, -0.35, 0.35, h=0.025)
     g = Grid2D.from_json(json.loads(grid))
     monkeypatch.chdir(tmp_path)
@@ -715,9 +718,38 @@ def test_every_csv_has_its_grid_sidecar(tmp_path, capsys, monkeypatch):
                            "map.u.csv", "map.I1.csv", "map.I2.csv", "map.I3.csv", "map.I4.csv"])
     for name in csvs:
         sidecar = json.loads(pathlib.Path(name + ".grid.json").read_text())
+        assert re.fullmatch("[0-9a-f]{64}", sidecar.pop("data_sha256")), name
         assert sidecar == g.to_json() | ({"family": "U_EX2"} if name == "u_ex2.csv" else {}), name
+        assert pathlib.Path(name + ".npy").is_file(), name
         load = load_complex_csv if name in ("u.csv", "u_ex2.csv", "map.u.csv") else load_scalar_csv
         assert load(name).grid == g, name
+
+
+def test_cli_loads_its_own_dumps_from_their_companions(tmp_path, capsys, monkeypatch):
+    """Every load in the chain eval -> harmonic build -> harmonic verify reads a companion and parses nothing."""
+    grid = coarse(0.0, 0.6, -0.35, 0.35, h=0.025)
+    monkeypatch.chdir(tmp_path)
+    for fid, out in (("W_SQRT2", "w.csv"), ("THETA_SQRT2", "theta.csv"), ("U_EX2", "u_ex2.csv"),
+                     ("METRIC_SECTION3", "m")):
+        assert main(["families", "eval", "--family", fid, "--out", out, "--grid", grid]) == 0
+    loaded = []
+    real = grid_module._read_companion
+
+    def companion(path, ncols):
+        read = real(path, ncols)
+        loaded.append((path, read is not None))
+        return read
+
+    monkeypatch.setattr(grid_module, "_read_companion", companion)
+    monkeypatch.setattr(grid_module, "_read_checked", None)  # a parsing read would be a TypeError
+    assert main(["harmonic", "build", "--pair", "w.csv,theta.csv", "--S0", "0.5", "--out", "map",
+                 "--tol", "0.1"]) == 0
+    assert main(["harmonic", "verify", "--u", "map.u.csv", "--w", "w.csv", "--tol", "0.1"]) == 0
+    assert main(["harmonic", "verify", "--u", "u_ex2.csv"]) in (0, 1)
+    for comp in ("E", "Fc", "G"):  # no command reads a metric back
+        load_scalar_csv(f"m.{comp}.csv")
+    assert loaded == [(p, True) for p in ("w.csv", "theta.csv", "map.u.csv", "w.csv", "u_ex2.csv",
+                                          "m.E.csv", "m.Fc.csv", "m.G.csv")]
 
 
 def test_harmonic_build_and_verify_agree(tmp_path, capsys):

@@ -319,10 +319,12 @@ class TestCsvRoundTrip:
         ]:
             dump(fld, str(p))
             assert p.read_text() == csv_oracle(g, names, cols, mask)
-            back = load(str(p))
-            assert back.grid == g and np.array_equal(back.mask, mask)
-            for a, b in zip(cols, (back.values,) if len(cols) == 1 else (back.re, back.im)):
-                assert np.array_equal(_bits(a), _bits(b))
+            for companion in (grid._read_companion, lambda path, ncols: None):  # its read, then the parsing read
+                with mock.patch.object(grid, "_read_companion", companion):
+                    back = load(str(p))
+                assert back.grid == g and np.array_equal(back.mask, mask)
+                for a, b in zip(cols, (back.values,) if len(cols) == 1 else (back.re, back.im)):
+                    assert np.array_equal(_bits(a), _bits(b))
 
     @pytest.mark.parametrize("edit", ["swap", "drop", "shift"])
     def test_rows_off_the_grid_rejected(self, edit, tmp_path):
@@ -369,9 +371,11 @@ class TestCsvRoundTrip:
         p = tmp_path / "u.csv"
         dump_complex_csv(complex_field(g, X, Y), str(p), "U_EX2")
         sidecar = tmp_path / "u.csv.grid.json"
-        assert json.loads(sidecar.read_text()) == g.to_json() | {"family": "U_EX2"}
+        digest = json.loads(sidecar.read_text())["data_sha256"]
+        assert json.loads(sidecar.read_text()) == g.to_json() | {"family": "U_EX2", "data_sha256": digest}
+        assert (tmp_path / "u.csv.npy").is_file()
         dump_complex_csv(complex_field(g, X, Y), str(p))  # no family: none in the sidecar
-        assert json.loads(sidecar.read_text()) == g.to_json()
+        assert json.loads(sidecar.read_text()) == g.to_json() | {"data_sha256": digest}
         sidecar.unlink()
         with pytest.raises(ValueError) as e:
             load_complex_csv(str(p))
@@ -410,16 +414,17 @@ class TestCsvRoundTrip:
                 return self.fh.write(s)
 
         @contextlib.contextmanager
-        def interrupted_open(path):
-            with real_open(path) as fh:
+        def interrupted_open(path, mode="w"):
+            with real_open(path, mode) as fh:
                 yield Interrupted(fh)
 
         monkeypatch.setattr(grid, "atomic_open", interrupted_open)
         with pytest.raises(RuntimeError, match="interrupted"):
             dump_scalar_csv(field(g, X - Y), str(p))
-        assert "".join(written).count("\n") == 1 + g.nx  # failed partway: header and one grid line
+        assert b"".join(written).count(b"\n") == 1 + g.nx  # failed partway: header and one grid line
         assert p.read_bytes() == old
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["f.csv", "f.csv.grid.json"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["f.csv", "f.csv.grid.json", "f.csv.npy"]
+        assert np.array_equal(load_scalar_csv(str(p)).values, X + Y)  # the old dump, still whole
 
 
 class TestRectGrid:
@@ -570,7 +575,7 @@ class TestCsvWriterOracle:
 
 
 class TestCsvCanonicalRead:
-    """A dump's coordinates are read as text; anything else goes through the parsing read."""
+    """A dump loads from its companion `<csv>.npy`; an edited one goes through the parsing read."""
 
     @staticmethod
     def dumped(tmp_path, complex_=False):
@@ -603,6 +608,97 @@ class TestCsvCanonicalRead:
         monkeypatch.setattr(grid, "_read_checked", checked)
         return calls
 
+    @staticmethod
+    def outcome(load, p):
+        """What a load returns, as comparable bits, or its error text."""
+        try:
+            f = load(str(p))
+        except ValueError as e:
+            return str(e)
+        return f.grid, f.mask.tobytes(), *(_bits(getattr(f, n)).tobytes() for n in ("values", "re", "im")
+                                            if hasattr(f, n))
+
+    @staticmethod
+    def edit_value(p):
+        """Change the first decimal digit of the first value at a valid point, keeping the byte length."""
+        lines = p.read_text().splitlines(True)
+        k = next(k for k in range(1, len(lines)) if lines[k].endswith(",1\n"))
+        x, y, value, rest = lines[k].split(",", 3)
+        d = value.index(".") + 1
+        value = value[:d] + str((int(value[d]) + 1) % 10) + value[d + 1:]
+        lines[k] = ",".join((x, y, value, rest))
+        p.write_text("".join(lines))
+        return float(value)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["scalar", "complex"])
+    @pytest.mark.parametrize("edit", ["value digit", "companion byte", "companion deleted", "x1 nudged",
+                                      "x1 off the rows", "digest removed"])
+    def test_an_edited_dump_takes_the_parsing_read(self, edit, complex_, tmp_path, monkeypatch):
+        # the digest covers the sidecar's grid, the CSV and the companion: an
+        # edit to any of them returns what the parsing read returns
+        load = load_complex_csv if complex_ else load_scalar_csv
+        p = self.dumped(tmp_path, complex_)
+        npy, sidecar = tmp_path / "f.csv.npy", tmp_path / "f.csv.grid.json"
+        before, dumped = load(str(p)), self.outcome(load, p)
+        assert not before.mask.all() and before.grid.nx != before.grid.ny
+        side = json.loads(sidecar.read_text())
+        if edit == "value digit":
+            edited = self.edit_value(p)
+        elif edit == "companion byte":
+            data = bytearray(npy.read_bytes())
+            data[-3] ^= 0x10
+            npy.write_bytes(bytes(data))
+        elif edit == "companion deleted":
+            npy.unlink()
+        elif edit == "digest removed":  # as a dump without a companion would have it
+            del side["data_sha256"]
+        else:  # within the row tolerance, and beyond it
+            side["x1"] += 1e-12 if edit == "x1 nudged" else 1e-3
+        sidecar.write_text(json.dumps(side))
+        with mock.patch.object(grid, "_read_companion", return_value=None):
+            parsed = self.outcome(load, p)
+        calls = self.spy(monkeypatch)
+        assert self.outcome(load, p) == parsed
+        assert calls == [str(p)]
+        if edit == "value digit":
+            after = load(str(p))
+            i, j = np.argwhere(before.mask.T)[0][::-1]  # the first valid point in row order
+            assert (after.re if complex_ else after.values)[i, j] == edited
+        elif edit == "x1 nudged":
+            assert load(str(p)).grid.x1 == side["x1"] != before.grid.x1
+        elif edit == "x1 off the rows":
+            assert "y-major" in parsed
+        else:
+            assert parsed == dumped
+
+    @pytest.mark.parametrize("forge", [lambda t: t.astype(np.float32), np.asfortranarray],
+                             ids=["float32", "fortran order"])
+    def test_a_companion_not_in_the_dump_layout_is_parsed(self, forge, tmp_path, monkeypatch):
+        # even with a digest that matches, only a C-order float64 companion is read
+        p = self.dumped(tmp_path)
+        npy, sidecar = tmp_path / "f.csv.npy", tmp_path / "f.csv.grid.json"
+        np.save(npy, forge(np.load(npy)), allow_pickle=False)
+        side = json.loads(sidecar.read_text())
+        digest = grid._data_sha256(Grid2D.from_json(side))
+        digest.update(p.read_bytes())
+        digest.update(npy.read_bytes())
+        sidecar.write_text(json.dumps(side | {"data_sha256": digest.hexdigest()}))
+        with mock.patch.object(grid, "_read_companion", return_value=None):
+            parsed = self.outcome(load_scalar_csv, p)
+        calls = self.spy(monkeypatch)
+        assert self.outcome(load_scalar_csv, p) == parsed
+        assert calls == [str(p)]
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["scalar", "complex"])
+    def test_a_dump_of_the_other_kind_is_rejected(self, complex_, tmp_path):
+        # its companion vouches for its own columns only: a complex load of a
+        # scalar dump, or the reverse, gets the parsing read's rejection
+        p = self.dumped(tmp_path, complex_)
+        load = load_scalar_csv if complex_ else load_complex_csv
+        with mock.patch.object(grid, "_read_companion", return_value=None):
+            parsed = self.outcome(load, p)
+        assert "expected 63 rows of" in parsed and self.outcome(load, p) == parsed
+
     @pytest.mark.parametrize("complex_", [False, True], ids=["scalar", "complex"])
     @pytest.mark.parametrize("fn", [lambda t: f"{float(t):.15g}", lambda t: t if t[0] == "-" else "+" + t],
                              ids=["15g", "plus"])
@@ -632,8 +728,8 @@ class TestCsvCanonicalRead:
 
     @pytest.mark.parametrize("row", [1, 3])
     def test_nul_in_a_coordinate_is_rejected(self, row, tmp_path):
-        # numpy drops a bytes field's trailing NULs: the text read must not
-        # take "<x>\0" for x
+        # a NUL after a coordinate changes the CSV's bytes, so the parsing read
+        # decides, and it does not take "<x>\0" for x
         p = self.dumped(tmp_path)
         self.rewrite(p, lambda t: t + "\0", slice(row, row + 1))
         with pytest.raises(ValueError, match="could not convert"):
