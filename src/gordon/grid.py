@@ -338,14 +338,14 @@ def cumulative_integral_y(f: ScalarField, y_start: float) -> ScalarField:
 
 
 @contextlib.contextmanager
-def atomic_open(path: str, mode: str = "w"):
-    """Handle opened in `mode` on `<path>.<pid>.tmp`, renamed to `path` on success, else removed.
+def atomic_open(path: str):
+    """Binary handle on `<path>.<pid>.tmp`, renamed to `path` on success, else removed.
 
     An OSError with an errno is raised again naming `path`, not the `.tmp`.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException as e:
@@ -382,7 +382,7 @@ def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=
     lines = ("".join(np.where(m, ones, zeros)).replace("\0", f"{y:.17g}") % tuple(v.ravel().tolist())
              for y, v, m in zip(grid.y(), table[..., :-1], mask.T))
     digest = _data_sha256(grid)
-    with atomic_open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         for text in itertools.chain([",".join(("x", "y", *names, "valid")) + "\n"], lines):
             data = text.encode()
             digest.update(data)
@@ -390,7 +390,7 @@ def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=
     npy = io.BytesIO()
     np.save(npy, table.reshape(-1, table.shape[-1]), allow_pickle=False)
     digest.update(npy.getbuffer())
-    with atomic_open(path + ".npy", "wb") as fh:
+    with atomic_open(path + ".npy") as fh:
         fh.write(npy.getbuffer())
     dump_json(grid.to_json() | ({} if family is None else {"family": family}) | {"data_sha256": digest.hexdigest()},
               path + ".grid.json")
@@ -408,8 +408,7 @@ def dump_complex_csv(u: ComplexField, path: str, family=None) -> None:
 def dump_json(obj, path: str) -> None:
     """Write obj as indented JSON with sorted keys, atomically."""
     with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def dump_grid_sidecar(grid: Grid2D, path: str) -> None:

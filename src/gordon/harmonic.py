@@ -39,7 +39,6 @@ from .grid import (
     partial_x,
     partial_y,
     partials,
-    wirtinger,
 )
 
 IMMERSION_EPS = 1e-10  # pullback curvature is masked below this metric determinant
@@ -91,15 +90,14 @@ def ppfd_construct(pair: BacklundPair, R0: float, S0: float) -> HarmonicMapResul
     )
 
 
-def hopf_residual(u: ComplexField, weight: ScalarField | None = None, wirt=None) -> ScalarField:
-    """Pointwise |e^F dz_u dz_ubar - 1|.
+def hopf_residual(u: ComplexField, weight: ScalarField | None, wirt) -> ScalarField:
+    """Pointwise |e^F dz_u dz_ubar - 1|, where `wirt` is grid.wirtinger(u).
 
     `weight` is the conformal factor e^F of the target metric sampled on the
     source grid; None selects the half-plane weight 1/S^2 read off u itself.
-    A caller holding wirtinger(u) passes it as `wirt`.
     """
     g = u.grid
-    dz_u, dzb_u = wirtinger(u) if wirt is None else wirt
+    dz_u, dzb_u = wirt
     prod = dz_u.complex_values() * np.conj(dzb_u.complex_values())
     if weight is None:
         ok = dz_u.mask & (u.im >= SINGULARITY_EPS)
@@ -111,17 +109,17 @@ def hopf_residual(u: ComplexField, weight: ScalarField | None = None, wirt=None)
     return field(g, r, ok)
 
 
-def correspondence_check(u: ComplexField, w: ScalarField, wirt=None):
-    """Probe the first-order relation dzbar_u / dz_u against e^{-+2w}.
+def correspondence_check(u: ComplexField, w: ScalarField, wirt):
+    """Probe the first-order relation dzbar_u / dz_u against e^{-+2w}; `wirt` is grid.wirtinger(u).
 
     Returns (convention, residual field) where convention is 'exp(-2w)',
     'exp(+2w)', or 'none' when neither sup-residual is definite against the
-    other; a tie returns the exp(-2w) residual.  `wirt` as in hopf_residual.
+    other; a tie returns the exp(-2w) residual.
     """
     if u.grid != w.grid:
         raise ValueError("fields must share one grid")
     g = u.grid
-    dz_u, dzb_u = wirtinger(u) if wirt is None else wirt
+    dz_u, dzb_u = wirt
     mag = np.abs(dz_u.complex_values())
     ok = dz_u.mask & w.mask & (mag >= SINGULARITY_EPS)
     if np.count_nonzero(ok) < 9:
@@ -143,33 +141,28 @@ def immersive(m: MetricSample):
     return ok, np.sqrt(np.where(ok, det, 1.0))
 
 
-def is_orthogonal(m: MetricSample, imm=None) -> bool:
-    """The condition of gaussian_curvature's formula: |Fc| <= 1e-3 sqrt(det) wherever it reads m."""
-    ok, sq = immersive(m) if imm is None else imm
-    return bool(np.all(np.abs(m.Fc[ok]) <= 1e-3 * sq[ok]))
-
-
-def gaussian_curvature(m: MetricSample, imm=None) -> ScalarField:
-    """Gaussian curvature of a metric in orthogonal coordinates, by central differences:
+def gaussian_curvature(m: MetricSample) -> tuple[ScalarField, bool]:
+    """Gaussian curvature K of a metric in orthogonal coordinates, by central differences:
 
         K = -(1/(2 sqrt(EG))) [d/dx(G_x / sqrt(EG)) + d/dy(E_y / sqrt(EG))]
 
     as nested first derivatives.  Degenerate points (det below the immersion
-    guard) are masked.  The value is m's curvature only if is_orthogonal(m).
-    A caller holding immersive(m) passes it to both as `imm`.
+    guard) are masked.  Returns (K, orthogonal), where orthogonal says whether
+    |Fc| <= 1e-3 sqrt(det) wherever K reads m: only then is K m's curvature.
     """
     g = m.grid
-    ok, sq = immersive(m) if imm is None else imm
+    ok, sq = immersive(m)
+    orthogonal = bool(np.all(np.abs(m.Fc[ok]) <= 1e-3 * sq[ok]))
     Gx, Ey = partial_x(field(g, m.G, ok)), partial_y(field(g, m.E, ok))
     t1 = partial_x(field(g, Gx.values / sq, Gx.mask))
     t2 = partial_y(field(g, Ey.values / sq, Ey.mask))
     mask = t1.mask & t2.mask
     with np.errstate(divide="ignore", invalid="ignore"):
         K = -(t1.values + t2.values) / (2 * sq)
-    return field(g, K, mask)
+    return field(g, K, mask), orthogonal
 
 
-def pullback_metric(u: ComplexField, weight: ScalarField | None = None) -> MetricSample:
+def pullback_metric(u: ComplexField, weight: ScalarField | None) -> MetricSample:
     """First fundamental form induced by u; conformal weight as in hopf_residual."""
     g = u.grid
     Rx, Ry, Sx, Sy = partials(u)

@@ -73,12 +73,6 @@ class SampledProfile:
     P: np.ndarray
     valid: np.ndarray
 
-    def __post_init__(self):
-        n = len(self.t)
-        for a in (self.p, self.dp, self.P, self.valid):
-            if len(a) != n:
-                raise ValueError("sample arrays must share one length")
-
     def first_integral_drift(self, spec: QuarticProfile) -> float:
         """Max relative violation of (p')^2 = quartic(p) over valid samples."""
         p = self.p[self.valid]
@@ -165,31 +159,29 @@ def integrate_profile(spec: QuarticProfile, axis: np.ndarray) -> SampledProfile:
 
 def tan_family_profiles(c1, c2, c3, a_init=0.0, da_init=None, b_init=0.0, db_init=None):
     """Profile specs (a, b) for the tan family, enforcing 4*c1 = 16 + c3 - c2."""
-    lhs, rhs = 4 * c1, 16 + c3 - c2
-    if abs(lhs - rhs) > _CONSTRAINT_TOL * (1 + abs(lhs) + abs(rhs)):
-        raise ValueError(f"coefficient constraint violated: 4*c1 = {lhs} != 16 + c3 - c2 = {rhs}")
-    a_spec = QuarticProfile(-1.0, c1, c2, a_init, _slope(da_init, -1.0, c1, c2, a_init))
-    b_spec = QuarticProfile(-1.0, 8 - c1, c3, b_init, _slope(db_init, -1.0, 8 - c1, c3, b_init))
-    return a_spec, b_spec
+    _constraint("4*c1", 4 * c1, "16 + c3 - c2", 16 + c3 - c2)
+    return _profile(-1.0, c1, c2, a_init, da_init), _profile(-1.0, 8 - c1, c3, b_init, db_init)
 
 
 def tanh_family_profiles(c4, c5, c6, c_init=0.0, dc_init=None, d_init=0.0, dd_init=None):
     """Profile specs (c, d) for the tanh family, enforcing 16 + 4*c4 = c6 - c5."""
-    lhs, rhs = 16 + 4 * c4, c6 - c5
+    _constraint("16 + 4*c4", 16 + 4 * c4, "c6 - c5", c6 - c5)
+    return _profile(1.0, c4, c5, c_init, dc_init), _profile(1.0, -(8 + c4), c6, d_init, dd_init)
+
+
+def _constraint(lhs_text, lhs, rhs_text, rhs):
     if abs(lhs - rhs) > _CONSTRAINT_TOL * (1 + abs(lhs) + abs(rhs)):
-        raise ValueError(f"coefficient constraint violated: 16 + 4*c4 = {lhs} != c6 - c5 = {rhs}")
-    c_spec = QuarticProfile(1.0, c4, c5, c_init, _slope(dc_init, 1.0, c4, c5, c_init))
-    d_spec = QuarticProfile(1.0, -(8 + c4), c6, d_init, _slope(dd_init, 1.0, -(8 + c4), c6, d_init))
-    return c_spec, d_spec
+        raise ValueError(f"coefficient constraint violated: {lhs_text} = {lhs} != {rhs_text} = {rhs}")
 
 
-def _slope(given, q4, q2, q0, p0):
-    if given is not None:
-        return float(given)
-    val = q4 * p0**4 + q2 * p0**2 + q0
-    if val < -1e-12:
-        raise ValueError("quartic negative at p_init; no real slope exists")
-    return float(np.sqrt(max(val, 0.0)))
+def _profile(q4, q2, q0, p_init, dp_init):
+    """QuarticProfile whose dp_init defaults (None) to the non-negative root of the quartic at p_init."""
+    if dp_init is None:
+        val = q4 * p_init**4 + q2 * p_init**2 + q0
+        if val < -1e-12:
+            raise ValueError("quartic negative at p_init; no real slope exists")
+        dp_init = np.sqrt(max(val, 0.0))
+    return QuarticProfile(q4, q2, q0, p_init, float(dp_init))
 
 
 # ---------------------------------------------------------------------------

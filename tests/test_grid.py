@@ -414,8 +414,8 @@ class TestCsvRoundTrip:
                 return self.fh.write(s)
 
         @contextlib.contextmanager
-        def interrupted_open(path, mode="w"):
-            with real_open(path, mode) as fh:
+        def interrupted_open(path):
+            with real_open(path) as fh:
                 yield Interrupted(fh)
 
         monkeypatch.setattr(grid, "atomic_open", interrupted_open)

@@ -4,7 +4,7 @@ import pytest
 from gordon import acceptance
 from gordon.backlund import BacklundPair
 from gordon.families import eval_family, get_family, hopf_weight
-from gordon.grid import complex_field, field, make_grid, make_metric, rect_grid
+from gordon.grid import complex_field, field, make_grid, make_metric, rect_grid, wirtinger
 from gordon.harmonic import (
     correspondence_check,
     gaussian_curvature,
@@ -79,8 +79,8 @@ class TestConstruction:
     def test_result_is_harmonic(self):
         pair = sqrt2_pair()
         res = ppfd_construct(pair, R0=0.0, S0=0.5)
-        assert hopf_residual(res.u).sup_norm()[0] < TOL
-        conv, r = correspondence_check(res.u, pair.w)
+        assert hopf_residual(res.u, None, wirtinger(res.u)).sup_norm()[0] < TOL
+        conv, r = correspondence_check(res.u, pair.w, wirtinger(res.u))
         assert conv == "exp(-2w)" and r.sup_norm()[0] < 0.1
 
 
@@ -90,14 +90,14 @@ class TestHopfResidual:
         g = grid(0.1, 0.9, -0.5, 0.5)
         X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, Y, np.sinh(2 * X) / 2)
-        assert hopf_residual(u).sup_norm()[0] < TOL
+        assert hopf_residual(u, None, wirtinger(u)).sup_norm()[0] < TOL
 
     def test_negative_control(self):
         # u = x + i: dz_u dzbar_u = 1/4 and S = 1, so the defect is 3/4
         g = grid(-0.5, 0.5, -0.5, 0.5)
         X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, np.ones_like(X))
-        r = hopf_residual(u)
+        r = hopf_residual(u, None, wirtinger(u))
         assert r.sup_norm()[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_explicit_weight(self):
@@ -106,14 +106,14 @@ class TestHopfResidual:
         X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, np.ones_like(X))
         wgt = field(g, np.full((g.nx, g.ny), 4.0))
-        assert hopf_residual(u, wgt).sup_norm()[0] < 1e-12
+        assert hopf_residual(u, wgt, wirtinger(u)).sup_norm()[0] < 1e-12
 
     @pytest.mark.parametrize("fid", ["U_EX_SECTION3", "U_EX1", "U_EX2", "U_SQRT2"])
     def test_catalog_maps(self, fid):
         x0, x1, y0, y1 = get_family(fid).rectangle
         g = grid(x0, x1, y0, y1)
         u = eval_family(fid, g)
-        sup, n = hopf_residual(u, hopf_weight(fid, g)).sup_norm()
+        sup, n = hopf_residual(u, hopf_weight(fid, g), wirtinger(u)).sup_norm()
         assert n > 100 and sup < TOL
 
 
@@ -126,7 +126,7 @@ class TestCorrespondence:
         X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, Y, np.sinh(2 * X) / 2)
         w = field(g, 2 * np.arctanh(np.exp(-2 * X)))
-        conv, r = correspondence_check(u, w)
+        conv, r = correspondence_check(u, w, wirtinger(u))
         assert conv == "exp(+2w)"
         assert r.sup_norm()[0] < 0.1
 
@@ -135,15 +135,16 @@ class TestCorrespondence:
         X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, Y + 2.0)  # u = z + 2i: dzbar_u = 0
         w = field(g, np.zeros_like(X))
-        conv, _ = correspondence_check(u, w)
+        conv, _ = correspondence_check(u, w, wirtinger(u))
         assert conv == "none"
 
     def test_grid_mismatch_rejected(self):
         g1 = grid(-0.5, 0.5, -0.5, 0.5)
         g2 = grid(-0.4, 0.4, -0.4, 0.4)
         X, Y = np.meshgrid(g1.x(), g1.y(), indexing="ij")
+        u = complex_field(g1, X, Y + 2)
         with pytest.raises(ValueError):
-            correspondence_check(complex_field(g1, X, Y + 2), field(g2, np.zeros((g2.nx, g2.ny))))
+            correspondence_check(u, field(g2, np.zeros((g2.nx, g2.ny))), wirtinger(u))
 
 
 class TestGaussianCurvature:
@@ -154,14 +155,15 @@ class TestGaussianCurvature:
 
     def test_poincare_is_minus_one(self):
         _, m = self.poincare()
-        K = gaussian_curvature(m)
+        K, orthogonal = gaussian_curvature(m)
         sup, n = field(m.grid, K.values + 1.0, K.mask).sup_norm()
         assert n > 100 and sup < 1e-4
+        assert orthogonal
 
     def test_scaling_law(self):
         # K(c g) = K(g)/c for a constant conformal rescaling
         _, m4 = self.poincare(scale=4.0)
-        K = gaussian_curvature(m4)
+        K = gaussian_curvature(m4)[0]
         sup, _ = field(m4.grid, K.values + 0.25, K.mask).sup_norm()
         assert sup < 1e-4
 
@@ -169,7 +171,7 @@ class TestGaussianCurvature:
     def test_catalog_metrics(self, fid, expect_rect):
         x0, x1, y0, y1 = get_family(fid).rectangle
         g = grid(x0, x1, y0, y1)
-        K = gaussian_curvature(eval_family(fid, g))
+        K = gaussian_curvature(eval_family(fid, g))[0]
         sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
         assert n > 100 and sup < TOL
 
@@ -185,6 +187,7 @@ class TestGaussianCurvature:
         m = make_metric(g, 2 * lam, lam, lam)
         check = acceptance._curvature_check("sheared", "sheared Poincare metric", m, 10.0)
         assert check.count > 100 and check.sup < check.tol and not check.passed
+        assert not gaussian_curvature(m)[1]
 
 
 class TestPullback:
@@ -192,7 +195,7 @@ class TestPullback:
         g = grid(-0.5, 0.5, -0.5, 0.5)
         X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, np.ones_like(X))  # rank-one differential
-        m = pullback_metric(u)
+        m = pullback_metric(u, None)
         assert not m.mask.any()
 
     def test_matches_printed_target_metric(self):
@@ -223,7 +226,7 @@ class TestPullback:
         x0, x1, y0, y1 = fam.curvature_rect or fam.rectangle
         g = grid(x0, x1, y0, y1, h)
         u = eval_family(fid, g)
-        K = gaussian_curvature(pullback_metric(u, hopf_weight(fid, g)))
+        K = gaussian_curvature(pullback_metric(u, hopf_weight(fid, g)))[0]
         sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
         assert n > 100 and sup < tol
 

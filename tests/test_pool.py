@@ -37,7 +37,7 @@ def test_inline_while_another_thread_runs(monkeypatch):
 
 def _write_until_stopped(path):
     with atomic_open(path) as fh:
-        fh.write("x,y,value,valid\n")
+        fh.write(b"x,y,value,valid\n")
         fh.flush()
         time.sleep(60)
 

@@ -211,8 +211,10 @@ class TestAssembly:
         assert np.abs(w.values - expect)[w.mask].max() < 1e-12
 
     def test_tan_family_generic_coefficients_solve_pde(self):
-        # alpha = beta = 1/2: a truly elliptic-function profile pair; the
-        # construction needs a'(0) + b'(0) = 0, so the y-slope is -sqrt(c3)
+        # alpha = beta = 1/2: a truly elliptic-function profile pair.  The
+        # constructor enforces only 4c1 = 16 + c3 - c2, and its default slopes
+        # have the same sign; for this set only opposite slopes assemble a
+        # solution (ROADMAP item 11), so the y-slope is -sqrt(c3)
         g = make_grid(-0.3, 0.3, -0.3, 0.3, 121, 121)
         a_spec, b_spec = tan_family_profiles(4.0, 4.0, 4.0, db_init=-2.0)
         assert a_spec.dp_init == 2.0  # p_init = 0 defaults the slope to sqrt(c2)
