@@ -50,7 +50,7 @@ from .families import (
     residual_sinh_gordon,
     sign_probe,
 )
-from .grid import ScalarField, field, laplacian, make_metric, rect_grid, wirtinger
+from .grid import SECOND_ORDER, ScalarField, field, make_metric, rect_grid
 from .harmonic import (
     correspondence_check,
     gaussian_curvature,
@@ -74,10 +74,9 @@ MARCH_RECT_SQRT2 = (0.0, 0.6, -0.35, 0.35)  # contains both axis lines
 ROUNDTRIP_RECT = (-0.25, 0.25, -0.25, 0.25)
 POINCARE_RECT = (0.0, 1.0, 8.0, 12.0)  # far from y = 0 so 1/y^2 is mild
 SQRT2 = np.sqrt(2.0)
-# long criteria first, so short ones fill in behind: c4 and c7 (about 0.11 s
-# each at h = 1/400) are the longest, c2 and c1 next (0.08 and 0.055 s). On two
-# shared vCPUs, c4 or c7 first gave the same wall as c2 first, and plain order
-# won 9 of 22 alternating 10-s acceptance-full pairs against this one
+# long criteria first, so short ones fill in behind (`--diagnostics` times each).
+# On two shared vCPUs c4 or c7 first gave the same wall as c2 first, and plain
+# order won 9 of 22 alternating 10-s acceptance-full pairs against this one
 LONGEST_FIRST = (2, 7, 4, 1, 5, 3, 6, 8)
 
 
@@ -143,7 +142,7 @@ def residual_check(name, fid, g, tol, convergence):
     """
     fam = get_family(fid)
     f = eval_family(fid, g)
-    lap = laplacian(f)
+    lap = SECOND_ORDER.lap(f)
     flags = {"family": fid}
     ok = True
     if fam.kind == "sinh_solution":
@@ -155,8 +154,9 @@ def residual_check(name, fid, g, tol, convergence):
         except ValueError as e:
             raise ValueError(f"{fid}: {e}") from None
         ok = flags["probed_sigma"] == fam.sign
-        residual = lambda th, lap=None: residual_sine_gordon(th, fam.sign or 1, lap)
-    refined = (lambda: residual(eval_family(fid, g.refined()))) if convergence else None
+        residual = lambda th, lap: residual_sine_gordon(th, fam.sign or 1, lap)
+    residual_of = lambda f: residual(f, SECOND_ORDER.lap(f))
+    refined = (lambda: residual_of(eval_family(fid, g.refined()))) if convergence else None
     floor = 4 * np.finfo(float).eps * f.sup_norm()[0] / min(g.hx, g.hy) ** 2
     return sup_check(name, fam.formula, residual(f, lap), tol, ok, refined, flags, floor)
 
@@ -168,7 +168,7 @@ def map_checks(stem, anchor, u, tol, weight=None, w=None, convention=None, partn
     passes on `convention` when one is given, else on either definite convention.
     """
     flag = "half-plane 1/S^2" if weight is None else "target-metric weight"
-    wirt = wirtinger(u)  # one for both residuals
+    wirt = SECOND_ORDER.wirtinger(u)  # one for both residuals
     checks = [sup_check(f"{stem}.hopf", anchor, hopf_residual(u, weight, wirt), tol, flags={"weight": flag})]
     if w is None:
         return checks
@@ -187,13 +187,13 @@ def harmonic_checks(stem, fid, g, tol):
 
 
 def _curvature_check(name, anchor, metric, tol):
-    K, orthogonal = gaussian_curvature(metric)
+    K, orthogonal = gaussian_curvature(metric, SECOND_ORDER)
     return sup_check(name, anchor, field(metric.grid, K.values + 1.0, K.mask), tol, orthogonal)
 
 
 def pullback_check(name, fid, g, tol):
     """Gaussian curvature -1 of the pullback metric of a catalog map on g."""
-    metric = pullback_metric(eval_family(fid, g), hopf_weight(fid, g))
+    metric = pullback_metric(eval_family(fid, g), hopf_weight(fid, g), SECOND_ORDER)
     return _curvature_check(
         name, "pullback first fundamental form has curvature -1 on immersive points", metric, tol
     )
@@ -239,7 +239,7 @@ def criterion_2(h, tol, convergence):
 
     # constant theta = pi/2: sin(2 theta) vanishes, so both signs hold exactly
     th = eval_family("THETA_CONST_HALFPI", rect_grid(get_family("THETA_CONST_HALFPI").rectangle, h))
-    lap = laplacian(th)
+    lap = SECOND_ORDER.lap(th)
     checks.append(sup_check(
         "c2.THETA_CONST_HALFPI.both_signs",
         "theta = pi/2: residual vanishes for both sign conventions",
@@ -292,7 +292,7 @@ def criterion_4(h, tol, convergence):
     checks = []
     for fid_w, fid_t in (("W_SQRT2", "THETA_SQRT2"), ("W_EX2", "THETA_EX2")):
         g = rect_grid(get_family(fid_w).rectangle, h)
-        residual = lambda gg: _max_abs(*backlund_residuals(_pair(fid_w, fid_t, gg)))
+        residual = lambda gg: _max_abs(*backlund_residuals(_pair(fid_w, fid_t, gg), SECOND_ORDER))
         checks.append(sup_check(
             f"c4.pair.{fid_w}.system_residuals",
             "w_x - theta_y + 2 sinh(w) sin(theta); w_y + theta_x + 2 cosh(w) cos(theta)",
@@ -344,7 +344,7 @@ def criterion_6(h, tol):
         sup, g.nx, 1e-6 * (h / DEFAULT_H) ** 2, grid=g.to_json(),
     )]
 
-    wirt = wirtinger(result.u)
+    wirt = SECOND_ORDER.wirtinger(result.u)
     checks.append(sup_check(
         "c6.ppfd.hopf",
         "constructed u = R + iS satisfies the half-plane Hopf condition",

@@ -34,13 +34,12 @@ from .families import w_from_tanh_half
 from .grid import (
     Grid2D,
     ScalarField,
+    SECOND_ORDER,
     SINGULARITY_EPS,
     cumulative_integral_x,
     cumulative_integral_y,
     field,
     node_slopes,
-    partial_x,
-    partial_y,
 )
 
 MARCH_SUBSTEPS = 1  # Magnus steps per cell; perfbench counts backlund.rk4_substeps from it
@@ -65,11 +64,10 @@ class BacklundPair:
         return self.w.grid
 
 
-def backlund_residuals(pair: BacklundPair):
-    """(r1, r2) central-difference residuals of the coupled system."""
+def backlund_residuals(pair: BacklundPair, st=SECOND_ORDER):
+    """(r1, r2) residuals of the coupled system, on the first derivatives of the stencils `st`."""
     w, th = pair.w, pair.theta
-    wx, wy = partial_x(w), partial_y(w)
-    tx, ty = partial_x(th), partial_y(th)
+    wx, wy, tx, ty = st.d(w, 0), st.d(w, 1), st.d(th, 0), st.d(th, 1)
     m1 = wx.mask & ty.mask & th.mask
     m2 = wy.mask & tx.mask & th.mask
     r1 = wx.values - ty.values + 2 * np.sinh(w.values) * np.sin(th.values)

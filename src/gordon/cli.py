@@ -24,6 +24,7 @@ from .grid import (
     Grid2D,
     NumericalError,
     ScalarField,
+    SECOND_ORDER,
     dump_complex_csv,
     dump_grid_sidecar,
     dump_json,
@@ -159,9 +160,9 @@ def cmd_backlund_run(args) -> int:
         w = eval_family(fam.id, g)
         th = w_to_theta(w, args.theta00, analytic=analytic)
         out_field, out_name = th, "theta"
-    r1, r2 = backlund_residuals(BacklundPair(w, th, f"{args.direction} march from {fam.id}"))
+    r1, r2 = backlund_residuals(BacklundPair(w, th, f"{args.direction} march from {fam.id}"), SECOND_ORDER)
     try:
-        sigma = sign_probe(th)
+        sigma = sign_probe(th, SECOND_ORDER.lap(th))
     except ValueError:
         sigma = 0
     checks = [

@@ -26,7 +26,6 @@ from .grid import (
     SINGULARITY_EPS,
     complex_field,
     field,
-    laplacian,
     make_metric,
 )
 
@@ -384,19 +383,17 @@ def _on_grid(fn, grid: Grid2D, **params) -> list:
 
 
 # ---------------------------------------------------------------------------
-# PDE residuals; a caller that holds the field's Laplacian passes it as `lap`
+# PDE residuals on the field's Laplacian `lap`, which the caller takes from its stencils
 
 
-def residual_sinh_gordon(w: ScalarField, lap: ScalarField | None = None) -> ScalarField:
-    lap = laplacian(w) if lap is None else lap
+def residual_sinh_gordon(w: ScalarField, lap: ScalarField) -> ScalarField:
     r = lap.values - 2 * np.sinh(2 * w.values)
     return field(w.grid, r, lap.mask)
 
 
-def residual_sine_gordon(theta: ScalarField, sigma: int, lap: ScalarField | None = None) -> ScalarField:
+def residual_sine_gordon(theta: ScalarField, sigma: int, lap: ScalarField) -> ScalarField:
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    lap = laplacian(theta) if lap is None else lap
     r = lap.values - sigma * 2 * np.sin(2 * theta.values)
     return field(theta.grid, r, lap.mask)
 
@@ -406,13 +403,12 @@ def definite(a: float, b: float) -> int:
     return 1 if a < 0.1 * b else -1 if b < 0.1 * a else 0
 
 
-def sign_probe(theta: ScalarField, lap: ScalarField | None = None) -> int:
+def sign_probe(theta: ScalarField, lap: ScalarField) -> int:
     """Return the sigma in {+1, -1} minimizing the residual, or 0 if ambiguous.
 
     Ambiguous means neither sup-norm is definite against the other (as for
-    constant theta = pi/2 where both residuals vanish).  Both share one Laplacian.
+    constant theta = pi/2 where both residuals vanish).  Both take theta's Laplacian `lap`.
     """
-    lap = laplacian(theta) if lap is None else lap
     sup_p, n_p = residual_sine_gordon(theta, +1, lap).sup_norm()
     sup_m, n_m = residual_sine_gordon(theta, -1, lap).sup_norm()
     if min(n_p, n_m) < 100:

@@ -1,11 +1,11 @@
 """Uniform rectangular grids, masked fields, and finite-difference primitives.
 
 Everything downstream (solution families, transforms, harmonic maps) is built
-on the three containers defined here plus a handful of second-order stencil
-and quadrature operations, and the fourth-order node slopes the sampled
-march reads its data through.  Fields are immutable after construction; every
-operation returns a new field and propagates validity masks so that singular
-points never contaminate residual norms.
+on the three containers defined here, second-order stencils (which every check
+takes through SECOND_ORDER), quadrature operations, and the fourth-order node
+slopes the sampled march reads its data through.  Fields are immutable after
+construction; every operation returns a new field and propagates validity
+masks so that singular points never contaminate residual norms.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+import types
 import warnings
 from dataclasses import dataclass
 
@@ -304,6 +305,13 @@ def wirtinger(u: ComplexField):
         complex_field(g, dz.real, dz.imag, mask),
         complex_field(g, dzb.real, dzb.imag, mask),
     )
+
+
+# Where every check takes its derivatives from: d(f, axis), lap(f), partials(u)
+# and wirtinger(u) of the stencils above. Each looks its function up here by
+# name when called, so rebinding one (as a tracer or a test does) reaches every check.
+SECOND_ORDER = types.SimpleNamespace(d=lambda f, axis: (partial_x, partial_y)[axis](f), lap=lambda f: laplacian(f),
+                                     partials=lambda u: partials(u), wirtinger=lambda u: wirtinger(u))
 
 
 def _cumulative(f: ScalarField, k0: int, axis: int) -> ScalarField:

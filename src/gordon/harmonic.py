@@ -36,9 +36,6 @@ from .grid import (
     cumulative_integral_y,
     field,
     make_metric,
-    partial_x,
-    partial_y,
-    partials,
 )
 
 IMMERSION_EPS = 1e-10  # pullback curvature is masked below this metric determinant
@@ -91,7 +88,7 @@ def ppfd_construct(pair: BacklundPair, R0: float, S0: float) -> HarmonicMapResul
 
 
 def hopf_residual(u: ComplexField, weight: ScalarField | None, wirt) -> ScalarField:
-    """Pointwise |e^F dz_u dz_ubar - 1|, where `wirt` is grid.wirtinger(u).
+    """Pointwise |e^F dz_u dz_ubar - 1|, where `wirt` is (dz_u, dzbar_u), the stencils' wirtinger(u).
 
     `weight` is the conformal factor e^F of the target metric sampled on the
     source grid; None selects the half-plane weight 1/S^2 read off u itself.
@@ -110,7 +107,7 @@ def hopf_residual(u: ComplexField, weight: ScalarField | None, wirt) -> ScalarFi
 
 
 def correspondence_check(u: ComplexField, w: ScalarField, wirt):
-    """Probe the first-order relation dzbar_u / dz_u against e^{-+2w}; `wirt` is grid.wirtinger(u).
+    """Probe the first-order relation dzbar_u / dz_u against e^{-+2w}; `wirt` as in hopf_residual.
 
     Returns (convention, residual field) where convention is 'exp(-2w)',
     'exp(+2w)', or 'none' when neither sup-residual is definite against the
@@ -141,31 +138,31 @@ def immersive(m: MetricSample):
     return ok, np.sqrt(np.where(ok, det, 1.0))
 
 
-def gaussian_curvature(m: MetricSample) -> tuple[ScalarField, bool]:
-    """Gaussian curvature K of a metric in orthogonal coordinates, by central differences:
+def gaussian_curvature(m: MetricSample, st) -> tuple[ScalarField, bool]:
+    """Gaussian curvature K of a metric in orthogonal coordinates, on the stencils `st`:
 
         K = -(1/(2 sqrt(EG))) [d/dx(G_x / sqrt(EG)) + d/dy(E_y / sqrt(EG))]
 
-    as nested first derivatives.  Degenerate points (det below the immersion
+    as nested first derivatives st.d.  Degenerate points (det below the immersion
     guard) are masked.  Returns (K, orthogonal), where orthogonal says whether
     |Fc| <= 1e-3 sqrt(det) wherever K reads m: only then is K m's curvature.
     """
     g = m.grid
     ok, sq = immersive(m)
     orthogonal = bool(np.all(np.abs(m.Fc[ok]) <= 1e-3 * sq[ok]))
-    Gx, Ey = partial_x(field(g, m.G, ok)), partial_y(field(g, m.E, ok))
-    t1 = partial_x(field(g, Gx.values / sq, Gx.mask))
-    t2 = partial_y(field(g, Ey.values / sq, Ey.mask))
+    Gx, Ey = st.d(field(g, m.G, ok), 0), st.d(field(g, m.E, ok), 1)
+    t1 = st.d(field(g, Gx.values / sq, Gx.mask), 0)
+    t2 = st.d(field(g, Ey.values / sq, Ey.mask), 1)
     mask = t1.mask & t2.mask
     with np.errstate(divide="ignore", invalid="ignore"):
         K = -(t1.values + t2.values) / (2 * sq)
     return field(g, K, mask), orthogonal
 
 
-def pullback_metric(u: ComplexField, weight: ScalarField | None) -> MetricSample:
-    """First fundamental form induced by u; conformal weight as in hopf_residual."""
+def pullback_metric(u: ComplexField, weight: ScalarField | None, st) -> MetricSample:
+    """First fundamental form induced by u, on the partials of the stencils `st`; weight as in hopf_residual."""
     g = u.grid
-    Rx, Ry, Sx, Sy = partials(u)
+    Rx, Ry, Sx, Sy = st.partials(u)
     ok = Rx.mask & Ry.mask & Sx.mask & Sy.mask
     if weight is None:
         ok = ok & (u.im >= SINGULARITY_EPS)

@@ -8,17 +8,26 @@ prints a PASS/FAIL summary line even under pytest's capture.
 import json
 import multiprocessing
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gordon import acceptance, families, harmonic, pool
+from gordon import acceptance, grid, harmonic, pool
 from gordon.acceptance import run_acceptance, sup_check
 from gordon.backlund import BacklundPair, backlund_residuals
 from gordon.cli import main
-from gordon.families import eval_family, get_family, hopf_weight
+from gordon.families import (
+    eval_family,
+    get_family,
+    hopf_weight,
+    residual_sine_gordon,
+    residual_sinh_gordon,
+    sign_probe,
+)
 from gordon.grid import (
     NumericalError,
+    SECOND_ORDER,
     complex_field,
     field,
     laplacian,
@@ -29,7 +38,7 @@ from gordon.grid import (
     rect_grid,
     wirtinger,
 )
-from gordon.harmonic import correspondence_check, gaussian_curvature, hopf_residual
+from gordon.harmonic import correspondence_check, gaussian_curvature, hopf_residual, pullback_metric
 from gordon.report import CheckResult, VerificationReport
 
 DESCRIPTIONS = {
@@ -177,13 +186,13 @@ class TestSharedDerivatives:
 
     @pytest.mark.parametrize("fid", ["THETA_EX2", "THETA_SQRT2", "THETA_CONST_HALFPI", "W_SQRT2"])
     def test_one_laplacian_per_grid(self, fid, monkeypatch):
-        seen = self.count(monkeypatch, [families, acceptance], "laplacian")
+        seen = self.count(monkeypatch, [grid], "laplacian")  # seen through SECOND_ORDER
         g = rect_grid(get_family(fid).rectangle, 0.02)
         acceptance.residual_check("r", fid, g, 1.0, True)
         assert [f.grid for f in seen] == [g, g.refined()]
 
     def test_one_wirtinger_per_map(self, monkeypatch):
-        seen = self.count(monkeypatch, [acceptance], "wirtinger")
+        seen = self.count(monkeypatch, [grid], "wirtinger")
         fam = get_family("U_SQRT2")
         g = rect_grid(fam.rectangle, 0.02)
         u = eval_family("U_SQRT2", g)
@@ -230,9 +239,68 @@ class TestStencilFrames:
         outs = [laplacian(w), *wirt, hopf_residual(u, None, wirt),
                 hopf_residual(u, field(self.G, 1 / Y**2), wirt), correspondence_check(u, w, wirt)[1],
                 *backlund_residuals(BacklundPair(w, field(self.G, X - Y), "test"))]
-        outs.append(gaussian_curvature(make_metric(self.G, 1 / Y**2, np.zeros_like(Y), 2 / Y**2))[0])
+        outs.append(gaussian_curvature(make_metric(self.G, 1 / Y**2, np.zeros_like(Y), 2 / Y**2), SECOND_ORDER)[0])
         for f in outs:
             assert f.mask.any() and not self.frame(f.mask).any()
+
+
+class TestStencilSeam:
+    """Every check kind takes each derivative it reads from the stencil object it is given.
+
+    The fake counts its calls and passes them on to SECOND_ORDER; a grid
+    stencil called outside a fake call was taken around the seam.
+    """
+
+    G = make_grid(0.0, 1.0, 1.0, 2.0, 17, 21)  # 285 interior points: enough for a sign probe
+    STENCILS = ("laplacian", "partial_x", "partial_y", "partials", "wirtinger")
+
+    @classmethod
+    def counting_fake(cls, monkeypatch):
+        calls, around, depth = [], [], [0]
+
+        def through(member):
+            def call(*args):
+                calls.append(member)
+                depth[0] += 1
+                try:
+                    return getattr(SECOND_ORDER, member)(*args)
+                finally:
+                    depth[0] -= 1
+            return call
+
+        for name in cls.STENCILS:
+            def watched(*args, real=getattr(grid, name), name=name):
+                if not depth[0]:
+                    around.append(name)
+                return real(*args)
+            monkeypatch.setattr(grid, name, watched)
+        return SimpleNamespace(**{m: through(m) for m in ("d", "lap", "partials", "wirtinger")}), calls, around
+
+    KINDS = {
+        "backlund_residuals": (lambda st, u, w, th, m: backlund_residuals(BacklundPair(w, th, "test"), st), ["d"] * 4),
+        "gaussian_curvature": (lambda st, u, w, th, m: gaussian_curvature(m, st), ["d"] * 4),
+        "pullback_metric": (lambda st, u, w, th, m: pullback_metric(u, None, st), ["partials"]),
+        "residual_sinh_gordon": (lambda st, u, w, th, m: residual_sinh_gordon(w, st.lap(w)), ["lap"]),
+        "residual_sine_gordon": (lambda st, u, w, th, m: residual_sine_gordon(th, -1, st.lap(th)), ["lap"]),
+        "sign_probe": (lambda st, u, w, th, m: sign_probe(th, st.lap(th)), ["lap"]),
+        "hopf_residual": (lambda st, u, w, th, m: hopf_residual(u, None, st.wirtinger(u)), ["wirtinger"]),
+        "correspondence_check": (lambda st, u, w, th, m: correspondence_check(u, w, st.wirtinger(u)), ["wirtinger"]),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_derivative_through_the_stencils_given(self, kind, monkeypatch):
+        X, Y = np.meshgrid(self.G.x(), self.G.y(), indexing="ij")
+        u = complex_field(self.G, X + 0.3 * Y**2, Y + 0.1 * X)
+        fields = u, field(self.G, 0.2 * X * Y), field(self.G, X - Y), make_metric(self.G, 1 / Y**2, 0 * Y, 2 / Y**2)
+        fake, calls, around = self.counting_fake(monkeypatch)
+        run, expected = self.KINDS[kind]
+        run(fake, *fields)
+        assert calls == expected and around == []
+
+    def test_a_stencil_called_around_the_fake_is_seen(self, monkeypatch):
+        fake, calls, around = self.counting_fake(monkeypatch)
+        grid.wirtinger(complex_field(self.G, np.ones((17, 21)), np.ones((17, 21))))
+        assert calls == [] and around == ["wirtinger", "partials", "partial_x", "partial_y", "partial_x", "partial_y"]
 
 
 # ---------------------------------------------------------------------------

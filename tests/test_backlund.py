@@ -21,7 +21,7 @@ from gordon.families import (
     scalar_callable,
     sign_probe,
 )
-from gordon.grid import ScalarField, cumulative_integral_x, field, make_grid, rect_grid
+from gordon.grid import ScalarField, cumulative_integral_x, field, laplacian, make_grid, rect_grid
 
 SQRT2 = np.sqrt(2.0)
 H = 1 / 100
@@ -156,9 +156,9 @@ class TestWToTheta:
         g = grid(-0.25, 0.25, -0.25, 0.25)
         w = eval_family("W_TAN_SPECIAL", g)
         th = w_to_theta(w, np.pi, analytic=scalar_callable("W_TAN_SPECIAL"))
-        sigma = sign_probe(th)
+        sigma = sign_probe(th, laplacian(th))
         assert sigma != 0
-        assert residual_sine_gordon(th, sigma).sup_norm()[0] < TOL
+        assert residual_sine_gordon(th, sigma, laplacian(th)).sup_norm()[0] < TOL
 
     def test_singular_seed_point_rejected(self):
         # W_ONE_SOLITON's w = 2 artanh(e^{2x}) is infinite on x = 0: a march
@@ -434,7 +434,7 @@ class TestTabulatedMarch:
         w = theta_to_w(eval_family("THETA_SQRT2", g), 0.0)
         wp = eval_family("W_SQRT2", g)
         assert w.mask.all()
-        return np.abs(w.values - wp.values).max(), residual_sinh_gordon(w).sup_norm()[0]
+        return np.abs(w.values - wp.values).max(), residual_sinh_gordon(w, laplacian(w)).sup_norm()[0]
 
     def test_sampled_fourth_order(self):
         # hx = 1/100 and hy = 1/140, then both halved: a march that swapped

@@ -24,6 +24,7 @@ from gordon.grid import (
     _capped,
     complex_field,
     field,
+    laplacian,
     make_grid,
     make_metric,
 )
@@ -88,30 +89,33 @@ class TestEvalPointValues:
 class TestResiduals:
     def test_zero_field_sinh(self):
         g = make_grid(-1, 1, -1, 1, 9, 9)
-        r = residual_sinh_gordon(field(g, np.zeros((9, 9))))
+        z = field(g, np.zeros((9, 9)))
+        r = residual_sinh_gordon(z, laplacian(z))
         assert r.sup_norm()[0] == 0.0
 
     def test_zero_field_sine_both_signs(self):
         g = make_grid(-1, 1, -1, 1, 9, 9)
         z = field(g, np.zeros((9, 9)))
-        assert residual_sine_gordon(z, +1).sup_norm()[0] == 0.0
-        assert residual_sine_gordon(z, -1).sup_norm()[0] == 0.0
+        assert residual_sine_gordon(z, +1, laplacian(z)).sup_norm()[0] == 0.0
+        assert residual_sine_gordon(z, -1, laplacian(z)).sup_norm()[0] == 0.0
 
     def test_bad_sigma_rejected(self):
         g = make_grid(-1, 1, -1, 1, 9, 9)
         with pytest.raises(ValueError):
-            residual_sine_gordon(field(g, np.zeros((9, 9))), 2)
+            z = field(g, np.zeros((9, 9)))
+            residual_sine_gordon(z, 2, laplacian(z))
 
     @pytest.mark.parametrize("fid", ["W_TAN_SPECIAL", "W_ONE_SOLITON", "W_EX2", "W_SQRT2"])
     def test_sinh_families(self, fid):
-        sup, n = residual_sinh_gordon(eval_family(fid, family_grid(fid))).sup_norm()
+        w = eval_family(fid, family_grid(fid))
+        sup, n = residual_sinh_gordon(w, laplacian(w)).sup_norm()
         assert n > 100 and sup < TOL
 
     @pytest.mark.parametrize("fid", ["THETA_EX2", "THETA_SQRT2"])
     def test_sine_families(self, fid):
         fam = get_family(fid)
         th = eval_family(fid, family_grid(fid))
-        sup, n = residual_sine_gordon(th, fam.sign).sup_norm()
+        sup, n = residual_sine_gordon(th, fam.sign, laplacian(th)).sup_norm()
         assert n > 100 and sup < TOL
 
     def test_tan_special_symmetry(self):
@@ -119,25 +123,28 @@ class TestResiduals:
         g = make_grid(-0.3, 0.3, -0.3, 0.3, 61, 61)
         w = eval_family("W_TAN_SPECIAL", g)
         assert np.array_equal(w.mask, w.mask.T)
-        r = residual_sinh_gordon(w)
+        r = residual_sinh_gordon(w, laplacian(w))
         assert np.abs(r.values - r.values.T).max() < 1e-12
 
 
 class TestSignProbe:
     def test_constant_half_pi_undetermined(self):
         th = eval_family("THETA_CONST_HALFPI", family_grid("THETA_CONST_HALFPI"))
-        assert sign_probe(th) == 0
+        assert sign_probe(th, laplacian(th)) == 0
 
     def test_theta_ex2_definite(self):
-        assert sign_probe(eval_family("THETA_EX2", family_grid("THETA_EX2"))) == -1
+        th = eval_family("THETA_EX2", family_grid("THETA_EX2"))
+        assert sign_probe(th, laplacian(th)) == -1
 
     def test_theta_sqrt2_definite(self):
-        assert sign_probe(eval_family("THETA_SQRT2", family_grid("THETA_SQRT2"))) == -1
+        th = eval_family("THETA_SQRT2", family_grid("THETA_SQRT2"))
+        assert sign_probe(th, laplacian(th)) == -1
 
     def test_too_few_points(self):
         g = make_grid(-1, 1, -1, 1, 5, 5)
         with pytest.raises(ValueError):
-            sign_probe(field(g, np.zeros((5, 5))))
+            z = field(g, np.zeros((5, 5)))
+            sign_probe(z, laplacian(z))
 
 
 class TestHopfWeight:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import tempfile
 from unittest import mock
@@ -12,6 +13,7 @@ from gordon import grid
 from gordon.families import CATALOG
 from gordon.grid import (
     MAX_POINTS,
+    SECOND_ORDER,
     ComplexField,
     Grid2D,
     MetricSample,
@@ -182,6 +184,40 @@ class TestWirtinger:
         expect = 1j * (np.cosh(2 * X) - 1) / 2
         err = np.abs(dz.complex_values() - expect)[dz.mask]
         assert err.max() < 5e-4  # stencil error at h = 1/200
+
+
+class TestSecondOrder:
+    """SECOND_ORDER holds the module's stencils and looks each up by name when called."""
+
+    G = make_grid(0.1, 0.9, -0.5, 0.5, 17, 21)
+
+    def fields(self):
+        X, Y = np.meshgrid(self.G.x(), self.G.y(), indexing="ij")
+        return field(self.G, np.sin(X) * Y**2), complex_field(self.G, Y, np.sinh(2 * X) / 2)
+
+    def test_the_module_stencils_bit_for_bit(self):
+        f, u = self.fields()
+        pairs = [(SECOND_ORDER.d(f, 0), partial_x(f)), (SECOND_ORDER.d(f, 1), partial_y(f)),
+                 (SECOND_ORDER.lap(f), laplacian(f)),
+                 *zip(SECOND_ORDER.partials(u), grid.partials(u)), *zip(SECOND_ORDER.wirtinger(u), wirtinger(u))]
+        for got, want in pairs:
+            assert type(got) is type(want)
+            assert all(np.array_equal(getattr(got, k.name), getattr(want, k.name))
+                       for k in dataclasses.fields(want)[1:])
+
+    # a tracer wraps a stencil by rebinding its module attribute; every check
+    # takes its derivatives through SECOND_ORDER, so it must see the wrapper
+    @pytest.mark.parametrize("name,call", [
+        ("partial_x", lambda f, u: SECOND_ORDER.d(f, 0)),
+        ("partial_y", lambda f, u: SECOND_ORDER.d(f, 1)),
+        ("laplacian", lambda f, u: SECOND_ORDER.lap(f)),
+        ("partials", lambda f, u: SECOND_ORDER.partials(u)),
+        ("wirtinger", lambda f, u: SECOND_ORDER.wirtinger(u)),
+    ])
+    def test_a_rebound_stencil_is_seen(self, name, call, monkeypatch):
+        sentinel = object()
+        monkeypatch.setattr(grid, name, lambda *args: sentinel)
+        assert call(*self.fields()) is sentinel
 
 
 class TestCumulativeIntegral:

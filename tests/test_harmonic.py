@@ -4,7 +4,7 @@ import pytest
 from gordon import acceptance
 from gordon.backlund import BacklundPair
 from gordon.families import eval_family, get_family, hopf_weight
-from gordon.grid import complex_field, field, make_grid, make_metric, rect_grid, wirtinger
+from gordon.grid import SECOND_ORDER, complex_field, field, make_grid, make_metric, rect_grid, wirtinger
 from gordon.harmonic import (
     correspondence_check,
     gaussian_curvature,
@@ -155,7 +155,7 @@ class TestGaussianCurvature:
 
     def test_poincare_is_minus_one(self):
         _, m = self.poincare()
-        K, orthogonal = gaussian_curvature(m)
+        K, orthogonal = gaussian_curvature(m, SECOND_ORDER)
         sup, n = field(m.grid, K.values + 1.0, K.mask).sup_norm()
         assert n > 100 and sup < 1e-4
         assert orthogonal
@@ -163,7 +163,7 @@ class TestGaussianCurvature:
     def test_scaling_law(self):
         # K(c g) = K(g)/c for a constant conformal rescaling
         _, m4 = self.poincare(scale=4.0)
-        K = gaussian_curvature(m4)[0]
+        K = gaussian_curvature(m4, SECOND_ORDER)[0]
         sup, _ = field(m4.grid, K.values + 0.25, K.mask).sup_norm()
         assert sup < 1e-4
 
@@ -171,7 +171,7 @@ class TestGaussianCurvature:
     def test_catalog_metrics(self, fid, expect_rect):
         x0, x1, y0, y1 = get_family(fid).rectangle
         g = grid(x0, x1, y0, y1)
-        K = gaussian_curvature(eval_family(fid, g))[0]
+        K = gaussian_curvature(eval_family(fid, g), SECOND_ORDER)[0]
         sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
         assert n > 100 and sup < TOL
 
@@ -187,7 +187,7 @@ class TestGaussianCurvature:
         m = make_metric(g, 2 * lam, lam, lam)
         check = acceptance._curvature_check("sheared", "sheared Poincare metric", m, 10.0)
         assert check.count > 100 and check.sup < check.tol and not check.passed
-        assert not gaussian_curvature(m)[1]
+        assert not gaussian_curvature(m, SECOND_ORDER)[1]
 
 
 class TestPullback:
@@ -195,7 +195,7 @@ class TestPullback:
         g = grid(-0.5, 0.5, -0.5, 0.5)
         X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         u = complex_field(g, X, np.ones_like(X))  # rank-one differential
-        m = pullback_metric(u, None)
+        m = pullback_metric(u, None, SECOND_ORDER)
         assert not m.mask.any()
 
     def test_matches_printed_target_metric(self):
@@ -203,7 +203,7 @@ class TestPullback:
         # printed target metric coefficients
         g = grid(0.1, 0.5, -0.2, 0.2)
         u = eval_family("U_EX_SECTION3", g)
-        m = pullback_metric(u, hopf_weight("U_EX_SECTION3", g))
+        m = pullback_metric(u, hopf_weight("U_EX_SECTION3", g), SECOND_ORDER)
         t = eval_family("METRIC_SECTION3", g)
         ok = m.mask & t.mask
         relE = np.abs(m.E[ok] - t.E[ok]) / np.abs(t.E[ok])
@@ -226,7 +226,7 @@ class TestPullback:
         x0, x1, y0, y1 = fam.curvature_rect or fam.rectangle
         g = grid(x0, x1, y0, y1, h)
         u = eval_family(fid, g)
-        K = gaussian_curvature(pullback_metric(u, hopf_weight(fid, g)))[0]
+        K = gaussian_curvature(pullback_metric(u, hopf_weight(fid, g), SECOND_ORDER), SECOND_ORDER)[0]
         sup, n = field(g, K.values + 1.0, K.mask).sup_norm()
         assert n > 100 and sup < tol
 

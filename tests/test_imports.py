@@ -1,6 +1,6 @@
 """Every name a gordon module imports is used in that module, none is scipy,
-no gordon module reads the environment, and every top-level name gordon
-defines is used by gordon or the benchmark."""
+no gordon module reads the environment, only gordon.grid names a stencil, and
+every top-level name gordon defines is used by gordon or the benchmark."""
 
 import ast
 import os
@@ -73,6 +73,29 @@ def test_gordon_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+STENCILS = {"laplacian", "partial_x", "partial_y", "partials", "wirtinger"}
+
+
+def stencil_lookups(source: str) -> list:
+    """The stencil names a module imports or reads off `grid`: each a way around grid.SECOND_ORDER."""
+    tree = ast.parse(source)
+    found = [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
+    found += [n.attr for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "grid"]
+    return sorted(name for name in found if name in STENCILS)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "grid"], ids=lambda p: p.name)
+def test_stencils_only_through_the_seam(path):
+    """Only gordon.grid names a stencil; the check kinds take theirs from the stencil object they are given."""
+    assert stencil_lookups(path.read_text()) == []
+
+
+def test_guard_sees_a_stencil_lookup():
+    source = "from .grid import SECOND_ORDER, laplacian as lap\nfrom . import grid\ngrid.partial_x(f)\nst.wirtinger(u)\n"
+    assert stencil_lookups(source) == ["laplacian", "partial_x"]
 
 
 def unused_definitions(defining: dict, using: dict) -> list:

@@ -4,7 +4,7 @@ from scipy.special import ellipj, ellipk
 
 from gordon import profiles
 from gordon.families import residual_sinh_gordon, residual_sine_gordon
-from gordon.grid import NumericalError, make_grid
+from gordon.grid import NumericalError, laplacian, make_grid
 from gordon.profiles import (
     QuarticProfile,
     assemble_tan_family,
@@ -221,7 +221,7 @@ class TestAssembly:
         w = assemble_tan_family(
             integrate_profile(a_spec, g.x()), integrate_profile(b_spec, g.y()), g
         )
-        sup, n = residual_sinh_gordon(w).sup_norm()
+        sup, n = residual_sinh_gordon(w, laplacian(w)).sup_norm()
         assert n > 0 and sup < 16 * 1e-3  # h = 1/200 floor
 
     def test_tanh_family_zero(self):
@@ -248,7 +248,7 @@ class TestAssembly:
         th = assemble_tanh_family(
             integrate_profile(c_spec, g.x()), integrate_profile(d_spec, g.y()), g
         )
-        sup, _ = residual_sine_gordon(th, -1).sup_norm()
+        sup, _ = residual_sine_gordon(th, -1, laplacian(th)).sup_norm()
         assert sup < 16 * 1e-3
 
     def test_axis_mismatch_rejected(self):
