@@ -74,6 +74,8 @@ MARCH_RECT_SQRT2 = (0.0, 0.6, -0.35, 0.35)  # contains both axis lines
 ROUNDTRIP_RECT = (-0.25, 0.25, -0.25, 0.25)
 POINCARE_RECT = (0.0, 1.0, 8.0, 12.0)  # far from y = 0 so 1/y^2 is mild
 SQRT2 = np.sqrt(2.0)
+# the tanh family's sqrt(2) set: (c4, c5, c6) = (-4, 4, 4), slopes C'(0) = 2, D'(0) = -2
+SQRT2_SET = (-4.0, 4.0, 4.0, 2.0, -2.0)
 # long criteria first, so short ones fill in behind (`--diagnostics` times each).
 # On two shared vCPUs c4 or c7 first gave the same wall as c2 first, and plain
 # order won 9 of 22 alternating 10-s acceptance-full pairs against this one
@@ -227,9 +229,8 @@ def criterion_2(h, tol, convergence):
     # repeat THETA_SQRT2's.  Its RK4 error (7.7e-14 at h = 1/100) scales with
     # h^4 down to a rounding floor (9e-16 at 1/400, 2e-15 at 1/800)
     value_tol = 4e-15 * (h / DEFAULT_H) ** 4 + 2e-14
-    cspec, dspec = tanh_family_profiles(-4.0, 4.0, 4.0, dc_init=2.0, dd_init=-2.0)
     g = rect_grid(get_family("THETA_SQRT2").rectangle, h)
-    th = assemble_tanh_family(integrate_profile(cspec, g.x()), integrate_profile(dspec, g.y()), g)
+    th = assemble_tanh_family(*tanh_family_profiles(*SQRT2_SET), g)
     checks.append(sup_check(
         "c2.assembled_tanh_family.vs_THETA_SQRT2",
         "theta = arcsin(tanh(C + D)) from integrated quartic profiles equals THETA_SQRT2",
@@ -266,10 +267,10 @@ def criterion_3(h):
         sup, int(np.count_nonzero(sp.valid)), ode_tol,
     )]
     drift_tol = max(1e-9, ode_tol / 10)
-    drifts = {"sech": sp.first_integral_drift(spec)}
-    cspec, dspec = tanh_family_profiles(-4.0, 4.0, 4.0, dc_init=2.0, dd_init=-2.0)
-    drifts["sqrt2_c"] = integrate_profile(cspec, axis).first_integral_drift(cspec)
-    drifts["sqrt2_d"] = integrate_profile(dspec, axis).first_integral_drift(dspec)
+    drifts = {"sech": sp.first_integral_drift()}
+    cspec, dspec = tanh_family_profiles(*SQRT2_SET)
+    drifts["sqrt2_c"] = integrate_profile(cspec, axis).first_integral_drift()
+    drifts["sqrt2_d"] = integrate_profile(dspec, axis).first_integral_drift()
     worst = max(drifts.values())
     checks.append(make_check(
         "c3.first_integral_drift",
@@ -405,9 +406,9 @@ def criterion_7(h, tol):
 def criterion_8(h):
     checks = []
     rejected = 0
-    for ctor, args in (
-        (tan_family_profiles, (1.0, 0.0, 0.0)),     # 4*c1 = 4 but 16 + c3 - c2 = 16
-        (tanh_family_profiles, (0.0, 0.0, 0.0)),    # 16 + 4*c4 = 16 but c6 - c5 = 0
+    for ctor, args in (  # zero slopes fit both sets' quartics at 0: only the constraint fails
+        (tan_family_profiles, (1.0, 0.0, 0.0, 0.0, 0.0)),   # 4*c1 = 4 but 16 + c3 - c2 = 16
+        (tanh_family_profiles, (0.0, 0.0, 0.0, 0.0, 0.0)),  # 16 + 4*c4 = 16 but c6 - c5 = 0
     ):
         try:
             ctor(*args)

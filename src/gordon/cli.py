@@ -163,8 +163,8 @@ def cmd_backlund_run(args) -> int:
     r1, r2 = backlund_residuals(BacklundPair(w, th, f"{args.direction} march from {fam.id}"), SECOND_ORDER)
     try:
         sigma = sign_probe(th, SECOND_ORDER.lap(th))
-    except ValueError:
-        sigma = 0
+    except ValueError as e:
+        raise ValueError(f"{fam.id}: {e}") from None
     checks = [
         acceptance.sup_check("backlund.r1", "w_x - theta_y + 2 sinh(w) sin(theta)", r1, tol),
         acceptance.sup_check("backlund.r2", "w_y + theta_x + 2 cosh(w) cos(theta)", r2, tol,

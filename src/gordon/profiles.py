@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid2D, NumericalError, ScalarField, field
+from .grid import SINGULARITY_EPS, Grid2D, NumericalError, ScalarField, field
 
 BLOWUP_LIMIT = 1e6
 ODE_REFINEMENT = 8  # RK4 substeps per axis cell
@@ -40,7 +40,7 @@ class QuarticProfile:
         lhs = self.dp_init**2
         rhs = self.quartic(self.p_init)
         scale = 1.0 + abs(lhs) + abs(rhs)
-        if abs(lhs - rhs) > 1e-12 * scale:
+        if not (math.isfinite(scale) and abs(lhs - rhs) <= 1e-12 * scale):  # nan or inf fails too
             raise ValueError(
                 f"inconsistent initial data: dp_init^2 = {lhs} but quartic(p_init) = {rhs}"
             )
@@ -63,18 +63,19 @@ class QuarticProfile:
 class SampledProfile:
     """Profile p, its slope dp and its antiderivative P on a uniform axis.
 
-    All three come from one RK4 march of the state (p, p', P) from the
+    All three come from one RK4 march of the state (p, p', P) from spec's
     initial data at t = 0, where P = 0; invalid samples hold zeros.
     """
 
-    t: np.ndarray
+    spec: QuarticProfile
     p: np.ndarray
     dp: np.ndarray
     P: np.ndarray
     valid: np.ndarray
 
-    def first_integral_drift(self, spec: QuarticProfile) -> float:
+    def first_integral_drift(self) -> float:
         """Max relative violation of (p')^2 = quartic(p) over valid samples."""
+        spec = self.spec
         p = self.p[self.valid]
         dp = self.dp[self.valid]
         num = np.abs(dp**2 - spec.quartic(p))
@@ -150,23 +151,27 @@ def integrate_profile(spec: QuarticProfile, axis: np.ndarray) -> SampledProfile:
                 break
             p[k], dp[k], P[k] = state
             valid[k] = True
-    return SampledProfile(t, p, dp, P, valid)
+    return SampledProfile(spec, p, dp, P, valid)
 
 
 # ---------------------------------------------------------------------------
 # coefficient-constraint constructors
 
 
-def tan_family_profiles(c1, c2, c3, a_init=0.0, da_init=None, b_init=0.0, db_init=None):
-    """Profile specs (a, b) for the tan family, enforcing 4*c1 = 16 + c3 - c2."""
+def tan_family_profiles(c1, c2, c3, da_init, db_init, a_init=0.0, b_init=0.0):
+    """Profile specs (a, b) for the tan family, enforcing 4*c1 = 16 + c3 - c2.
+
+    The slopes are stated, not derived: the quartic fixes only their squares,
+    and only some sign choices assemble a solution.
+    """
     _constraint("4*c1", 4 * c1, "16 + c3 - c2", 16 + c3 - c2)
-    return _profile(-1.0, c1, c2, a_init, da_init), _profile(-1.0, 8 - c1, c3, b_init, db_init)
+    return QuarticProfile(-1.0, c1, c2, a_init, da_init), QuarticProfile(-1.0, 8 - c1, c3, b_init, db_init)
 
 
-def tanh_family_profiles(c4, c5, c6, c_init=0.0, dc_init=None, d_init=0.0, dd_init=None):
-    """Profile specs (c, d) for the tanh family, enforcing 16 + 4*c4 = c6 - c5."""
+def tanh_family_profiles(c4, c5, c6, dc_init, dd_init, c_init=0.0, d_init=0.0):
+    """Profile specs (c, d) for the tanh family, enforcing 16 + 4*c4 = c6 - c5; slopes required, as for tan."""
     _constraint("16 + 4*c4", 16 + 4 * c4, "c6 - c5", c6 - c5)
-    return _profile(1.0, c4, c5, c_init, dc_init), _profile(1.0, -(8 + c4), c6, d_init, dd_init)
+    return QuarticProfile(1.0, c4, c5, c_init, dc_init), QuarticProfile(1.0, -(8 + c4), c6, d_init, dd_init)
 
 
 def _constraint(lhs_text, lhs, rhs_text, rhs):
@@ -174,41 +179,25 @@ def _constraint(lhs_text, lhs, rhs_text, rhs):
         raise ValueError(f"coefficient constraint violated: {lhs_text} = {lhs} != {rhs_text} = {rhs}")
 
 
-def _profile(q4, q2, q0, p_init, dp_init):
-    """QuarticProfile whose dp_init defaults (None) to the non-negative root of the quartic at p_init."""
-    if dp_init is None:
-        val = q4 * p_init**4 + q2 * p_init**2 + q0
-        if val < -1e-12:
-            raise ValueError("quartic negative at p_init; no real slope exists")
-        dp_init = np.sqrt(max(val, 0.0))
-    return QuarticProfile(q4, q2, q0, p_init, float(dp_init))
-
-
 # ---------------------------------------------------------------------------
 # 2-D assembly
 
 
-def _check_axes(sp_x: SampledProfile, sp_y: SampledProfile, grid: Grid2D):
-    for name, t, axis, h in (("x", sp_x.t, grid.x(), grid.hx), ("y", sp_y.t, grid.y(), grid.hy)):
-        if t.shape != axis.shape or not np.allclose(t, axis, rtol=0, atol=1e-9 * max(1.0, h)):
-            raise ValueError(f"{name}-profile samples do not match the grid {name}-axis")
+def _separable_sum(xspec: QuarticProfile, yspec: QuarticProfile, grid: Grid2D):
+    """A(x) + B(y) from the two profiles integrated on the grid's axes, and where both are valid."""
+    ax, by = integrate_profile(xspec, grid.x()), integrate_profile(yspec, grid.y())
+    return ax.P[:, None] + by.P[None, :], ax.valid[:, None] & by.valid[None, :]
 
 
-def assemble_tan_family(Ax: SampledProfile, By: SampledProfile, grid: Grid2D) -> ScalarField:
+def assemble_tan_family(aspec: QuarticProfile, bspec: QuarticProfile, grid: Grid2D) -> ScalarField:
     """w = arcsinh(tan(A(x) + B(y))); masked where cos(A+B) nearly vanishes."""
-    _check_axes(Ax, By, grid)
-    s = Ax.P[:, None] + By.P[None, :]
-    ok = (np.abs(np.cos(s)) >= 1e-8) & Ax.valid[:, None] & By.valid[None, :]
+    s, ok = _separable_sum(aspec, bspec, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.arcsinh(np.tan(s))
-    return field(grid, w, ok)
+    return field(grid, w, ok & (np.abs(np.cos(s)) >= SINGULARITY_EPS))
 
 
-def assemble_tanh_family(Cx: SampledProfile, Dy: SampledProfile, grid: Grid2D) -> ScalarField:
+def assemble_tanh_family(cspec: QuarticProfile, dspec: QuarticProfile, grid: Grid2D) -> ScalarField:
     """theta = arcsin(tanh(C(x) + D(y))), principal branch in (-pi/2, pi/2)."""
-    _check_axes(Cx, Dy, grid)
-    s = Cx.P[:, None] + Dy.P[None, :]
-    ok = Cx.valid[:, None] & Dy.valid[None, :]
-    theta = np.arcsin(np.tanh(s))
-    return field(grid, theta, ok)
-
+    s, ok = _separable_sum(cspec, dspec, grid)
+    return field(grid, np.arcsin(np.tanh(s)), ok)

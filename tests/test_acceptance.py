@@ -352,7 +352,7 @@ def test_pool_report_equals_in_process_report(spacing, coarse_reports):
 
 
 # each check's tolerance at h = 1/100 (quick), 0.005 and 1/400, copied from
-# the reports whose digests are 1878e85e…, ffdb2269… and 9ca24df7….  The c4
+# the reports whose digests are a45ef973…, ec2c8efd… and 25879f0a….  The c4
 # march tolerance's 0.1 floor only starts below h = sqrt(0.1) / 400 (about
 # 1/1265), so none of these spacings reaches it
 FIXED_TOLERANCES = {

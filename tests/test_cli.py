@@ -416,12 +416,19 @@ class TestRejectedInput:
         assert list(out.iterdir()) == []
         assert "seed point (0, 0)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["acceptance"], ["verify", "--family", "THETA_EX2"]])
-    def test_sign_probe_rejection_names_family_and_grid(self, command, capsys):
-        # THETA_EX2's rectangle holds 7 x 7 points at this spacing, too few to probe its sign
+    @pytest.mark.parametrize("command", [
+        ["acceptance"],
+        ["verify", "--family", "THETA_EX2"],
+        ["backlund", "run", "--direction", "t2w", "--family", "THETA_EX2", "--tol", "1", "--out", "w.csv"],
+    ])
+    def test_sign_probe_rejection_names_family_and_grid(self, command, tmp_path, monkeypatch, capsys):
+        # THETA_EX2's rectangle holds 7 x 7 points at this spacing, too few to probe its sign;
+        # backlund run probes before its dump, so it writes nothing
+        monkeypatch.chdir(tmp_path)
         assert main(command + ["--h", "0.05"]) == 2
         err = capsys.readouterr().err
         assert "sign probe" in err and "THETA_EX2" in err and "7 x 7 grid" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_swapped_csv_rows(self, tmp_path, capsys):
         out = tmp_path / "u.csv"

@@ -3,8 +3,9 @@ import pytest
 from scipy.special import ellipj, ellipk
 
 from gordon import profiles
-from gordon.families import residual_sinh_gordon, residual_sine_gordon
-from gordon.grid import NumericalError, laplacian, make_grid
+from gordon.acceptance import RATIO_BAND
+from gordon.families import residual_sinh_gordon, residual_sine_gordon, sign_probe
+from gordon.grid import NumericalError, laplacian, make_grid, rect_grid
 from gordon.profiles import (
     QuarticProfile,
     assemble_tan_family,
@@ -25,6 +26,12 @@ class TestQuarticProfile:
     def test_inconsistent_initial_data_rejected(self):
         with pytest.raises(ValueError):
             QuarticProfile(-1.0, 4.0, 0.0, 2.0, 1.0)  # slope^2 = 1 but quartic(2) = 0
+
+    @pytest.mark.parametrize("q0,dp_init", [(1.0, np.nan), (np.inf, np.inf), (np.nan, 1.0)])
+    def test_non_finite_initial_data_rejected(self, q0, dp_init):
+        # unchecked, a nan slope assembles a field that is valid on its x = 0 line
+        with pytest.raises(ValueError, match="inconsistent initial data"):
+            QuarticProfile(1.0, -4.0, q0, 0.0, dp_init)
 
 
 class TestIntegrateProfile:
@@ -61,7 +68,7 @@ class TestIntegrateProfile:
             QuarticProfile(-1.0, 4.0, 4.0, 0.0, 2.0),
         ):
             sp = integrate_profile(spec, axis(-1, 1, 1 / 100))
-            assert sp.first_integral_drift(spec) < 1e-9
+            assert sp.first_integral_drift() < 1e-9
 
     @pytest.mark.parametrize(
         "spec,P",
@@ -81,7 +88,7 @@ class TestIntegrateProfile:
     def test_generic_coefficients_elliptic_closed_form(self, n):
         # the tan family's b-profile at (4, 4, 4) solves (p')^2 = -p^4 + 4p^2 + 4
         # = (alpha^2 - p^2)(p^2 + beta^2): p = -alpha cn(lam t - K | m) (DLMF 22)
-        _, spec = tan_family_profiles(4.0, 4.0, 4.0, db_init=-2.0)
+        _, spec = tan_family_profiles(4.0, 4.0, 4.0, 2.0, -2.0)
         alpha, lam = np.sqrt(2 + 2 * SQRT2), np.sqrt(4 * SQRT2)
         m = alpha**2 / lam**2
         K = ellipk(m)
@@ -173,37 +180,34 @@ class TestPlainFloatRK4:
 class TestCoefficientConstraints:
     def test_tan_family_violation_rejected(self):
         with pytest.raises(ValueError):
-            tan_family_profiles(1.0, 0.0, 0.0)
+            tan_family_profiles(1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_tanh_family_violation_rejected(self):
         with pytest.raises(ValueError):
-            tanh_family_profiles(0.0, 0.0, 0.0)
+            tanh_family_profiles(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_tan_family_accepts_consistent_set(self):
-        a_spec, b_spec = tan_family_profiles(4.0, 0.0, 0.0, a_init=2.0, b_init=2.0)
+        a_spec, b_spec = tan_family_profiles(4.0, 0.0, 0.0, 0.0, 0.0, a_init=2.0, b_init=2.0)
         assert a_spec.q2 == 4.0 and b_spec.q2 == 4.0
 
     def test_negative_quartic_slope_rejected(self):
-        with pytest.raises(ValueError):
-            tan_family_profiles(4.0, -4.0, -4.0, a_init=0.0)
+        # the set satisfies the constraint, but quartic(0) = c2 = -4 has no real slope
+        with pytest.raises(ValueError, match="inconsistent initial data"):
+            tan_family_profiles(4.0, -4.0, -4.0, 0.0, 0.0)
 
 
 class TestAssembly:
     def test_tan_family_zero_profiles(self):
         g = make_grid(-0.5, 0.5, -0.5, 0.5, 11, 11)
-        a = integrate_profile(QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0), g.x())
-        b = integrate_profile(QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0), g.y())
-        w = assemble_tan_family(a, b, g)
+        zero = QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0)
+        w = assemble_tan_family(zero, zero, g)
         assert np.all(w.values == 0.0)
 
     def test_tan_family_sech_profiles_match_special_solution(self):
         # a = b = 2 sech(2t) gives A = arctan(sinh 2x), so
         # sinh w = (sinh2x + sinh2y)/(1 - sinh2x sinh2y)
         g = make_grid(-0.25, 0.25, -0.25, 0.25, 101, 101)
-        a_spec, b_spec = tan_family_profiles(4.0, 0.0, 0.0, a_init=2.0, b_init=2.0)
-        w = assemble_tan_family(
-            integrate_profile(a_spec, g.x()), integrate_profile(b_spec, g.y()), g
-        )
+        w = assemble_tan_family(*tan_family_profiles(4.0, 0.0, 0.0, 0.0, 0.0, a_init=2.0, b_init=2.0), g)
         X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         expect = np.arcsinh(
             (np.sinh(2 * X) + np.sinh(2 * Y)) / (1 - np.sinh(2 * X) * np.sinh(2 * Y))
@@ -212,31 +216,22 @@ class TestAssembly:
 
     def test_tan_family_generic_coefficients_solve_pde(self):
         # alpha = beta = 1/2: a truly elliptic-function profile pair.  The
-        # constructor enforces only 4c1 = 16 + c3 - c2, and its default slopes
-        # have the same sign; for this set only opposite slopes assemble a
-        # solution (ROADMAP item 11), so the y-slope is -sqrt(c3)
+        # constructor enforces only 4c1 = 16 + c3 - c2; for this set only
+        # opposite slopes assemble a solution (ROADMAP item 11)
         g = make_grid(-0.3, 0.3, -0.3, 0.3, 121, 121)
-        a_spec, b_spec = tan_family_profiles(4.0, 4.0, 4.0, db_init=-2.0)
-        assert a_spec.dp_init == 2.0  # p_init = 0 defaults the slope to sqrt(c2)
-        w = assemble_tan_family(
-            integrate_profile(a_spec, g.x()), integrate_profile(b_spec, g.y()), g
-        )
+        w = assemble_tan_family(*tan_family_profiles(4.0, 4.0, 4.0, 2.0, -2.0), g)
         sup, n = residual_sinh_gordon(w, laplacian(w)).sup_norm()
         assert n > 0 and sup < 16 * 1e-3  # h = 1/200 floor
 
     def test_tanh_family_zero(self):
         g = make_grid(-0.5, 0.5, -0.5, 0.5, 11, 11)
-        z = integrate_profile(QuarticProfile(1.0, -4.0, 0.0, 0.0, 0.0), g.x())
-        zy = integrate_profile(QuarticProfile(1.0, -4.0, 0.0, 0.0, 0.0), g.y())
-        th = assemble_tanh_family(z, zy, g)
+        zero = QuarticProfile(1.0, -4.0, 0.0, 0.0, 0.0)
+        th = assemble_tanh_family(zero, zero, g)
         assert np.all(th.values == 0.0)
 
     def test_tanh_family_sqrt2_matches_half_angle_form(self):
         g = make_grid(0.2, 1.0, -0.35, 0.35, 161, 141)
-        c_spec, d_spec = tanh_family_profiles(-4.0, 4.0, 4.0, dc_init=2.0, dd_init=-2.0)
-        th = assemble_tanh_family(
-            integrate_profile(c_spec, g.x()), integrate_profile(d_spec, g.y()), g
-        )
+        th = assemble_tanh_family(*tanh_family_profiles(-4.0, 4.0, 4.0, 2.0, -2.0), g)
         X, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         cx, cy = np.cosh(SQRT2 * X), np.cosh(SQRT2 * Y)
         expect = 2 * np.arctan((cx - cy) / (cx + cy))
@@ -244,17 +239,34 @@ class TestAssembly:
 
     def test_tanh_family_solves_pde(self):
         g = make_grid(0.2, 1.0, -0.35, 0.35, 161, 141)
-        c_spec, d_spec = tanh_family_profiles(-4.0, 4.0, 4.0, dc_init=2.0, dd_init=-2.0)
-        th = assemble_tanh_family(
-            integrate_profile(c_spec, g.x()), integrate_profile(d_spec, g.y()), g
-        )
+        th = assemble_tanh_family(*tanh_family_profiles(-4.0, 4.0, 4.0, 2.0, -2.0), g)
         sup, _ = residual_sine_gordon(th, -1, laplacian(th)).sup_norm()
         assert sup < 16 * 1e-3
 
-    def test_axis_mismatch_rejected(self):
-        g = make_grid(-0.5, 0.5, -0.5, 0.5, 11, 11)
-        b = integrate_profile(QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0), g.y())
-        for t in (np.linspace(0, 1, 11), np.linspace(-0.5, 0.5, 9)):  # other values, other length
-            wrong = integrate_profile(QuarticProfile(-1.0, 4.0, 0.0, 0.0, 0.0), t)
-            with pytest.raises(ValueError, match="x-profile samples do not match the grid x-axis"):
-                assemble_tan_family(wrong, b, g)
+    @pytest.mark.parametrize("k,sup_1_400", [(1, 2.7e-7), (2, 2.5e-7), (9, 1.4e-6)])
+    def test_admitted_sets_without_closed_form_solve_pde(self, k, sup_1_400):
+        # (-4, k, k) with opposite slopes +-sqrt(k) and zero data: no closed form
+        # for k != 4, yet second order, with sigma = -1 probed at each spacing
+        sups = []
+        for h in (1 / 200, 1 / 400):
+            g = rect_grid((-0.3, 0.3, -0.3, 0.3), h)
+            th = assemble_tanh_family(*tanh_family_profiles(-4.0, k, k, np.sqrt(k), -np.sqrt(k)), g)
+            lap = laplacian(th)
+            assert sign_probe(th, lap) == -1
+            sup, n = residual_sine_gordon(th, -1, lap).sup_norm()
+            assert n == (g.nx - 2) * (g.ny - 2)
+            sups.append(sup)
+        assert sups[1] < 100 * sup_1_400
+        assert RATIO_BAND[0] <= sups[0] / sups[1] <= RATIO_BAND[1]
+
+    def test_same_sign_slopes_build_no_solution(self):
+        # why the slopes are stated: k = 1 with both slopes +1 reads 2.0 at
+        # either spacing, for either sign, and does not converge
+        sups = []
+        for h in (1 / 200, 1 / 400):
+            g = rect_grid((-0.3, 0.3, -0.3, 0.3), h)
+            th = assemble_tanh_family(*tanh_family_profiles(-4.0, 1.0, 1.0, 1.0, 1.0), g)
+            lap = laplacian(th)
+            assert sign_probe(th, lap) == 0
+            sups.append(min(residual_sine_gordon(th, sigma, lap).sup_norm()[0] for sigma in (1, -1)))
+        assert min(sups) > 1.9 and 0.9 < sups[0] / sups[1] < 1.1
