@@ -186,16 +186,19 @@ def _resolve_pair(spec: str, args):
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 2:
         raise ValueError("--pair takes 'W_ID,THETA_ID' or 'w.csv,theta.csv'")
-    if all(p in CATALOG for p in parts):
+    ids = [p in CATALOG for p in parts]
+    for p, is_id in zip(parts, ids):
+        if not (is_id or os.path.exists(p)):
+            raise ValueError(f"pair member {p!r} is neither a family id nor a file")
+    if ids[0] != ids[1]:
+        raise ValueError(f"--pair members must be two family ids or two files, got {parts[0]!r} and {parts[1]!r}")
+    if all(ids):
         fam_w, fam_t = get_family(parts[0]), get_family(parts[1])
         if fam_w.kind != "sinh_solution" or fam_t.kind != "sine_solution":
             raise ValueError("--pair ids must be a sinh family then a sine family")
         g = _grid_from_args(args, fam_w, include_axes=True)
         return BacklundPair(eval_family(fam_w.id, g), eval_family(fam_t.id, g),
                             provenance=f"closed forms ({fam_w.id}, {fam_t.id})")
-    for p in parts:
-        if not os.path.exists(p):
-            raise ValueError(f"pair member {p!r} is neither a family id nor a file")
     w, th = (load_scalar_csv(p) for p in parts)
     _one_grid((parts[0], w.grid), (parts[1], th.grid))
     return BacklundPair(w, th, provenance="loaded from CSV")
@@ -221,7 +224,9 @@ def cmd_harmonic_verify(args) -> int:
     tol = acceptance.base_tolerance(args.tol)
     sidecar = args.u + ".grid.json"
     _, family = load_grid_json(sidecar)  # families eval names a weighted map there
-    if family is not None and get_family(family).weight is None:
+    if family is not None and family not in CATALOG:
+        raise ValueError(f"{sidecar}: unknown family id: {family}")
+    if family is not None and CATALOG[family].weight is None:
         raise ValueError(f"{sidecar}: family {family} has no target-metric weight")
     w = load_scalar_csv(args.w) if args.w else None
     if w is not None:
@@ -331,7 +336,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)  # str() quotes a KeyError
         return 2
 
 

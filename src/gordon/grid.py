@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import hashlib
 import io
-import itertools
 import json
 import os
 import sys
@@ -369,32 +368,151 @@ def _data_sha256(grid: Grid2D):
     return hashlib.sha256(json.dumps(grid.to_json(), sort_keys=True).encode())
 
 
+# _format17's tables. Every 10**k up to k = 22 is a float64 (5**22 < 2**53).
+_POW10 = np.array([float(10**k) for k in range(23)])
+# By X + 6, X in [-6, 16] the decimal exponent: the digits before the point
+# (17: no point), the "0.000" before the first digit and the "e-0N" after the last
+_EXPONENTS = range(-6, 17)
+_POINT_AFTER = np.array([X + 1 if X >= 0 else 1 if X < -4 else 17 for X in _EXPONENTS])
+_PREFIX = np.array([int.from_bytes((b"0." + b"0" * (-X - 1)).rjust(7, b"\0") if -4 <= X < 0 else b"", "little")
+                    for X in _EXPONENTS], np.uint64)
+_SUFFIX = np.array([int.from_bytes(b"\0e-0%d" % -X if X < -4 else b"", "little") for X in _EXPONENTS], np.uint64)
+# By a byte count n <= 8: ASCII zeros in the lowest n bytes, and a mask of them
+_ASCII_ZEROS = np.array([int.from_bytes(b"0" * n, "little") for n in range(9)], np.uint64)
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+# By a byte k <= 16 of two words: the point at k in the first, and in the second
+_POINT_IN = [np.array([46 << 8 * (k - lo) if lo <= k < lo + 8 else 0 for k in range(17)], np.uint64) for lo in (0, 8)]
+_BYTE_STEPS = np.array([256**n for n in range(8)], np.uint64)  # a uint64's bytes up to its last nonzero one
+
+
+def _halves(a):
+    """Veltkamp's split a = hi + lo, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a, X):
+    """(floor, fraction) of a * 10**(16 - X), by Dekker's exact two-product hi + lo (Numer. Math. 18, 1971)."""
+    p = _POW10[16 - X]
+    (ah, al), (ph, pl) = _halves(a), _halves(p)
+    hi = a * p
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    fh = np.floor(hi)
+    t = (hi - fh) + lo
+    ft = np.floor(t)
+    return fh.astype(np.int64) + ft.astype(np.int64), t - ft
+
+
+def _digits8(n):
+    """The 8 decimal digits of each n < 10**8 as the bytes of a uint64, the most significant lowest.
+
+    Every lane is divided at once, by a multiply and a shift: two lanes of 4
+    digits by 100 (* 5243 >> 19, exact below 43690), then four of 2 digits
+    by 10 (* 103 >> 10, exact below 170).
+    """
+    v = n // 10000 | n % 10000 << 32
+    q = v * 5243 >> 19 & 0x7F0000007F
+    v = q | (v - 100 * q) << 16
+    q = v * 103 >> 10 & 0xF000F000F000F
+    return q | (v - 10 * q) << 8
+
+
+def _format17(x: np.ndarray) -> np.ndarray:
+    """b"%.17g" % v of each v in the float64 array x, as rows of 32 bytes: the text, NULs mixed in.
+
+    Exact for 1e-6 < |v| < 1e17: the exponent X of v's rounding to 17 digits
+    is in [-6, 16], so 10**(16 - X) is a float64 and |v| * 10**(16 - X) =
+    hi + lo exactly. Once that lies in [10**16, 10**17), hi >= 2**53 is an
+    integer and lo a multiple of 2**-51 below 8 in magnitude, so its floor D
+    and fraction are exact, and D rounds half to even as CPython's correctly
+    rounded conversion does, never up to 10**17 (the largest float64 below a
+    power of 10 rounds below it); an X taken from log10 that is one off puts
+    D outside that range and moves. A row's bytes: the sign (0), the "0.000"
+    of -4 <= X < 0 (up to 6), D's first digit (7), its other 16 digits with
+    the point put in after digit X + 1, or the first for X < -4 (8-24), and
+    the "e-05" or "e-06" of X < -4 (25-28). D's trailing zeros after the
+    point are NULs, and so is the point when none is left. Any other v (0,
+    non-finite, or outside that range) is formatted by `%`.
+    """
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e17)  # nan compares False
+    a = np.where(fast, a, 1.0)
+    X = np.clip(np.floor(np.log10(a)), -6, 16).astype(np.intp)
+    D, frac = _scaled(a, X)
+    while (off := (D < 10**16) | (D >= 10**17)).any():
+        X[off] += np.where(D[off] < 10**16, -1, 1)
+        D[off], frac[off] = _scaled(a[off], X[off])
+    D += (frac > 0.5) | ((frac == 0.5) & (D % 2 == 1))
+    D = D.view(np.uint64)
+    b, c = _digits8(D // 10**8 % 10**8), _digits8(D % 10**8)  # digits 2-9 and 10-17
+    last = np.where(c > 0, 9, 1) + np.searchsorted(_BYTE_STEPS, np.where(c > 0, c, b), "right")
+    kept = np.maximum(last, X + 1)  # digits shown: up to the last nonzero one, and every one before the point
+    X += 6
+    s = _POINT_AFTER[X] - 1  # the point goes before byte s of b and c, which move up one byte
+    b |= _ASCII_ZEROS[np.clip(kept - 1, 0, 8)]
+    c |= _ASCII_ZEROS[np.clip(kept - 9, 0, 8)]
+    lb, lc = b & _LOW_BYTES[np.minimum(s, 8)], c & _LOW_BYTES[np.clip(s - 8, 0, 8)]
+    hb, hc = b ^ lb, c ^ lc
+    s[kept <= s + 1] = 16  # no digit after the point: none is shown
+    out = np.empty((x.size, 4), "<u8")
+    out[:, 0] = np.signbit(x) * np.uint64(45) | _PREFIX[X] | (D // 10**16 + 48) << 56
+    out[:, 1] = lb | hb << 8 | _POINT_IN[0][s]
+    out[:, 2] = lc | hc << 8 | hb >> 56 | _POINT_IN[1][s]
+    out[:, 3] = hc >> 56 | _SUFFIX[X]
+    text = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text[slow] = np.frombuffer(b"".join((b"%.17g" % v).ljust(32, b"\0") for v in x[slow].tolist()),
+                                   np.uint8).reshape(-1, 32)
+    return text
+
+
+# CSV rows assembled at a time: bounds what a dump adds to peak RSS
+_CSV_BLOCK = 1 << 13
+
+
 def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=None) -> None:
     """Write `x,y,<names>,valid` rows, y in the outer loop, numbers as `%.17g`, its companion, then the sidecar.
 
-    Each x has two row pieces, `<x>,NUL,%.17g...,0` and the same ending in 1:
-    a grid line is its mask's pieces joined, a NUL where y goes, and C formats
-    its values in one `%` call, so x and the valid flag are never formatted
-    per point. Each line is written on its own, since one whole-file string
-    would add several times the file's size to peak RSS. The companion
-    `<path>.npy` holds the value columns and the valid column (0.0 or 1.0) as
-    one float64 array, one row per CSV row. The sidecar `<path>.grid.json`
-    holds the grid, `family` when given, and `data_sha256`, the digest of the
-    grid, the CSV and the companion (see _read_companion). Each file is
-    written atomically, the sidecar last: a dump cut short leaves the old
-    files, or a digest that no longer matches them.
+    _format17 formats every number, each grid line's x and y once. Blocks of
+    whole grid lines (_CSV_BLOCK rows, or one line if longer) are laid out
+    as rows of fixed-width fields in one reused buffer, NUL-padded, and
+    written with their NULs dropped, so no whole-file string is ever held.
+    The companion `<path>.npy` holds the value columns and the valid column
+    (0.0 or 1.0) as one float64 array, one row per CSV row. The sidecar
+    `<path>.grid.json` holds the grid, `family` when given, and
+    `data_sha256`, the digest of the grid, the CSV and the companion (see
+    _read_companion). Each file is written atomically, the sidecar last: a
+    dump cut short leaves the old files, or a digest that no longer matches
+    them.
     """
-    row = [f"{x:.17g},\0" + ",%.17g" * len(columns) for x in grid.x()]
-    zeros, ones = (np.array([r + flag for r in row], dtype=object) for flag in (",0\n", ",1\n"))
     table = np.stack([a.T for a in (*columns, mask)], axis=-1, dtype=float)  # (ny, nx, k + 1)
-    lines = ("".join(np.where(m, ones, zeros)).replace("\0", f"{y:.17g}") % tuple(v.ravel().tolist())
-             for y, v, m in zip(grid.y(), table[..., :-1], mask.T))
+    xs, ys = (t[:, t.any(axis=0)] for t in (_format17(grid.x()), _format17(grid.y())))
+    fields = [xs.shape[1], ys.shape[1]] + [32] * len(columns)
+    ends = np.cumsum(np.add(fields, 1))  # each field and the comma after it
+    lines = min(grid.ny, max(1, _CSV_BLOCK // grid.nx))
+    rows = np.zeros((lines, grid.nx, ends[-1] + 2), np.uint8)
+    rows[:, :, ends - 1] = ord(",")
+    rows[:, :, -1] = ord("\n")
+    rows[:, :, :fields[0]] = xs
     digest = _data_sha256(grid)
     with atomic_open(path) as fh:
-        for text in itertools.chain([",".join(("x", "y", *names, "valid")) + "\n"], lines):
-            data = text.encode()
-            digest.update(data)
-            fh.write(data)
+        header = (",".join(("x", "y", *names, "valid")) + "\n").encode()
+        digest.update(header)
+        fh.write(header)
+        for j in range(0, grid.ny, lines):
+            block = rows[:min(lines, grid.ny - j)]
+            n = len(block)
+            block[:, :, ends[0]:ends[1] - 1] = ys[j:j + n, None]
+            values = _format17(table[j:j + n, :, :-1].ravel()).reshape(n, grid.nx, -1, 32)
+            for k, e in enumerate(ends[2:]):
+                block[:, :, e - 33:e - 1] = values[:, :, k]
+            block[:, :, -2] = mask.T[j:j + n] + ord("0")
+            text = block.reshape(-1)
+            text = text[text != 0]
+            digest.update(text)
+            fh.write(text)
     npy = io.BytesIO()
     np.save(npy, table.reshape(-1, table.shape[-1]), allow_pickle=False)
     digest.update(npy.getbuffer())

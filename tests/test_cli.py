@@ -87,6 +87,7 @@ class TestFamilies:
 
     def test_unknown_family_is_config_error(self, capsys):
         assert main(["families", "eval", "--family", "NOPE", "--out", "/tmp/x.csv"]) == 2
+        assert capsys.readouterr().err == "error: unknown family id: NOPE\n"  # no KeyError quotes
 
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
@@ -219,6 +220,17 @@ class TestHarmonic:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("second,message", [
+        ("NOPE", "pair member 'NOPE' is neither a family id nor a file"),
+        ("t.csv", "--pair members must be two family ids or two files, got 'W_SQRT2' and 't.csv'"),
+    ], ids=["unknown-id", "id-and-file"])
+    def test_pair_error_names_the_member_at_fault(self, second, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_text("x,y,value,valid\n")
+        assert main(["harmonic", "build", "--pair", f"W_SQRT2,{second}", "--out", "map"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
     def test_verify_with_metric(self, tmp_path, capsys):
         # a target metric's curvature check on the grid of a map's dump
         out = str(tmp_path / "u.csv")
@@ -261,7 +273,8 @@ class TestHarmonic:
         sidecar = pathlib.Path(out + ".grid.json")
         sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"family": family}))
         assert main(["harmonic", "verify", "--u", out]) == 2
-        assert family in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar}: ") and family in err
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["harmonic", "verify", "--u", "/nonexistent/u.csv"]) == 2

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gordon import grid
-from gordon.families import CATALOG
+from gordon.families import CATALOG, eval_family
 from gordon.grid import (
     MAX_POINTS,
     SECOND_ORDER,
@@ -434,11 +434,12 @@ class TestCsvRoundTrip:
         p = tmp_path / "f.csv"
         dump_scalar_csv(field(g, X + Y), str(p))
         old = p.read_bytes()
+        whole = TestCsvWriterOracle.rows(g, ("value",), (X - Y,), np.ones((7, 9), bool)).encode()
         written = []
         real_open = grid.atomic_open
 
         class Interrupted:
-            """The real handle, whose writes fail once the header and one grid line are in."""
+            """The real handle, whose writes fail once the header and one block are in."""
 
             def __init__(self, fh):
                 self.fh = fh
@@ -446,7 +447,7 @@ class TestCsvRoundTrip:
             def write(self, s):
                 if len(written) == 2:
                     raise RuntimeError("interrupted")
-                written.append(s)
+                written.append(bytes(s))
                 return self.fh.write(s)
 
         @contextlib.contextmanager
@@ -454,10 +455,12 @@ class TestCsvRoundTrip:
             with real_open(path) as fh:
                 yield Interrupted(fh)
 
+        monkeypatch.setattr(grid, "_CSV_BLOCK", 2 * g.nx)  # blocks of two grid lines
         monkeypatch.setattr(grid, "atomic_open", interrupted_open)
         with pytest.raises(RuntimeError, match="interrupted"):
             dump_scalar_csv(field(g, X - Y), str(p))
-        assert b"".join(written).count(b"\n") == 1 + g.nx  # failed partway: header and one grid line
+        part = b"".join(written)  # failed partway: the header is written, the file is not whole
+        assert written[0] == b"x,y,value,valid\n" and whole.startswith(part) and len(part) < len(whole)
         assert p.read_bytes() == old
         assert sorted(f.name for f in tmp_path.iterdir()) == ["f.csv", "f.csv.grid.json", "f.csv.npy"]
         assert np.array_equal(load_scalar_csv(str(p)).values, X + Y)  # the old dump, still whole
@@ -600,14 +603,72 @@ class TestCsvWriterOracle:
         rng = np.random.default_rng(28)
         re, im = rng.normal(size=(2, 11, 7)) * 10.0 ** rng.integers(-5, 6, size=(2, 11, 7))
         re[1, :4], im[5, 2:6] = [-0.0, 5e-324, 1e12, -1e12], [1e12, -0.0, -1e12, 5e-324]
+        # exponent forms on both sides of every format change, and zeros
+        re[3], im[9] = [3e-5, -7.25e-6, 0.0, 1e-7, 2.5e17, 1e16, 9.999999999999999e-5], [1e-4, -0.0, 0.0, 1e-6,
+                                                                                        -1e17, 123.5, 1e-5]
         mask = rng.random((11, 7)) > 0.3
-        mask[1, :4] = mask[5, 2:6] = True
+        mask[1, :4] = mask[5, 2:6] = mask[3] = mask[9] = True
         mask[:, 6] = mask[8, :] = False
         p = tmp_path / "f.csv"
         dump_scalar_csv(ScalarField(g, re, mask), str(p))
         assert p.read_text() == self.rows(g, ("value",), (re,), mask)
         dump_complex_csv(ComplexField(g, re, im, mask), str(p))
         assert p.read_text() == self.rows(g, ("re", "im"), (re, im), mask)
+
+    # blocks of two grid lines, so the 7 lines end in a short block; a block
+    # smaller than one 11-point grid line, which then takes one line
+    @pytest.mark.parametrize("block", [22, 5])
+    def test_block_boundaries(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(grid, "_CSV_BLOCK", block)
+        self.test_scalar_and_complex(tmp_path)
+
+
+def format17_text(x):
+    """grid._format17's text of each value of x, its NULs dropped."""
+    return [bytes(row[row != 0]) for row in grid._format17(np.asarray(x, dtype=float))]
+
+
+def printf_text(x):
+    return [b"%.17g" % v for v in np.asarray(x, dtype=float).tolist()]
+
+
+class TestFormat17:
+    """grid._format17 writes the bytes of b"%.17g" % v for every float64 v."""
+
+    def test_digit_lanes(self):
+        # n = k * 10001 puts k in both 4-digit lanes: every lane value once
+        n = np.arange(10**4, dtype=np.uint64) * 10001
+        want = [int.from_bytes(bytes(map(int, f"{v:08d}")), "little") for v in n.tolist()]
+        assert grid._digits8(n).tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float(self, xs):
+        assert format17_text(xs) == printf_text(xs)
+
+    def test_random_bit_patterns(self):
+        x = np.random.default_rng(33).integers(0, 2**64, 10**5, dtype=np.uint64).view(float)
+        assert format17_text(x) == printf_text(x)
+
+    def test_ties_round_half_even(self):
+        # N / 2**k, N odd and N * 5**k of 18 digits, has 18 significant digits
+        # and the last is a 5: a tie at the 17th, here at every decimal exponent
+        # from 15 down to -6; then N / 2**20 for odd N from 10001 on
+        x = [n / 2**k for k in range(2, 24) for n in range(-(-10**17 // 5**k) | 1, 10**18 // 5**k, 2)[:1000]]
+        x += (np.arange(10001, 30001, 2) / 2**20).tolist()
+        assert format17_text(x) == printf_text(x)
+
+    def test_format_boundaries_and_specials(self):
+        edges = [1e-6, 1e-5, 1e-4, 1.0, 1e16, 1e17]
+        x = [np.nextafter(e, to) for e in edges for to in (0, np.inf)] + edges
+        x = np.array(x + [-v for v in x] + [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf])
+        assert format17_text(x) == printf_text(x)
+
+    @pytest.mark.parametrize("fid", sorted(CATALOG))
+    def test_catalog_fields(self, fid):
+        f = eval_family(fid, rect_grid(CATALOG[fid].rectangle, 1 / 100))
+        x = np.concatenate([getattr(f, a.name).ravel() for a in dataclasses.fields(f)[1:-1]])
+        assert format17_text(x) == printf_text(x)
 
 
 class TestCsvCanonicalRead:
