@@ -220,14 +220,12 @@ def cmd_harmonic_build(args) -> int:
 
 
 def cmd_harmonic_verify(args) -> int:
-    u = load_complex_csv(args.u)
+    u, family = load_complex_csv(args.u)  # families eval names a weighted map in its sidecar
     tol = acceptance.base_tolerance(args.tol)
-    sidecar = args.u + ".grid.json"
-    _, family = load_grid_json(sidecar)  # families eval names a weighted map there
     if family is not None and family not in CATALOG:
-        raise ValueError(f"{sidecar}: unknown family id: {family}")
+        raise ValueError(f"{args.u}.grid.json: unknown family id: {family}")
     if family is not None and CATALOG[family].weight is None:
-        raise ValueError(f"{sidecar}: family {family} has no target-metric weight")
+        raise ValueError(f"{args.u}.grid.json: family {family} has no target-metric weight")
     w = load_scalar_csv(args.w) if args.w else None
     if w is not None:
         _one_grid((args.u, u.grid), (args.w, w.grid))

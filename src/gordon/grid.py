@@ -470,6 +470,12 @@ def _format17(x: np.ndarray) -> np.ndarray:
 
 # CSV rows assembled at a time: bounds what a dump adds to peak RSS
 _CSV_BLOCK = 1 << 13
+_SCALAR, _COMPLEX = ("value",), ("re", "im")
+
+
+def _header(names) -> str:
+    """The first line of a dump with value columns `names`, without its line ending."""
+    return ",".join(("x", "y", *names, "valid"))
 
 
 def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=None) -> None:
@@ -498,7 +504,7 @@ def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=
     rows[:, :, :fields[0]] = xs
     digest = _data_sha256(grid)
     with atomic_open(path) as fh:
-        header = (",".join(("x", "y", *names, "valid")) + "\n").encode()
+        header = (_header(names) + "\n").encode()
         digest.update(header)
         fh.write(header)
         for j in range(0, grid.ny, lines):
@@ -523,18 +529,18 @@ def _dump_csv(path: str, grid: Grid2D, names, columns, mask: np.ndarray, family=
 
 
 def dump_scalar_csv(f: ScalarField, path: str) -> None:
-    _dump_csv(path, f.grid, ("value",), (f.values,), f.mask)
+    _dump_csv(path, f.grid, _SCALAR, (f.values,), f.mask)
 
 
 def dump_complex_csv(u: ComplexField, path: str, family=None) -> None:
     """Dump u; `family` names the catalog map whose Hopf weight `harmonic verify` takes."""
-    _dump_csv(path, u.grid, ("re", "im"), (u.re, u.im), u.mask, family)
+    _dump_csv(path, u.grid, _COMPLEX, (u.re, u.im), u.mask, family)
 
 
 def dump_json(obj, path: str) -> None:
-    """Write obj as indented JSON with sorted keys, atomically."""
+    """Write obj as indented JSON with sorted keys, atomically; ValueError if it holds nan or +-inf."""
     with atomic_open(path) as fh:
-        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+        fh.write((json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode())
 
 
 def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
@@ -542,7 +548,7 @@ def dump_grid_sidecar(grid: Grid2D, path: str) -> None:
 
 
 def load_grid_json(path: str):
-    """(grid, "family" or None) of a grid JSON file such as a CSV dump's sidecar.
+    """(grid, the JSON object) of a grid JSON file such as a CSV dump's sidecar.
 
     Raises ValueError, naming the path, unless the file holds a grid object
     (see Grid2D.from_json).
@@ -550,87 +556,91 @@ def load_grid_json(path: str):
     try:
         with open(path) as fh:
             d = json.load(fh)
-        return Grid2D.from_json(d), d.get("family")
+        return Grid2D.from_json(d), d
     except ValueError as e:  # json's decode error is one
         raise ValueError(f"{path}: {e}") from e
 
 
-def _read_companion(path: str, ncols: int):
-    """(grid, value columns) of the companion `<path>.npy` if the sidecar's `data_sha256` vouches for it, else None.
+def _read_companion(path: str, g: Grid2D, data_sha256, names):
+    """Value columns of the companion `<path>.npy` if `data_sha256`, the sidecar's, vouches for it, else None.
 
-    The digest is taken again over the sidecar's grid, the CSV's bytes and the
-    companion's, so an edit to any of the three, a dump cut short, or a
+    The digest is taken again over the sidecar's grid g, the CSV's bytes and
+    the companion's, so an edit to any of the three, a dump cut short, or a
     missing or unreadable file sends the CSV to the parsing read.
     """
+    digest = _data_sha256(g)
     try:
-        with open(path + ".grid.json") as fh:
-            sidecar = json.load(fh)
-        g = Grid2D.from_json(sidecar)
-        digest = _data_sha256(g)
         with open(path, "rb") as fh:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(chunk)
         with open(path + ".npy", "rb") as fh:
             npy = fh.read()
         digest.update(npy)
-        if digest.hexdigest() != sidecar.get("data_sha256"):
+        if digest.hexdigest() != data_sha256:
             return None
         table = np.load(io.BytesIO(npy), allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
-    if table.dtype != np.float64 or not table.flags.c_contiguous or table.shape != (g.nx * g.ny, ncols - 2):
+    if table.dtype != np.float64 or not table.flags.c_contiguous or table.shape != (g.nx * g.ny, len(names) + 1):
         return None
-    return g, list(table.T)
+    return list(table.T)
 
 
-def _read_checked(path: str, ncols: int):
-    """(grid, value columns) of any file: x and y parsed and held to Grid2D.index_of_x's tolerance."""
-    with warnings.catch_warnings():  # an empty file: rejected by its shape
+def _read_checked(path: str, g: Grid2D, names):
+    """Value columns of any file on grid g: its header checked, x and y parsed and held to index_of_x's tolerance."""
+    with open(path, encoding="latin-1") as fh:  # any byte decodes; universal newlines, as np.loadtxt reads
+        found = fh.readline().removesuffix("\n")
+    if found != _header(names):
+        raise ValueError(f"expected the columns {_header(names)!r} on line 1, found {found!r}")
+    with warnings.catch_warnings():  # a header and no rows: rejected by its shape
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    try:
-        g = load_grid_json(path + ".grid.json")[0]
-    except FileNotFoundError:
-        raise ValueError(f"its grid sidecar {path}.grid.json is missing") from None
-    n = g.nx * g.ny
+    n, ncols = g.nx * g.ny, len(names) + 3
     if data.shape != (n, ncols):
         raise ValueError(f"expected {n} rows of {ncols} columns, the y-major points of its sidecar's "
                          f"{g.nx} x {g.ny} grid, got {data.shape[0]} x {data.shape[1]}")
     if not (np.all(np.abs(data[:, 0] - np.tile(g.x(), g.ny)) <= 1e-9 * max(1.0, g.hx))
             and np.all(np.abs(data[:, 1] - np.repeat(g.y(), g.nx)) <= 1e-9 * max(1.0, g.hy))):
         raise ValueError(f"rows are not the y-major points of its sidecar's {g.nx} x {g.ny} grid")
-    return g, [data[:, k] for k in range(2, ncols)]
+    return [data[:, k] for k in range(2, ncols)]
 
 
-def _load_csv(path: str, ncols: int, build):
-    """build(grid, value columns as (nx, ny) arrays, mask) of a dump with ncols columns.
+def _load_csv(path: str, names, build):
+    """(build(grid, value columns as (nx, ny) arrays, mask), the sidecar's "family" or None) of a dump.
 
-    The grid is that of the dump's sidecar `<path>.grid.json`, which is
-    required, so a file cut at a whole grid row is rejected. Raises
-    ValueError, naming the path, unless the sidecar holds a grid, the rows
-    are that grid's points in y-major order with ncols entries each, every
-    entry of the last (valid) column is 0 or 1, and numpy's parser and build
-    accept the data. The columns come from the dump's companion `<path>.npy`
-    when the sidecar's digest shows that none of the three files changed
-    since the dump; otherwise the CSV is parsed, x and y held to
-    Grid2D.index_of_x's tolerance, and that read decides and words the error.
-    Either way the same checks run on the columns.
+    `names` are the value columns its writer passed to _dump_csv. The
+    sidecar `<path>.grid.json` is read first, and once, through
+    load_grid_json; it is required and gives the grid, so a file cut at a
+    whole grid row is rejected, and a missing CSV is reported as itself.
+    Raises ValueError, naming the path, unless the sidecar holds a grid, the
+    rows are that grid's points in y-major order under the writer's header,
+    every entry of the last (valid) column is 0 or 1, and numpy's parser and
+    build accept the data. The columns come from the dump's companion
+    `<path>.npy` when the sidecar's digest shows that none of the three files
+    changed since the dump; otherwise the CSV is parsed, its header checked,
+    x and y held to Grid2D.index_of_x's tolerance, and that read decides and
+    words the error. Either way the same checks run on the columns.
     """
     try:
-        g, cols = _read_companion(path, ncols) or _read_checked(path, ncols)
+        try:
+            g, sidecar = load_grid_json(path + ".grid.json")
+        except FileNotFoundError:
+            os.stat(path)  # a missing CSV raises here, naming itself
+            raise ValueError(f"its grid sidecar {path}.grid.json is missing") from None
+        cols = _read_companion(path, g, sidecar.get("data_sha256"), names) or _read_checked(path, g, names)
         if not np.all((cols[-1] == 0) | (cols[-1] == 1)):
             raise ValueError("the valid column holds a value other than 0 and 1")
         cols = [np.ascontiguousarray(c.reshape(g.ny, g.nx).T) for c in cols]
-        return build(g, *cols[:-1], cols[-1].astype(bool))
+        return build(g, *cols[:-1], cols[-1].astype(bool)), sidecar.get("family")
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
 
 def load_scalar_csv(path: str) -> ScalarField:
     """The dumped field bit for bit; a non-finite value at a valid point raises ValueError."""
-    return _load_csv(path, 4, ScalarField)
+    return _load_csv(path, _SCALAR, ScalarField)[0]
 
 
-def load_complex_csv(path: str) -> ComplexField:
-    """The dumped map bit for bit, as load_scalar_csv."""
-    return _load_csv(path, 5, ComplexField)
+def load_complex_csv(path: str):
+    """(u, family) of dump_complex_csv(u, path, family): u bit for bit, as load_scalar_csv, and family or None."""
+    return _load_csv(path, _COMPLEX, ComplexField)

@@ -1,11 +1,13 @@
 """Verification reports: named checks with norms, tolerances, and flags.
 
 Reports serialize to JSON deterministically (checks ordered by name, floats
-at 17 significant digits via repr) and are written atomically.
+at 17 significant digits via repr, a non-finite sup or ratio as null) and
+are written atomically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .grid import dump_json
@@ -27,7 +29,7 @@ class CheckResult:
         d = {
             "name": self.name,
             "anchor": self.anchor,
-            "sup_norm": self.sup,
+            "sup_norm": self.sup if math.isfinite(self.sup) else None,  # strict JSON has no nan or inf
             "valid_points": self.count,
             "tolerance": self.tol,
             "passed": self.passed,
@@ -37,7 +39,7 @@ class CheckResult:
         if self.grid is not None:
             d["grid"] = self.grid
         if self.ratio is not None:
-            d["convergence_ratio"] = self.ratio
+            d["convergence_ratio"] = self.ratio if math.isfinite(self.ratio) else None
         return d
 
     def line(self) -> str:

@@ -146,6 +146,22 @@ class TestVerify:
         assert f"{fid} is a {kind}" in cap.err and "--convergence" in cap.err
         assert cap.out == "" and not out.exists()
 
+    def test_a_report_with_an_empty_check_is_strict_json(self, tmp_path, capsys):
+        # W_ONE_SOLITON is valid only where x < 0: no point of this grid is, so
+        # the check has no sup and no ratio, and fails
+        out = tmp_path / "r.json"
+        assert main(["verify", "--family", "W_ONE_SOLITON", "--grid",
+                     '{"x0":0.1,"x1":0.5,"y0":-0.5,"y1":0.5,"nx":41,"ny":101}', "--convergence",
+                     "--json", str(out)]) == 1
+        assert "sup=nan" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        (check,) = json.loads(out.read_text(), parse_constant=reject)["checks"]
+        assert check["valid_points"] == 0 and check["passed"] is False
+        assert check["sup_norm"] is None and check["convergence_ratio"] is None
+
     def test_json_report_deterministic(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         args = [
@@ -201,7 +217,8 @@ class TestHarmonic:
             "--grid", coarse(0.0, 0.6, -0.35, 0.35, h=0.025), "--tol", "0.1",
         ])
         assert rc == 0
-        u = load_complex_csv(prefix + ".u.csv")
+        u, family = load_complex_csv(prefix + ".u.csv")
+        assert family is None
         assert np.all(u.im[u.mask] > 0)
         for name in ("I1", "I2", "I3", "I4"):
             assert (tmp_path / f"map.{name}.csv").exists()
@@ -278,6 +295,28 @@ class TestHarmonic:
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["harmonic", "verify", "--u", "/nonexistent/u.csv"]) == 2
+        err = capsys.readouterr().err  # named as itself, not as a missing sidecar
+        assert "/nonexistent/u.csv" in err and "grid.json" not in err
+
+    @pytest.mark.parametrize("read", ["companion", "parsing"])
+    def test_verify_reads_the_map_sidecar_once(self, read, tmp_path, capsys, monkeypatch):
+        # the family comes back with the map: harmonic verify opens no sidecar itself
+        monkeypatch.chdir(tmp_path)
+        assert main(["families", "eval", "--family", "U_EX2", "--out", "u.csv", "--h", "0.05"]) == 0
+        if read == "parsing":
+            os.unlink("u.csv.npy")
+        reads = []
+        real_open = open
+
+        def spy(file, *args, **kwargs):
+            if str(file).endswith(".grid.json"):
+                reads.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        assert main(["harmonic", "verify", "--u", "u.csv"]) in (0, 1)
+        assert "target-metric weight" in capsys.readouterr().out
+        assert reads == ["u.csv.grid.json"]
 
     def test_degenerate_map_is_a_failure(self, tmp_path, capsys):
         # a constant map has dz_u = 0 everywhere: a numerical breakdown, exit 1
@@ -505,7 +544,7 @@ class TestRejectedInput:
         assert main(["harmonic", "build", "--pair", "W_SQRT2,THETA_SQRT2", "--S0", "0.5", "--out", prefix,
                      "--grid", coarse(0.0, 0.6, -0.35, 0.35, h=0.025), "--tol", "0.1"]) == 0
         u = pathlib.Path(prefix + ".u.csv")
-        nx = load_complex_csv(str(u)).grid.nx
+        nx = load_complex_csv(str(u))[0].grid.nx
         u.write_text("".join(u.read_text().splitlines(True)[:-nx]))
         capsys.readouterr()
         assert main(["harmonic", "verify", "--u", str(u)]) == 2
@@ -517,6 +556,7 @@ class TestRejectedInput:
         ("blank valid", "could not convert string ''"),
         ("header only", "columns"),
         ("empty", "columns"),
+        ("x and y swapped in the header", "expected the columns 'x,y,"),
         ("nan at a valid point", "non-finite values at valid points"),
         ("sidecar not an object", "f.csv.grid.json: a grid is a JSON object"),
         ("sidecar missing a key", "f.csv.grid.json: a grid is a JSON object with the keys"),
@@ -547,6 +587,7 @@ class TestRejectedInput:
         else:
             p.write_text("".join({
                 "one row": lines[:2], "header only": lines[:1], "empty": [],
+                "x and y swapped in the header": ["y,x," + lines[0][4:]] + lines[1:],
                 "blank valid": lines[:3] + [",".join(row[:-1]) + ",\n"] + lines[4:],
                 "nan at a valid point": lines[:3] + [",".join(row[:2] + ["nan"] + row[3:])] + lines[4:],
             }[edit]))
@@ -741,8 +782,11 @@ def test_every_csv_has_its_grid_sidecar(tmp_path, capsys, monkeypatch):
         assert re.fullmatch("[0-9a-f]{64}", sidecar.pop("data_sha256")), name
         assert sidecar == g.to_json() | ({"family": "U_EX2"} if name == "u_ex2.csv" else {}), name
         assert pathlib.Path(name + ".npy").is_file(), name
-        load = load_complex_csv if name in ("u.csv", "u_ex2.csv", "map.u.csv") else load_scalar_csv
-        assert load(name).grid == g, name
+        if name in ("u.csv", "u_ex2.csv", "map.u.csv"):  # the map comes back with the family its sidecar names
+            u, family = load_complex_csv(name)
+            assert (u.grid, family) == (g, "U_EX2" if name == "u_ex2.csv" else None), name  # u.csv: U_SQRT2
+        else:
+            assert load_scalar_csv(name).grid == g, name
 
 
 def test_cli_loads_its_own_dumps_from_their_companions(tmp_path, capsys, monkeypatch):
@@ -755,8 +799,8 @@ def test_cli_loads_its_own_dumps_from_their_companions(tmp_path, capsys, monkeyp
     loaded = []
     real = grid_module._read_companion
 
-    def companion(path, ncols):
-        read = real(path, ncols)
+    def companion(path, *rest):
+        read = real(path, *rest)
         loaded.append((path, read is not None))
         return read
 

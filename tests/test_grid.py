@@ -323,8 +323,8 @@ class TestCsvRoundTrip:
         u = complex_field(g, X, Y + 1)
         p = tmp_path / "u.csv"
         dump_complex_csv(u, str(p))
-        back = load_complex_csv(str(p))
-        assert back.grid == g
+        back, family = load_complex_csv(str(p))
+        assert back.grid == g and family is None
         assert np.array_equal(back.re, u.re) and np.array_equal(back.im, u.im)
 
     def test_bytes(self, tmp_path):
@@ -351,11 +351,11 @@ class TestCsvRoundTrip:
         p = tmp_path / "u.csv"
         for fld, names, cols, dump, load in [
             (ScalarField(g, re, mask), ("value",), (re,), dump_scalar_csv, load_scalar_csv),
-            (ComplexField(g, re, im, mask), ("re", "im"), (re, im), dump_complex_csv, load_complex_csv),
+            (ComplexField(g, re, im, mask), ("re", "im"), (re, im), dump_complex_csv, load_map),
         ]:
             dump(fld, str(p))
             assert p.read_text() == csv_oracle(g, names, cols, mask)
-            for companion in (grid._read_companion, lambda path, ncols: None):  # its read, then the parsing read
+            for companion in (grid._read_companion, lambda *read: None):  # its read, then the parsing read
                 with mock.patch.object(grid, "_read_companion", companion):
                     back = load(str(p))
                 assert back.grid == g and np.array_equal(back.mask, mask)
@@ -400,6 +400,13 @@ class TestCsvRoundTrip:
         p = tmp_path / "g.json"
         dump_grid_sidecar(g, str(p))
         assert Grid2D.from_json(json.loads(p.read_text())) == g
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_json_files_hold_no_nan_or_infinity(self, bad, tmp_path):
+        # strict JSON has no literal for them: the write fails, and leaves no file
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            grid.dump_json({"sup_norm": bad}, str(tmp_path / "r.json"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_dump_writes_the_sidecar_and_load_requires_it(self, tmp_path):
         g = make_grid(0, 2, -1, 1, 9, 11)
@@ -544,6 +551,11 @@ def grids(draw):
     return Grid2D(x0, x0 + wx, y0, y0 + wy, draw(st.integers(5, 12)), draw(st.integers(5, 12)))
 
 
+def load_map(path):
+    """The map of load_complex_csv, without the family its sidecar names."""
+    return load_complex_csv(path)[0]
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -568,7 +580,7 @@ class TestCsvRoundTripProperty:
         u = ComplexField(g, data.draw(arrays(float, shape, elements=values64)),
                          data.draw(arrays(float, shape, elements=values64)),
                          data.draw(arrays(bool, shape)))
-        back = self._round_trip(u, g, dump_complex_csv, load_complex_csv)
+        back = self._round_trip(u, g, dump_complex_csv, load_map)
         assert np.array_equal(_bits(back.re), _bits(u.re))
         assert np.array_equal(_bits(back.im), _bits(u.im))
         assert np.array_equal(back.mask, u.mask)
@@ -698,12 +710,25 @@ class TestCsvCanonicalRead:
         calls = []
         real = grid._read_checked
 
-        def checked(path, ncols):
+        def checked(path, g, names):
             calls.append(path)
-            return real(path, ncols)
+            return real(path, g, names)
 
         monkeypatch.setattr(grid, "_read_checked", checked)
         return calls
+
+    @staticmethod
+    def sidecar_reads(monkeypatch):
+        """The paths of the grid sidecars gordon.grid opens, in order."""
+        reads = []
+
+        def spy(file, *args, **kwargs):
+            if str(file).endswith(".grid.json"):
+                reads.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(grid, "open", spy, raising=False)
+        return reads
 
     @staticmethod
     def outcome(load, p):
@@ -733,7 +758,7 @@ class TestCsvCanonicalRead:
     def test_an_edited_dump_takes_the_parsing_read(self, edit, complex_, tmp_path, monkeypatch):
         # the digest covers the sidecar's grid, the CSV and the companion: an
         # edit to any of them returns what the parsing read returns
-        load = load_complex_csv if complex_ else load_scalar_csv
+        load = load_map if complex_ else load_scalar_csv
         p = self.dumped(tmp_path, complex_)
         npy, sidecar = tmp_path / "f.csv.npy", tmp_path / "f.csv.grid.json"
         before, dumped = load(str(p)), self.outcome(load, p)
@@ -791,16 +816,73 @@ class TestCsvCanonicalRead:
         # its companion vouches for its own columns only: a complex load of a
         # scalar dump, or the reverse, gets the parsing read's rejection
         p = self.dumped(tmp_path, complex_)
-        load = load_scalar_csv if complex_ else load_complex_csv
+        load = load_scalar_csv if complex_ else load_map
         with mock.patch.object(grid, "_read_companion", return_value=None):
             parsed = self.outcome(load, p)
-        assert "expected 63 rows of" in parsed and self.outcome(load, p) == parsed
+        assert "expected the columns" in parsed and self.outcome(load, p) == parsed
+
+    @pytest.mark.parametrize("read", ["companion", "parsing"])
+    def test_one_load_reads_its_sidecar_once(self, read, tmp_path, monkeypatch):
+        p = self.dumped(tmp_path, complex_=True)
+        if read == "parsing":
+            (tmp_path / "f.csv.npy").unlink()
+        calls, reads = self.spy(monkeypatch), self.sidecar_reads(monkeypatch)
+        assert load_map(str(p)).grid.nx == 7
+        assert reads == [f"{p}.grid.json"] and calls == ([str(p)] if read == "parsing" else [])
+
+    @pytest.mark.parametrize("sidecar,message", [(None, "its grid sidecar .* is missing"),
+                                                 ("[1, 2]", "a grid is a JSON object")],
+                             ids=["missing", "not a grid"])
+    def test_a_bad_sidecar_is_reported_before_the_csv_is_parsed(self, sidecar, message, tmp_path, monkeypatch):
+        p = self.dumped(tmp_path)
+        if sidecar is None:
+            (tmp_path / "f.csv.grid.json").unlink()
+        else:
+            (tmp_path / "f.csv.grid.json").write_text(sidecar)
+        monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError("the CSV was parsed")))
+        with pytest.raises(ValueError, match=message):
+            load_scalar_csv(str(p))
+
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["both missing", "sidecar left"])
+    def test_a_missing_csv_is_named_as_itself(self, sidecar, tmp_path):
+        p = self.dumped(tmp_path)
+        p.unlink()
+        if not sidecar:
+            (tmp_path / "f.csv.grid.json").unlink()
+        with pytest.raises(FileNotFoundError) as e:
+            load_scalar_csv(str(p))
+        assert e.value.filename == str(p) and "grid.json" not in str(e.value)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["scalar", "complex"])
+    @pytest.mark.parametrize("edit", ["columns swapped", "valid dropped", "comma added", "blank"])
+    def test_the_parsing_read_checks_the_header(self, edit, complex_, tmp_path):
+        # an edited header changes the CSV's bytes, so the parsing read decides:
+        # it takes no column by position under another name
+        load = load_map if complex_ else load_scalar_csv
+        p = self.dumped(tmp_path, complex_)
+        lines = p.read_text().splitlines(True)
+        dumped = lines[0].removesuffix("\n")
+        found = {"columns swapped": "x,y,im,re,valid" if complex_ else "x,y,valid,value",
+                 "valid dropped": dumped.removesuffix(",valid"), "comma added": dumped + ",", "blank": ""}[edit]
+        p.write_text("".join([found + "\n"] + lines[1:]))
+        with pytest.raises(ValueError) as e:
+            load(str(p))
+        assert str(e.value) == f"{p}: expected the columns {dumped!r} on line 1, found {found!r}"
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["scalar", "complex"])
+    def test_crlf_line_endings_load_the_same_bits(self, complex_, tmp_path, monkeypatch):
+        load = load_map if complex_ else load_scalar_csv
+        p = self.dumped(tmp_path, complex_)
+        dumped = self.outcome(load, p)
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        calls = self.spy(monkeypatch)
+        assert self.outcome(load, p) == dumped and calls == [str(p)]
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["scalar", "complex"])
     @pytest.mark.parametrize("fn", [lambda t: f"{float(t):.15g}", lambda t: t if t[0] == "-" else "+" + t],
                              ids=["15g", "plus"])
     def test_other_coordinate_text_loads_the_same_bits(self, fn, complex_, tmp_path, monkeypatch):
-        load = load_complex_csv if complex_ else load_scalar_csv
+        load = load_map if complex_ else load_scalar_csv
         p = self.dumped(tmp_path, complex_)
         before = load(str(p))
         calls = self.spy(monkeypatch)
@@ -843,7 +925,7 @@ class TestCsvCanonicalRead:
                 dump_scalar_csv(field(G, X * Y, X > Y), p)
                 assert np.array_equal(load_scalar_csv(p).values, np.where(X > Y, X * Y, 0.0))
                 dump_complex_csv(complex_field(G, X, Y), p)
-                assert np.array_equal(load_complex_csv(p).im, Y)
+                assert np.array_equal(load_map(p).im, Y)
         assert calls == []
 
     @FAST
