@@ -18,10 +18,11 @@ matrices.  Sampled data is read through local cubic Hermite cells, whose
 node slopes are fourth-order five-point differences (grid.node_slopes), so
 the sampled march is fourth order too.  A point is valid while the partner
 stays within W_CAP from the seed to it.  The seed line is tabulated as one
-line, then every other line is swept at once, in process, with the bits of
-a cell-by-cell march.  The closed-form w printed for the tanh theta family is
-evaluated verbatim and *checked against* the quadrature construction, never
-trusted.
+line and advanced on Python floats, then every other line is swept at once,
+in process, with the bits of a cell-by-cell march; np.unwrap runs only on
+the lines that cross the cut of atan2.  The closed-form w printed for the
+tanh theta family is evaluated verbatim and *checked against* the
+quadrature construction, never trusted.
 """
 
 from __future__ import annotations
@@ -180,10 +181,22 @@ def _magnus(h, A1, A2):
 
 
 def _advance(p, q, e11, e12, e21, e22):
-    """(p, q) times one cell's matrix, rescaled to |p| + |q| = 1."""
+    """(p, q) times one cell's matrix, rescaled to |p| + |q| = 1; Python floats give the bits of arrays (0/0: nan)."""
     p, q = e11 * p + e12 * q, e21 * p + e22 * q
-    s = np.abs(p) + np.abs(q)
-    return p / s, q / s
+    s = abs(p) + abs(q)
+    try:
+        return p / s, q / s
+    except ZeroDivisionError:
+        return np.nan, np.nan
+
+
+def _unwrap(u):
+    """np.unwrap(u, axis=0), run on the lines with a step not below pi; elsewhere its bits, u + 0.0 below row 0."""
+    turn = u + 0.0
+    turn[0] = u[0]
+    wraps = (~(np.abs(np.diff(u, axis=0)) < np.pi)).any(axis=0)  # nan and inf too
+    turn[:, wraps] = np.unwrap(u[:, wraps], axis=0)
+    return turn
 
 
 def _sweep(axis, k0, u0, tab, coeffs, periodic):
@@ -193,10 +206,12 @@ def _sweep(axis, k0, u0, tab, coeffs, periodic):
     if periodic, else tanh(u/2), so that v = p/q obeys v' = a + b v + c v^2
     with (a, b, c) = coeffs(*tab(lo, T)), tab giving the given field and its
     cross derivative at the Gauss points T of the cells from lo on (see
-    _tabulator).  Cells below k0 are crossed
-    by the adjugate (the inverse, det 1).  u is 2 artanh(p/q), or u0 plus
-    the change of 2 atan2(p, q) made continuous from k0.  A point is valid
-    while |u| <= W_CAP (so not nan) from k0 to it; invalid points read 0.
+    _tabulator).  Cells below k0 are crossed by the adjugate (the inverse,
+    det 1).  One line (the seed) advances on Python floats, with the bits of
+    arrays.  u is 2 artanh(p/q), or u0 plus the change of 2 atan2(p, q) made
+    continuous from k0 by np.unwrap, on the lines that wrap (_unwrap).  A
+    point is valid while |u| <= W_CAP (so not nan) from k0 to it; invalid
+    points read 0.
     """
     n, m = len(axis), len(u0)
     h = np.diff(axis)
@@ -210,16 +225,19 @@ def _sweep(axis, k0, u0, tab, coeffs, periodic):
         p, q = np.empty((n, m)), np.empty((n, m))
         p[k0], q[k0] = (np.sin(u0 / 2), np.cos(u0 / 2)) if periodic else (np.tanh(u0 / 2), 1.0)
         e11, e12, e21, e22 = E
+        if m == 1:  # one line (the seed): _advance on Python floats, not 1-entry arrays
+            p, q, e11, e12, e21, e22 = (a[:, 0].tolist() for a in (p, q, e11, e12, e21, e22))
         for k in range(k0, n - 1):
             p[k + 1], q[k + 1] = _advance(p[k], q[k], e11[k], e12[k], e21[k], e22[k])
         for k in range(k0, 0, -1):
             p[k - 1], q[k - 1] = _advance(p[k], q[k], e22[k - 1], -e12[k - 1], -e21[k - 1], e11[k - 1])
+        p, q = np.reshape(p, (n, m)), np.reshape(q, (n, m))
         u = 2 * np.arctan2(p, q) if periodic else 2 * np.arctanh(p / q)
         u[k0] = u0
         ok = np.empty((n, m), dtype=bool)
         for side in (np.s_[k0:], np.s_[k0::-1]):
             if periodic:
-                turn = np.unwrap(u[side], axis=0)
+                turn = _unwrap(u[side])
                 u[side] = u0 + (turn - turn[0])
             ok[side] = np.logical_and.accumulate(np.abs(u[side]) <= W_CAP, axis=0)
     return np.where(ok, u, 0.0), ok
@@ -266,8 +284,8 @@ def theta_to_w(theta: ScalarField, w00: float, analytic=None) -> ScalarField:
     t_y = (-th_x/2 - cos th) + (th_x/2 - cos th) t^2.
     """
     def line(th, th_x):
-        cos = np.cos(th)
-        return -th_x / 2 - cos, 0.0, th_x / 2 - cos
+        half, cos = th_x / 2, np.cos(th)
+        return -half - cos, 0.0, half - cos
 
     return _march(theta, w00, analytic, 0,
                   lambda th, th_y: (th_y / 2, -2 * np.sin(th), -th_y / 2), line, periodic=False)
@@ -281,9 +299,12 @@ def w_to_theta(w: ScalarField, theta00: float, analytic=None) -> ScalarField:
     s = tan(theta/2) these read s_y = w_x/2 + 2 sinh(w) s + (w_x/2) s^2 and
     s_x = (-w_y/2 - cosh w) + (cosh w - w_y/2) s^2.
     """
+    def line(wv, w_y):
+        half, cosh = w_y / 2, np.cosh(wv)
+        return -half - cosh, 0.0, cosh - half
+
     return _march(w, theta00, analytic, 1,
-                  lambda wv, w_x: (w_x / 2, 2 * np.sinh(wv), w_x / 2),
-                  lambda wv, w_y: (-w_y / 2 - np.cosh(wv), 0.0, np.cosh(wv) - w_y / 2), periodic=True)
+                  lambda wv, w_x: (w_x / 2, 2 * np.sinh(wv), w_x / 2), line, periodic=True)
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,15 @@ def _march_case(case, sampled):
     return march(f, u00, analytic=analytic), f, analytic
 
 
+# theta00 near +-2 pi: theta crosses the branch cut of 2 atan2(p, q) at +-2 pi,
+# so the continuity step (np.unwrap) has work to do.  At h = 1/50, 6.0 wraps
+# all 31 rows and not the seed column x = 0; -6.2 wraps the seed column too
+WRAP_CASES = [
+    ("w2t", "W_SQRT2", (0.0, 0.6, -0.3, 0.3), 6.0),
+    ("w2t", "W_SQRT2", (0.0, 0.6, -0.3, 0.3), -6.2),
+]
+
+
 class TestTabulatedMarch:
     @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
     @pytest.mark.parametrize("case", MARCH_CASES, ids=_case_id)
@@ -476,6 +485,96 @@ class TestTabulatedMarch:
         march = theta_to_w if direction == "t2w" else w_to_theta
         march(eval_family(fid, g), 0.5, analytic=counted)
         assert 0 < len(calls) <= 3 * ((g.nx - 1) + (g.ny - 1))
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize("case", WRAP_CASES, ids=lambda case: f"theta00={case[3]}")
+    def test_wrapping_lines_bit_identical(self, case, sampled):
+        direction, _, _, u00 = case
+        got, f, analytic = _march_case(case, sampled)
+        vals, ok = reference_march(f, u00, direction, analytic)
+        assert np.array_equal(got.mask, ok)
+        assert np.array_equal(got.values, vals)
+        # 2 atan2 reads within (-2 pi, 2 pi]: a point beyond is one where the
+        # unwrap fired, on a row (off the seed column) or on the seed column
+        beyond = ok & (np.abs(vals) > 2 * np.pi)
+        i0 = got.grid.index_of_x(0.0)
+        assert np.delete(beyond, i0, axis=0).any()
+        assert beyond[i0].any() == (u00 < 0)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize("case", WRAP_CASES, ids=lambda case: f"theta00={case[3]}")
+    def test_wrapping_lines_stay_continuous(self, case, sampled):
+        # theta is smooth: no step between neighbours along either march axis
+        # (x for the rows, y for the seed column) comes near pi; a march that
+        # kept a jump of 4 pi at the cut would show it here
+        got, _, _ = _march_case(case, sampled)
+        assert got.mask.all()
+        for axis in (0, 1):
+            assert (np.abs(np.diff(got.values, axis=axis)) < np.pi).all()
+
+
+def _same_bits(a, b):
+    """a and b hold the same float64 bits, nan aside: a nan must meet a nan, of either sign.
+
+    numpy's own nan sign depends on the layout: with numpy 2.4 on x86-64,
+    np.unwrap of the column (0.1, -inf, 0.3, nan) ends in +nan alone and in
+    -nan beside eight other columns.  No march output reads it: a nan point
+    is masked to 0.0.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+class TestUnwrapRule:
+    def test_bits_of_np_unwrap(self):
+        # columns: smooth; steps of exactly +pi and -pi (np.unwrap's boundary
+        # rule decides them); jumps of 4 pi; nan; +inf; -inf; -0.0 in rows 0,
+        # 1 and 3 of a line with no wrap; -0.0 on a line that wraps
+        pi = np.pi
+        u = np.array([
+            [0.1, 0.0, 0.0, 6.0, 0.1, 0.1, 0.1, -0.0, -0.0],
+            [0.2, pi, -pi, 6.2 - 4 * pi, np.nan, np.inf, -np.inf, -0.0, -0.0],
+            [0.3, 2 * pi, -2 * pi, 6.1, 0.3, 0.3, 0.3, 0.5, 4.0],
+            [-0.0, 0.5, -0.5, 6.3 - 4 * pi, 0.4, -np.inf, np.nan, -0.0, -0.0],
+        ])
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(backlund._unwrap(u), np.unwrap(u, axis=0))
+            for c in range(u.shape[1]):  # each line alone, and each line's last row as a one-row side
+                for line in (u[:, [c]], u[3:, [c]]):
+                    assert _same_bits(backlund._unwrap(line), np.unwrap(line, axis=0))
+            # on a line with no wrap, -0.0 stays in row 0 and turns into 0.0 below it
+            assert np.signbit(backlund._unwrap(u)[:, 7]).tolist() == [True, False, False, False]
+
+    def test_random_walks(self):
+        # steps up to 2 pi: about half the lines wrap somewhere
+        rng = np.random.default_rng(7)
+        u = np.cumsum(rng.uniform(-1, 1, (50, 40)) * rng.choice([0.5, 2 * np.pi], 40), axis=0)
+        u[rng.integers(0, 50, 30), rng.integers(0, 40, 30)] = -0.0
+        assert _same_bits(backlund._unwrap(u), np.unwrap(u, axis=0))
+        assert 0 < np.count_nonzero((np.abs(np.diff(u, axis=0)) >= np.pi).any(axis=0)) < 40
+
+
+class TestFloatAdvance:
+    # zero, signed zero, subnormal, ordinary, huge, +-inf and nan entries
+    VALUES = (0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1 / 3, 0.75, 1e308, -1e300, np.inf, -np.inf, np.nan)
+
+    def test_floats_give_the_bits_of_one_entry_arrays(self):
+        rng = np.random.default_rng(3)
+        picks = rng.choice(len(self.VALUES), (4000, 6))
+        picks[:12] = np.arange(12)[:, None]  # every value in every slot at once: 0/0 among them
+        for row in picks:
+            args = [self.VALUES[i] for i in row]
+            with np.errstate(all="ignore"):
+                want = backlund._advance(*(np.array([a]) for a in args))
+            got = backlund._advance(*args)
+            assert all(type(v) is float for v in got)
+            assert _same_bits(got, np.concatenate(want))
+
+    def test_zero_divisor_gives_nan(self):
+        # (p, q) = (0, 0) after the product: numpy divides 0/0 to nan, Python raises
+        assert all(np.isnan(v) for v in backlund._advance(1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+        assert all(np.isnan(v) for v in backlund._advance(0.0, -0.0, 2.0, 3.0, -1.0, 4.0))
 
 
 class TestClosedFormTanh:
