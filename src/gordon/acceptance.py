@@ -73,12 +73,12 @@ RATIO_BAND = (3.5, 4.5)  # acceptable residual drop under h-halving
 MARCH_RECT_SQRT2 = (0.0, 0.6, -0.35, 0.35)  # contains both axis lines
 ROUNDTRIP_RECT = (-0.25, 0.25, -0.25, 0.25)
 POINCARE_RECT = (0.0, 1.0, 8.0, 12.0)  # far from y = 0 so 1/y^2 is mild
-SQRT2 = np.sqrt(2.0)
 # the tanh family's sqrt(2) set: (c4, c5, c6) = (-4, 4, 4), slopes C'(0) = 2, D'(0) = -2
 SQRT2_SET = (-4.0, 4.0, 4.0, 2.0, -2.0)
 # long criteria first, so short ones fill in behind (`--diagnostics` times each).
-# On two shared vCPUs c4 or c7 first gave the same wall as c2 first, and plain
-# order won 9 of 22 alternating 10-s acceptance-full pairs against this one
+# In 60 alternating in-process run_acceptance() pairs on two shared vCPUs plain
+# order was faster in 18 and never had the lower median of a run of 20; c7 or
+# c4 first matched c2 first within its quartiles
 LONGEST_FIRST = (2, 7, 4, 1, 5, 3, 6, 8)
 
 
@@ -338,7 +338,7 @@ def criterion_6(h, tol):
     i0, j0 = g.origin()
     x = g.x()
 
-    printed_I1 = x - np.arctanh(np.tanh(SQRT2 * x) / SQRT2)
+    printed_I1 = x - np.arctanh(np.tanh(families.SQRT2 * x) / families.SQRT2)
     sup = float(np.max(np.abs(result.I1.values[:, j0] - printed_I1)))
     checks = [make_check(
         "c6.ppfd.I1_vs_printed", "I1(x) = x - artanh(tanh(sqrt2 x)/sqrt2)",
@@ -424,7 +424,7 @@ def criterion_8(h):
     # sqrt(2) profile by direct integration: only (q2, q0) = (-4, 4) with
     # slope 2 reproduces sqrt(2)*tanh(sqrt(2) x)
     axis = np.linspace(-1.0, 1.0, int(round(2.0 / h)) + 1)
-    target = SQRT2 * np.tanh(SQRT2 * axis)
+    target = families.SQRT2 * np.tanh(families.SQRT2 * axis)
 
     def mismatch(q2, q0, dp0):
         sp = integrate_profile(QuarticProfile(1.0, q2, q0, 0.0, dp0), axis)

@@ -16,13 +16,13 @@ points of every cell in vectorized blocks of at most MARCH_BLOCK entries,
 all transfer matrices are formed in one pass, and the march multiplies 2x2
 matrices.  Sampled data is read through local cubic Hermite cells, whose
 node slopes are fourth-order five-point differences (grid.node_slopes), so
-the sampled march is fourth order too.  A point is valid while the partner
-stays within W_CAP from the seed to it.  The seed line is tabulated as one
-line and advanced on Python floats, then every other line is swept at once,
-in process, with the bits of a cell-by-cell march; np.unwrap runs only on
-the lines that cross the cut of atan2.  The closed-form w printed for the
-tanh theta family is evaluated verbatim and *checked against* the
-quadrature construction, never trusted.
+the sampled march is fourth order too.  A point is valid while w stays
+within W_CAP, or theta finite, from the seed to it.  The seed line is
+tabulated as one line and advanced on Python floats, then every other line
+is swept at once, in process, with the bits of a cell-by-cell march;
+np.unwrap runs only on the lines that cross the cut of atan2.  The
+closed-form w printed for the tanh theta family is evaluated verbatim and
+*checked against* the quadrature construction, never trusted.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .grid import (
 )
 
 MARCH_SUBSTEPS = 1  # Magnus steps per cell; perfbench counts backlund.rk4_substeps from it
-W_CAP = 30.0  # |w| beyond this overflows cosh/sinh scales; treat as blow-up
+W_CAP = 30.0  # |w| beyond this overflows cosh/sinh scales; treat as blow-up (theta, an angle, has no cap)
 _FD_STEP = 1e-5  # small-step derivative for analytic callables
 MARCH_BLOCK = 1 << 16  # table entries per coefficient call: at most 0.5 MB a table
 _GAUSS = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])  # Gauss points of a unit cell
@@ -210,8 +210,8 @@ def _sweep(axis, k0, u0, tab, coeffs, periodic):
     det 1).  One line (the seed) advances on Python floats, with the bits of
     arrays.  u is 2 artanh(p/q), or u0 plus the change of 2 atan2(p, q) made
     continuous from k0 by np.unwrap, on the lines that wrap (_unwrap).  A
-    point is valid while |u| <= W_CAP (so not nan) from k0 to it; invalid
-    points read 0.
+    point is valid while u is finite if periodic, else |u| <= W_CAP (so not
+    nan), from k0 to it; invalid points read 0.
     """
     n, m = len(axis), len(u0)
     h = np.diff(axis)
@@ -239,7 +239,8 @@ def _sweep(axis, k0, u0, tab, coeffs, periodic):
             if periodic:
                 turn = _unwrap(u[side])
                 u[side] = u0 + (turn - turn[0])
-            ok[side] = np.logical_and.accumulate(np.abs(u[side]) <= W_CAP, axis=0)
+            kept = np.isfinite(u[side]) if periodic else np.abs(u[side]) <= W_CAP
+            ok[side] = np.logical_and.accumulate(kept, axis=0)
     return np.where(ok, u, 0.0), ok
 
 
@@ -329,9 +330,9 @@ def closed_form_w_tanh(theta: ScalarField, c: np.ndarray, w00: float) -> ScalarF
     _, j0 = g.origin(theta)
     sin_th = field(g, np.sin(theta.values), theta.mask)
     cos_th = field(g, np.cos(theta.values), theta.mask)
-    Xf = cumulative_integral_x(sin_th, 0.0)
+    Xf = cumulative_integral_x(sin_th)
     X = Xf.values[:, j0]
-    Yf = cumulative_integral_y(cos_th, 0.0)
+    Yf = cumulative_integral_y(cos_th)
 
     disc = np.abs(4 - c**2)
     ok_x = (disc >= SINGULARITY_EPS) & (np.abs(c - 2) >= SINGULARITY_EPS) & Xf.mask[:, j0]

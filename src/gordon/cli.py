@@ -333,8 +333,8 @@ def main(argv=None) -> int:
     except NumericalError as e:  # a ValueError: caught before the clause below
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)  # str() quotes a KeyError
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
 
 

@@ -316,7 +316,7 @@ def get_family(fid: str) -> SolutionFamily:
     try:
         return CATALOG[fid]
     except KeyError:
-        raise KeyError(f"unknown family id: {fid}") from None
+        raise ValueError(f"unknown family id: {fid}") from None
 
 
 def _params(fam: SolutionFamily, params) -> dict:

@@ -70,22 +70,17 @@ class Grid2D:
     def y(self) -> np.ndarray:
         return np.linspace(self.y0, self.y1, self.ny)
 
-    def index_of_x(self, x: float) -> int:
-        """Index of the grid line x = const, or raise if x is off-grid."""
-        i = int(round((x - self.x0) / self.hx))
-        if i < 0 or i >= self.nx or abs(self.x0 + i * self.hx - x) > 1e-9 * max(1.0, self.hx):
-            raise ValueError(f"x = {x} does not coincide with a grid line")
-        return i
-
-    def index_of_y(self, y: float) -> int:
-        j = int(round((y - self.y0) / self.hy))
-        if j < 0 or j >= self.ny or abs(self.y0 + j * self.hy - y) > 1e-9 * max(1.0, self.hy):
-            raise ValueError(f"y = {y} does not coincide with a grid line")
-        return j
+    def _zero_line(self, axis: int) -> int:
+        """Index of the grid line at 0 of `axis` (0: x, 1: y), or raise if 0 is off-grid."""
+        a0, h, n = (self.x0, self.hx, self.nx) if axis == 0 else (self.y0, self.hy, self.ny)
+        k = int(round(-a0 / h))
+        if k < 0 or k >= n or abs(a0 + k * h) > 1e-9 * max(1.0, h):
+            raise ValueError(f"{'xy'[axis]} = 0.0 does not coincide with a grid line")
+        return k
 
     def origin(self, *fields) -> tuple:
         """Index (i0, j0) of the seed point (0, 0); ValueError unless every field is valid there."""
-        k0 = (self.index_of_x(0.0), self.index_of_y(0.0))
+        k0 = (self._zero_line(0), self._zero_line(1))
         if not all(f.mask[k0] for f in fields):
             raise ValueError("a given field is invalid at the seed point (0, 0)")
         return k0
@@ -313,13 +308,14 @@ SECOND_ORDER = types.SimpleNamespace(d=lambda f, axis: (partial_x, partial_y)[ax
                                      partials=lambda u: partials(u), wirtinger=lambda u: wirtinger(u))
 
 
-def _cumulative(f: ScalarField, k0: int, axis: int) -> ScalarField:
-    """Cumulative trapezoid of f along `axis`, zero at index k0.
+def _cumulative(f: ScalarField, axis: int) -> ScalarField:
+    """Cumulative trapezoid of f along `axis`, zero on the axis's grid line at 0.
 
     Summation order is fixed (ascending index) so results are bit-identical
-    across runs.  A point is valid iff every point from k0 to it is valid.
+    across runs.  A point is valid iff all points from the 0 line to it are.
     """
     g = f.grid
+    k0 = g._zero_line(axis)
     v, m = np.moveaxis(f.values, axis, 0), np.moveaxis(f.mask, axis, 0)
     dt = np.diff((g.x(), g.y())[axis])[:, None]
     seg = (v[1:] + v[:-1]) / 2 * dt
@@ -330,14 +326,14 @@ def _cumulative(f: ScalarField, k0: int, axis: int) -> ScalarField:
     return field(g, np.moveaxis(c - c[k0], 0, axis), np.moveaxis(ok, 0, axis))
 
 
-def cumulative_integral_x(f: ScalarField, x_start: float) -> ScalarField:
-    """Row-wise trapezoidal cumulative integral from the grid line x = x_start."""
-    return _cumulative(f, f.grid.index_of_x(x_start), 0)
+def cumulative_integral_x(f: ScalarField) -> ScalarField:
+    """Row-wise trapezoidal cumulative integral from the grid line x = 0."""
+    return _cumulative(f, 0)
 
 
-def cumulative_integral_y(f: ScalarField, y_start: float) -> ScalarField:
-    """Column-wise trapezoidal cumulative integral from the grid line y = y_start."""
-    return _cumulative(f, f.grid.index_of_y(y_start), 1)
+def cumulative_integral_y(f: ScalarField) -> ScalarField:
+    """Column-wise trapezoidal cumulative integral from the grid line y = 0."""
+    return _cumulative(f, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +583,7 @@ def _read_companion(path: str, g: Grid2D, data_sha256, names):
 
 
 def _read_checked(path: str, g: Grid2D, names):
-    """Value columns of any file on grid g: its header checked, x and y parsed and held to index_of_x's tolerance."""
+    """Value columns of any file on grid g: its header checked, x and y parsed and held within 1e-9 max(1, h)."""
     with open(path, encoding="latin-1") as fh:  # any byte decodes; universal newlines, as np.loadtxt reads
         found = fh.readline().removesuffix("\n")
     if found != _header(names):
@@ -618,7 +614,7 @@ def _load_csv(path: str, names, build):
     build accept the data. The columns come from the dump's companion
     `<path>.npy` when the sidecar's digest shows that none of the three files
     changed since the dump; otherwise the CSV is parsed, its header checked,
-    x and y held to Grid2D.index_of_x's tolerance, and that read decides and
+    x and y held within 1e-9 max(1, h) of the grid's, and that read decides and
     words the error. Either way the same checks run on the columns.
     """
     try:

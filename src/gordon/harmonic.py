@@ -59,18 +59,18 @@ def ppfd_construct(pair: BacklundPair, R0: float, S0: float) -> HarmonicMapResul
     w, th = pair.w.values, pair.theta.values
     ok = pair.w.mask & pair.theta.mask
 
-    f1 = field(g, np.cosh(w) * np.sin(th), ok)
-    I1f = cumulative_integral_x(f1, 0.0)
+    cosh, sinh, sin, cos = np.cosh(w), np.sinh(w), np.sin(th), np.cos(th)
+    I1f = cumulative_integral_x(field(g, cosh * sin, ok))
     I1x = I1f.values[:, j0]
     ok1 = I1f.mask[:, j0]
 
-    I2f = cumulative_integral_y(field(g, np.sinh(w) * np.cos(th), ok), 0.0)
+    I2f = cumulative_integral_y(field(g, sinh * cos, ok))
 
-    f3 = field(g, np.exp(2 * I1f.values) * np.cosh(w) * np.cos(th), ok & I1f.mask)
-    I3x = cumulative_integral_x(f3, 0.0).values[:, j0]
+    f3 = field(g, np.exp(2 * I1f.values) * cosh * cos, ok & I1f.mask)
+    I3x = cumulative_integral_x(f3).values[:, j0]
 
-    f4 = field(g, np.exp(2 * I2f.values) * np.sinh(w) * np.sin(th), ok & I2f.mask)
-    I4in = cumulative_integral_y(f4, 0.0)
+    f4 = field(g, np.exp(2 * I2f.values) * sinh * sin, ok & I2f.mask)
+    I4in = cumulative_integral_y(f4)
     I4 = np.exp(2 * I1x)[:, None] * I4in.values
 
     valid = ok1[:, None] & I2f.mask & I4in.mask

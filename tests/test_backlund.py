@@ -114,7 +114,7 @@ class TestThetaToW:
     def test_requires_a_valid_seed_point(self):
         g = grid(-0.3, 0.3, -0.3, 0.3)
         mask = np.ones((g.nx, g.ny), dtype=bool)
-        mask[g.index_of_x(0.0), g.index_of_y(0.0)] = False
+        mask[g.origin()] = False
         with pytest.raises(ValueError, match="seed point"):
             theta_to_w(field(g, np.full((g.nx, g.ny), 0.5), mask), 0.0)
 
@@ -186,12 +186,13 @@ class TestWToTheta:
                 out[side] = sol.y.T.reshape(out[side].shape)
             return out
 
+        i0, j0 = g.origin()
         seed = both_ways(lambda t, u: (fn(d, t) - fn(-d, t)) / (2 * d) + 2 * np.sinh(fn(0.0, t)) * np.sin(u),
-                         y, g.index_of_y(0.0), np.pi)
+                         y, j0, np.pi)
         want = both_ways(lambda t, u: -(fn(t, y + d) - fn(t, y - d)) / (2 * d) - 2 * np.cosh(fn(t, y)) * np.cos(u),
-                         x, g.index_of_x(0.0), seed)
+                         x, i0, seed)
         assert th.mask.all()
-        assert th.values[g.index_of_x(0.0), g.index_of_y(0.0)] == np.pi
+        assert th.values[i0, j0] == np.pi
         assert np.abs(th.values - want).max() < 3e-9  # 3.1e-10 measured
 
     def test_round_trip(self):
@@ -238,15 +239,16 @@ def _reference_sweep(axis, k0, u0, coeffs, periodic):
 
     v = tan(u/2) if periodic, else tanh(u/2); every cell evaluates coeffs
     at its own two Gauss points, and a cell below k0 is crossed backwards
-    by the inverse of its matrix.  A point is valid while |u| <= W_CAP at
-    it and at every point between it and k0.
+    by the inverse of its matrix.  A point is valid while u is finite if
+    periodic, else |u| <= W_CAP, at it and at every point between it and k0.
     """
+    kept = np.isfinite if periodic else (lambda v: np.abs(v) <= W_CAP)
     n, m = len(axis), len(u0)
     p, q = np.zeros((n, m)), np.zeros((n, m))
     p[k0], q[k0] = (np.sin(u0 / 2), np.cos(u0 / 2)) if periodic else (np.tanh(u0 / 2), 1.0)
     u = np.zeros((n, m))
     valid = np.zeros((n, m), dtype=bool)
-    u[k0], valid[k0] = u0, np.abs(u0) <= W_CAP
+    u[k0], valid[k0] = u0, kept(u0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in (1, -1):
             for k in range(k0 + step, n if step == 1 else -1, step):
@@ -266,7 +268,7 @@ def _reference_sweep(axis, k0, u0, coeffs, periodic):
                 turn = np.unwrap(u[side], axis=0)
                 u[side] = u0 + (turn - turn[0])
             for k in range(k0 + step, n if step == 1 else -1, step):
-                valid[k] = valid[k - step] & (np.abs(u[k]) <= W_CAP)
+                valid[k] = valid[k - step] & kept(u[k])
     return np.where(valid, u, 0.0), valid
 
 
@@ -300,7 +302,7 @@ def reference_march(f, u00, direction, analytic=None):
     """
     g = f.grid
     x, y = g.x(), g.y()
-    i0, j0 = g.index_of_x(0.0), g.index_of_y(0.0)
+    i0, j0 = g.origin()
     if analytic is not None:
         d = 1e-5
         along_y = lambda xs, t: (analytic(xs, t), (analytic(xs + d, t) - analytic(xs - d, t)) / (2 * d))
@@ -497,7 +499,7 @@ class TestTabulatedMarch:
         # 2 atan2 reads within (-2 pi, 2 pi]: a point beyond is one where the
         # unwrap fired, on a row (off the seed column) or on the seed column
         beyond = ok & (np.abs(vals) > 2 * np.pi)
-        i0 = got.grid.index_of_x(0.0)
+        i0, _ = got.grid.origin()
         assert np.delete(beyond, i0, axis=0).any()
         assert beyond[i0].any() == (u00 < 0)
 
@@ -511,6 +513,16 @@ class TestTabulatedMarch:
         assert got.mask.all()
         for axis in (0, 1):
             assert (np.abs(np.diff(got.values, axis=axis)) < np.pi).all()
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    def test_theta_beyond_w_cap_is_kept(self, sampled):
+        # theta is an angle: W_CAP bounds w alone, so a seed of 31 marches as
+        # the seed four turns below it, 8 pi apart, on the same points
+        rect = (0.0, 0.6, -0.3, 0.3)
+        got, _, _ = _march_case(("w2t", "W_SQRT2", rect, 31.0), sampled)
+        turned, _, _ = _march_case(("w2t", "W_SQRT2", rect, 31.0 - 8 * np.pi), sampled)
+        assert got.mask.all() and np.array_equal(got.mask, turned.mask)
+        assert np.abs(got.values - turned.values - 8 * np.pi).max() < 1e-13  # 7.1e-15 measured
 
 
 def _same_bits(a, b):
@@ -596,8 +608,8 @@ class TestClosedFormTanh:
         c = SQRT2 * np.tanh(SQRT2 * g.x())
         w00 = 0.8
         w = closed_form_w_tanh(th, c, w00)
-        j0 = g.index_of_y(0.0)
-        X = cumulative_integral_x(field(g, np.sin(th.values), th.mask), 0.0).values[:, j0]
+        _, j0 = g.origin()
+        X = cumulative_integral_x(field(g, np.sin(th.values), th.mask)).values[:, j0]
         expect = np.tanh(w00 / 2) * np.exp(-2 * X)
         got = np.tanh(w.values[:, j0] / 2)
         ok = w.mask[:, j0]

@@ -55,9 +55,7 @@ class TestFamilies:
         ])
         assert rc == 0
         f = load_scalar_csv(out)
-        i0 = f.grid.index_of_x(0.0)
-        j0 = f.grid.index_of_y(0.0)
-        assert f.values[i0, j0] == 0.0
+        assert f.values[f.grid.origin()] == 0.0
         assert (tmp_path / "w.csv.grid.json").exists()
 
     def test_eval_metric_writes_components(self, tmp_path, capsys):

@@ -72,11 +72,12 @@ class TestMakeGrid:
             make_grid(1, 0, 0, 1, 5, 5)
 
     def test_index_lookup(self):
-        g = make_grid(-1, 1, -1, 1, 21, 21)
-        assert g.index_of_x(0.0) == 10
-        assert g.index_of_y(-1.0) == 0
-        with pytest.raises(ValueError):
-            g.index_of_x(0.05)  # between grid lines
+        assert make_grid(-1, 1, -1, 1, 21, 21).origin() == (10, 10)
+        assert make_grid(0, 1, -1, 0, 11, 11).origin() == (0, 10)
+        with pytest.raises(ValueError, match="x = 0.0 does not coincide"):
+            make_grid(-1, 1, -1, 1, 20, 21).origin()  # 0 between grid lines
+        with pytest.raises(ValueError, match="y = 0.0 does not coincide"):
+            make_grid(-1, 1, 0.5, 1, 21, 21).origin()  # 0 outside the grid
 
 
 class TestLaplacian:
@@ -223,38 +224,38 @@ class TestSecondOrder:
 class TestCumulativeIntegral:
     def test_constant_exact(self):
         g = make_grid(0, 1, 0, 1, 21, 21)
-        c = cumulative_integral_x(sampled(g, lambda x, y: 1 + 0 * x), 0.0)
+        c = cumulative_integral_x(sampled(g, lambda x, y: 1 + 0 * x))
         X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.allclose(c.values, X, atol=1e-14)
 
     def test_linear_exact(self):
         g = make_grid(0, 1, 0, 1, 21, 21)
-        c = cumulative_integral_x(sampled(g, lambda x, y: x), 0.0)
+        c = cumulative_integral_x(sampled(g, lambda x, y: x))
         X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.allclose(c.values, X**2 / 2, atol=1e-14)
 
     def test_cos_accuracy(self):
         g = make_grid(0, 1, 0, 1, 101, 101)
-        c = cumulative_integral_x(sampled(g, lambda x, y: np.cos(x)), 0.0)
+        c = cumulative_integral_x(sampled(g, lambda x, y: np.cos(x)))
         X, _ = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.abs(c.values - np.sin(X)).max() < 1e-5
 
     def test_interior_anchor_and_y_direction(self):
         g = make_grid(0, 1, -1, 1, 11, 21)
-        c = cumulative_integral_y(sampled(g, lambda x, y: y), 0.0)
+        c = cumulative_integral_y(sampled(g, lambda x, y: y))
         _, Y = np.meshgrid(g.x(), g.y(), indexing="ij")
         assert np.allclose(c.values, Y**2 / 2, atol=1e-14)
 
     def test_off_grid_start_rejected(self):
-        g = make_grid(0, 1, 0, 1, 11, 11)
-        with pytest.raises(ValueError):
-            cumulative_integral_x(sampled(g, lambda x, y: x), 0.123)
+        g = make_grid(-0.05, 0.95, 0, 1, 11, 11)  # x = 0 falls between grid lines
+        with pytest.raises(ValueError, match="x = 0.0 does not coincide"):
+            cumulative_integral_x(sampled(g, lambda x, y: x))
 
     def test_mask_blocks_integration_past_invalid(self):
         g = make_grid(0, 1, 0, 1, 11, 11)
         mask = np.ones((11, 11), dtype=bool)
         mask[5, :] = False
-        c = cumulative_integral_x(field(g, np.ones((11, 11)), mask), 0.0)
+        c = cumulative_integral_x(field(g, np.ones((11, 11)), mask))
         assert c.mask[4, 3] and not c.mask[5, 3] and not c.mask[7, 3]
 
 
@@ -489,7 +490,7 @@ class TestRectGrid:
         # 0.7 / 0.003 = 233.3 cells would put no grid line on y = 0
         g = rect_grid((0.0, 0.6, -0.35, 0.35), 0.003)
         assert (g.nx, g.ny) == (201, 235)
-        assert g.y()[g.index_of_y(0.0)] == 0.0
+        assert g.y()[g.origin()[1]] == 0.0
         assert rect_grid((-0.25, 0.25, -0.3, 0.3), 0.01).nx == 51  # already even
 
     @pytest.mark.parametrize("h", [1e-320, 5e-324])
@@ -947,8 +948,14 @@ class TestMaskProperties:
 
     @staticmethod
     def integral(f, k0, axis):
+        """The quadrature of f along `axis`, on f's grid shifted to put its 0 line at index k0."""
         g = f.grid
-        return cumulative_integral_x(f, g.x()[k0]) if axis == 0 else cumulative_integral_y(f, g.y()[k0])
+        bounds = [g.x0, g.x1, g.y0, g.y1]
+        shift = (g.x(), g.y())[axis][k0]
+        bounds[2 * axis] -= shift
+        bounds[2 * axis + 1] -= shift
+        f = ScalarField(Grid2D(*bounds, g.nx, g.ny), f.values, f.mask)
+        return cumulative_integral_x(f) if axis == 0 else cumulative_integral_y(f)
 
     @FAST
     @given(grid_masks, st.integers(0, 1), st.data())
@@ -1006,7 +1013,7 @@ class TestMaskProperties:
         assert np.all(np.take(c.values, k0, axis=axis) == 0.0)
         # the trapezoid summed as np.cumsum does, from the first segment in
         # ascending index order, after a 0 at index 0, less its value at k0
-        t, v = (f.grid.x(), f.grid.y())[axis], np.moveaxis(values, axis, 0)
+        t, v = (c.grid.x(), c.grid.y())[axis], np.moveaxis(values, axis, 0)
         seg = [(v[k + 1] + v[k]) / 2 * (t[k + 1] - t[k]) for k in range(len(t) - 1)]
         acc = [np.zeros(v.shape[1:]), seg[0]]
         for s in seg[1:]:

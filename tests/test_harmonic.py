@@ -36,7 +36,7 @@ class TestConstruction:
         pair = sqrt2_pair()
         g = pair.grid
         res = ppfd_construct(pair, R0=1.5, S0=0.5)
-        j0 = g.index_of_y(0.0)
+        _, j0 = g.origin()
         ok = res.u.mask[:, j0]
         assert np.abs(res.I2.values[:, j0][ok]).max() == 0.0
         assert np.abs(res.I4.values[:, j0][ok]).max() == 0.0
@@ -50,7 +50,7 @@ class TestConstruction:
         pair = sqrt2_pair()
         g = pair.grid
         res = ppfd_construct(pair, R0=0.0, S0=0.5)
-        j0 = g.index_of_y(0.0)
+        _, j0 = g.origin()
         x = g.x()
         expect = x - np.arctanh(np.tanh(SQRT2 * x) / SQRT2)
         ok = res.u.mask[:, j0]
@@ -60,7 +60,7 @@ class TestConstruction:
         pair = sqrt2_pair()
         g = pair.grid
         res = ppfd_construct(pair, R0=-2.0, S0=0.25)
-        i0, j0 = g.index_of_x(0.0), g.index_of_y(0.0)
+        i0, j0 = g.origin()
         assert res.u.re[i0, j0] == -2.0
         assert res.u.im[i0, j0] == 0.25
         assert np.all(res.u.im[res.u.mask] > 0)
